@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .ladder import index_sets
+from .ladder import check_pair_set, index_sets, pairs_label
 from .potentials import (
     Potential,
     gc_torus_potential,
@@ -273,50 +273,69 @@ def verify_potential_transport(a: Atlas) -> Report:
 
 # -- the node wall crossings ----------------------------------------------
 
+# The wall crossings at one node, in slot coordinates: (u, v) on the immersed
+# chart, (x1, y1) on chekanov and (x2, y2) on clifford.  Each entry binds the
+# target coordinates to source expressions and lists its guards, the source
+# functions that must not vanish.  Entries come in pairs, a map and then its
+# inverse.  The first three pairs are the node wall crossings; the last pair
+# glues the clifford chart of one slot to the torus chart, whose holonomies
+# around the slot are za, zb on row 1 and wa, wb on row 2.
+_SLOT_MAPS = {
+    ("immersed", "chekanov"): ({"x1": "u*v - 1", "y1": "u"}, ("u*v - 1",)),
+    ("chekanov", "immersed"): ({"u": "y1", "v": "(x1 + 1)/y1"}, ("y1",)),
+    ("immersed", "clifford"): ({"x2": "u*v - 1", "y2": "1/v"}, ("u*v - 1", "v")),
+    ("clifford", "immersed"): ({"u": "(1 + x2)*y2", "v": "1/y2"}, ("y2",)),
+    ("clifford", "chekanov"): ({"x1": "x2", "y1": "y2*(1 + x2)"}, ("x2 + 1",)),
+    ("chekanov", "clifford"): ({"x2": "x1", "y2": "y1/(1 + x1)"}, ("x1 + 1",)),
+    ("torus", "clifford"): ({"x2": "zb*wa/(za*wb)", "y2": "wb/wa"}, ()),
+    ("clifford", "torus"): ({"zb": "x2*y2*za", "wa": "wb/y2"}, ("y2",)),
+}
+_NODE_EDGES = tuple(_SLOT_MAPS)[:6]
+
+
+def _slot_map(source: str, target: str) -> Transition:
+    bindings, guards = _SLOT_MAPS[(source, target)]
+    return Transition(
+        source,
+        target,
+        {name: parse(expr) for name, expr in bindings.items()},
+        tuple(parse(g) for g in guards),
+    )
+
+
+def _renamed(
+    t: Transition, source_names: Mapping[str, str], target_names: Mapping[str, str]
+) -> Transition:
+    return Transition(
+        t.source,
+        t.target,
+        {target_names.get(k, k): e.rename(source_names) for k, e in t.bindings.items()},
+        tuple(c.rename(source_names) for c in t.constraints),
+    )
+
 
 def local_transitions() -> list[Transition]:
     """The three canonical maps among the node chart and its smoothings."""
-    guard = parse("u*v - 1")
-    return [
-        Transition(
-            "immersed", "chekanov", {"x1": parse("u*v - 1"), "y1": parse("u")}, (guard,)
-        ),
-        Transition(
-            "immersed",
-            "clifford",
-            {"x2": parse("u*v - 1"), "y2": parse("1/v")},
-            (guard, parse("v")),
-        ),
-        Transition(
-            "clifford",
-            "chekanov",
-            {"x1": parse("x2"), "y1": parse("y2*(1 + x2)")},
-            (parse("x2 + 1"),),
-        ),
-    ]
+    return [_slot_map(*edge) for edge in _NODE_EDGES[0::2]]
 
 
 def _local_inverses() -> list[Transition]:
-    return [
-        Transition(
-            "chekanov",
-            "immersed",
-            {"u": parse("y1"), "v": parse("(x1 + 1)/y1")},
-            (parse("y1"),),
-        ),
-        Transition(
-            "clifford",
-            "immersed",
-            {"u": parse("(1 + x2)*y2"), "v": parse("1/y2")},
-            (parse("y2"),),
-        ),
-        Transition(
-            "chekanov",
-            "clifford",
-            {"x2": parse("x1"), "y2": parse("y1/(1 + x1)")},
-            (parse("x1 + 1"),),
-        ),
-    ]
+    return [_slot_map(*edge) for edge in _NODE_EDGES[1::2]]
+
+
+def _node_transitions(holonomies: tuple[str, ...]) -> tuple[Transition, ...]:
+    """The six node wall crossings of a local atlas, each map followed by its
+    inverse.  The holonomy coordinates ride along unchanged; each chart
+    suffixes them with its index (0 immersed, 1 chekanov, 2 clifford)."""
+    index = {"immersed": "0", "chekanov": "1", "clifford": "2"}
+
+    def named(chart: str) -> dict[str, str]:
+        return {h: h + index[chart] for h in holonomies}
+
+    return tuple(
+        _renamed(extend_identity(_slot_map(s, t), holonomies), named(s), named(t))
+        for s, t in _NODE_EDGES
+    )
 
 
 def gauge_automorphism(k: int) -> Transition:
@@ -371,12 +390,9 @@ def local_model_atlas(perturb_cocycle: bool = False) -> Atlas:
     )
     transitions = local_transitions() + _local_inverses()
     if perturb_cocycle:
-        transitions[2] = Transition(
-            "clifford",
-            "chekanov",
-            {"x1": parse("x2"), "y1": parse("y2*(1 + x2)^2")},
-            (parse("x2 + 1"),),
-        )
+        t = transitions[2]
+        bindings = dict(t.bindings, y1=t.bindings["y1"] * parse("1 + x2"))
+        transitions[2] = Transition(t.source, t.target, bindings, t.constraints)
     return Atlas("local-model", charts, tuple(transitions))
 
 
@@ -398,44 +414,7 @@ def gr24_atlas(flip_sign: bool = False) -> Atlas:
         Chart("chekanov", ("x1", "y1", "z1", "w1")),
         Chart("clifford", ("x2", "y2", "z2", "w2")),
     )
-    transitions = (
-        Transition(
-            "immersed",
-            "chekanov",
-            {"x1": parse("u*v - 1"), "y1": parse("u"), "z1": parse("z0"), "w1": parse("w0")},
-            (parse("u*v - 1"),),
-        ),
-        Transition(
-            "chekanov",
-            "immersed",
-            {"u": parse("y1"), "v": parse("(x1 + 1)/y1"), "z0": parse("z1"), "w0": parse("w1")},
-            (parse("y1"),),
-        ),
-        Transition(
-            "immersed",
-            "clifford",
-            {"x2": parse("u*v - 1"), "y2": parse("1/v"), "z2": parse("z0"), "w2": parse("w0")},
-            (parse("u*v - 1"), parse("v")),
-        ),
-        Transition(
-            "clifford",
-            "immersed",
-            {"u": parse("(1 + x2)*y2"), "v": parse("1/y2"), "z0": parse("z2"), "w0": parse("w2")},
-            (parse("y2"),),
-        ),
-        Transition(
-            "clifford",
-            "chekanov",
-            {"x1": parse("x2"), "y1": parse("y2*(1 + x2)"), "z1": parse("z2"), "w1": parse("w2")},
-            (parse("x2 + 1"),),
-        ),
-        Transition(
-            "chekanov",
-            "clifford",
-            {"x2": parse("x1"), "y2": parse("y1/(1 + x1)"), "z2": parse("z1"), "w2": parse("w1")},
-            (parse("x1 + 1"),),
-        ),
-    )
+    transitions = _node_transitions(("z", "w"))
     potentials = {
         "immersed": immersed,
         "chekanov": chekanov,
@@ -455,43 +434,7 @@ def og15_atlas() -> Atlas:
         Chart("toric-fiber", ("y1_1", "y1_2", "y1_3"), "monotone fiber of the degenerate toric system"),
     )
     bridge = og_bridge()
-    transitions = (
-        Transition(
-            "immersed",
-            "chekanov",
-            {"x1": parse("u*v - 1"), "y1": parse("u"), "z1": parse("z0")},
-            (parse("u*v - 1"),),
-        ),
-        Transition(
-            "chekanov",
-            "immersed",
-            {"u": parse("y1"), "v": parse("(x1 + 1)/y1"), "z0": parse("z1")},
-            (parse("y1"),),
-        ),
-        Transition(
-            "immersed",
-            "clifford",
-            {"x2": parse("u*v - 1"), "y2": parse("1/v"), "z2": parse("z0")},
-            (parse("u*v - 1"), parse("v")),
-        ),
-        Transition(
-            "clifford",
-            "immersed",
-            {"u": parse("(1 + x2)*y2"), "v": parse("1/y2"), "z0": parse("z2")},
-            (parse("y2"),),
-        ),
-        Transition(
-            "clifford",
-            "chekanov",
-            {"x1": parse("x2"), "y1": parse("y2*(1 + x2)"), "z1": parse("z2")},
-            (parse("x2 + 1"),),
-        ),
-        Transition(
-            "chekanov",
-            "clifford",
-            {"x2": parse("x1"), "y2": parse("y1/(1 + x1)"), "z2": parse("z1")},
-            (parse("x1 + 1"),),
-        ),
+    transitions = _node_transitions(("z",)) + (
         Transition("toric-fiber", "clifford", dict(bridge)),
         Transition(
             "clifford",
@@ -511,30 +454,6 @@ def og15_atlas() -> Atlas:
 # -- product charts over a pair set ----------------------------------------
 
 
-_PRODUCT_EDGES = {
-    ("immersed", "chekanov"),
-    ("chekanov", "immersed"),
-    ("immersed", "clifford"),
-    ("clifford", "immersed"),
-    ("clifford", "chekanov"),
-    ("chekanov", "clifford"),
-    ("torus", "clifford"),
-    ("clifford", "torus"),
-}
-
-
-def _pairs_label(pair_set) -> str:
-    return ";".join(f"{i},{j}" for i, j in sorted(pair_set))
-
-
-def _validate(n: int, pair_set) -> frozenset:
-    pair_set = frozenset((int(i), int(j)) for i, j in pair_set)
-    valid, _ = index_sets(n)
-    if pair_set not in valid:
-        raise ValueError(f"not a valid pair set for n={n}: {sorted(pair_set)}")
-    return pair_set
-
-
 def _surviving_z(n: int, pair_set) -> tuple[str, ...]:
     d1 = {i + 1 for i, _ in pair_set}
     d2 = {i for i, _ in pair_set}
@@ -546,8 +465,8 @@ def _surviving_z(n: int, pair_set) -> tuple[str, ...]:
 
 def product_charts(n: int, pair_set) -> dict:
     """The torus chart and the three chart types over one pair set."""
-    pair_set = _validate(n, pair_set)
-    lbl = _pairs_label(pair_set)
+    pair_set = check_pair_set(n, pair_set)
+    lbl = pairs_label(pair_set)
     zs = _surviving_z(n, pair_set)
     all_z = tuple(
         [f"z1_{j}" for j in range(1, n - 1)] + [f"z2_{j}" for j in range(1, n - 1)]
@@ -576,64 +495,30 @@ def product_transition(n: int, pair_set, pair) -> Transition:
     ``pair`` is (source kind, target kind); the slot maps invert by
     back-substitution, so both directions are available.
     """
-    pair_set = _validate(n, pair_set)
+    pair_set = check_pair_set(n, pair_set)
     source_kind, target_kind = pair
     if not pair_set:
-        charts = {"torus": product_charts(n, frozenset())["torus"]}
         if source_kind != "torus" or target_kind != "torus":
             raise ValueError("only the torus chart exists over the empty pair set")
-        return identity_transition(charts["torus"])
-    if (source_kind, target_kind) not in _PRODUCT_EDGES:
+        return identity_transition(product_charts(n, pair_set)["torus"])
+    if (source_kind, target_kind) not in _SLOT_MAPS:
         raise ValueError(f"unsupported chart pair: {pair!r}")
     charts = product_charts(n, pair_set)
-    source = charts[source_kind]
-    target = charts[target_kind]
     bindings: dict[str, RationalFunction] = {}
     constraints: list[RationalFunction] = []
-    shared = set(_surviving_z(n, pair_set))
-    for name in target.variables:
-        if name in shared:
-            bindings[name] = RationalFunction.var(name)
     for i, _ in sorted(pair_set):
-        u, v = parse(f"u{i}"), parse(f"v{i}")
-        x1, y1 = parse(f"x{i}_1"), parse(f"y{i}_1")
-        x2, y2 = parse(f"x{i}_2"), parse(f"y{i}_2")
-        one = RationalFunction.constant(1)
-        if (source_kind, target_kind) == ("immersed", "chekanov"):
-            bindings[f"x{i}_1"] = u * v - one
-            bindings[f"y{i}_1"] = u
-            constraints.append(u * v - one)
-        elif (source_kind, target_kind) == ("chekanov", "immersed"):
-            bindings[f"u{i}"] = y1
-            bindings[f"v{i}"] = (x1 + one) / y1
-            constraints.append(y1)
-        elif (source_kind, target_kind) == ("immersed", "clifford"):
-            bindings[f"x{i}_2"] = u * v - one
-            bindings[f"y{i}_2"] = one / v
-            constraints.append(u * v - one)
-            constraints.append(v)
-        elif (source_kind, target_kind) == ("clifford", "immersed"):
-            bindings[f"u{i}"] = (one + x2) * y2
-            bindings[f"v{i}"] = one / y2
-            constraints.append(y2)
-        elif (source_kind, target_kind) == ("clifford", "chekanov"):
-            bindings[f"x{i}_1"] = x2
-            bindings[f"y{i}_1"] = y2 * (one + x2)
-            constraints.append(x2 + one)
-        elif (source_kind, target_kind) == ("chekanov", "clifford"):
-            bindings[f"x{i}_2"] = x1
-            bindings[f"y{i}_2"] = y1 / (one + x1)
-            constraints.append(x1 + one)
-        elif (source_kind, target_kind) == ("torus", "clifford"):
-            za, zb = parse(f"z1_{i}"), parse(f"z1_{i + 1}")
-            wa, wb = parse(f"z2_{i}"), parse(f"z2_{i + 1}")
-            bindings[f"x{i}_2"] = zb * wa / (za * wb)
-            bindings[f"y{i}_2"] = wb / wa
-        elif (source_kind, target_kind) == ("clifford", "torus"):
-            bindings[f"z1_{i + 1}"] = x2 * y2 * parse(f"z1_{i}")
-            bindings[f"z2_{i}"] = parse(f"z2_{i + 1}") / y2
-            constraints.append(y2)
-    return Transition(source.name, target.name, bindings, tuple(constraints))
+        names = {
+            "u": f"u{i}", "v": f"v{i}",
+            "x1": f"x{i}_1", "y1": f"y{i}_1", "x2": f"x{i}_2", "y2": f"y{i}_2",
+            "za": f"z1_{i}", "zb": f"z1_{i + 1}", "wa": f"z2_{i}", "wb": f"z2_{i + 1}",
+        }
+        slot = _renamed(_slot_map(source_kind, target_kind), names, names)
+        bindings.update(slot.bindings)
+        constraints += slot.constraints
+    t = Transition(
+        charts[source_kind].name, charts[target_kind].name, bindings, tuple(constraints)
+    )
+    return extend_identity(t, _surviving_z(n, pair_set))
 
 
 def gr_product_atlas(n: int, pair_sets=None) -> Atlas:
@@ -643,7 +528,7 @@ def gr_product_atlas(n: int, pair_sets=None) -> Atlas:
     if pair_sets is None:
         _, maximal = index_sets(n)
         pair_sets = maximal
-    pair_sets = sorted((_validate(n, ps) for ps in pair_sets), key=sorted)
+    pair_sets = sorted((check_pair_set(n, ps) for ps in pair_sets), key=sorted)
     torus_potential = gc_torus_potential(n)
     charts = [product_charts(n, frozenset())["torus"]]
     transitions: list[Transition] = []
@@ -653,7 +538,7 @@ def gr_product_atlas(n: int, pair_sets=None) -> Atlas:
         named = product_charts(n, ps)
         charts += [named["immersed"], named["chekanov"], named["clifford"]]
         transitions += [
-            product_transition(n, ps, pair) for pair in sorted(_PRODUCT_EDGES)
+            product_transition(n, ps, pair) for pair in sorted(_SLOT_MAPS)
         ]
         l2_to_torus = product_transition(n, ps, ("clifford", "torus"))
         w_l2 = torus_potential.expr.substitute(l2_to_torus.bindings)

@@ -29,6 +29,7 @@ from .ladder import (
     diagram_from_pairs,
     moment_inequalities,
     monotone_point,
+    pairs_label,
     tight_edge_indices,
 )
 from .novikov import novikov_expand
@@ -75,10 +76,6 @@ def _need_n(args) -> int:
     if args.n is None:
         raise CliError("this command needs --n")
     return args.n
-
-
-def _pairs_label(pairs: frozenset) -> str:
-    return ";".join(f"{i},{j}" for i, j in sorted(pairs)) or "(empty)"
 
 
 # -- subcommand handlers ---------------------------------------------------
@@ -141,9 +138,9 @@ def run_faces(args) -> tuple[RunReport, list[str]]:
 
 def run_charts(args) -> tuple[RunReport, list[str]]:
     n = _need_n(args)
-    pairs = args.pairs
-    dic = geometric_to_plucker(n, pairs)
-    lines = [f"chart dictionary, n = {n}, pairs {_pairs_label(pairs)}"]
+    dic = geometric_to_plucker(n, args.pairs)
+    label = pairs_label(args.pairs) or "(empty)"
+    lines = [f"chart dictionary, n = {n}, pairs {label}"]
     for name in sorted(dic.bindings):
         lines.append(f"  {name} = {dic.bindings[name]}   (t-power {dic.tpowers[name]})")
     verdicts = [
@@ -160,7 +157,7 @@ def run_charts(args) -> tuple[RunReport, list[str]]:
     ]
     run = RunReport(
         command="charts",
-        inputs={"n": n, "pairs": _pairs_label(pairs)},
+        inputs={"n": n, "pairs": label},
         reports=[Report(f"chart dictionary [n={n}]", tuple(verdicts))],
         artifacts={"bindings": {k: str(v) for k, v in sorted(dic.bindings.items())}},
     )
@@ -200,9 +197,10 @@ def run_potential(args) -> tuple[RunReport, list[str]]:
                 )
             expr = expr.substitute({"T": 1})
     lines = [f"potential [{pot.model} / {pot.chart}]", f"  {expr}"]
+    label = pairs_label(args.pairs) or "(empty)"
     run = RunReport(
         command="potential",
-        inputs={"model": args.model, "n": args.n, "pairs": _pairs_label(args.pairs)},
+        inputs={"model": args.model, "n": args.n, "pairs": label},
         reports=[Report(f"potential [{pot.model}/{pot.chart}]", tuple(verdicts))],
         artifacts={"potential": str(expr), "variables": list(pot.variables)},
     )
@@ -253,12 +251,13 @@ def _select_atlas(args):
 
 def run_verify(args) -> tuple[RunReport, list[str]]:
     t0 = time.perf_counter()
+    label = pairs_label(args.pairs) or "(empty)"
     artifacts: dict = {}
     if args.check == "rietsch":
         if args.model == "gr":
             n = _need_n(args)
             ok = verify_rietsch_ok(f"gr(2,{n})", args.pairs)
-            title = f"potential identity [gr(2,{n}), pairs {_pairs_label(args.pairs)}]"
+            title = f"potential identity [gr(2,{n}), pairs {label}]"
         elif args.model == "og15":
             ok = verify_rietsch_ok("og15", frozenset())
             title = "potential identity [og(1,5)]"
@@ -317,7 +316,7 @@ def run_verify(args) -> tuple[RunReport, list[str]]:
         inputs={
             "model": getattr(args, "model", None),
             "n": args.n,
-            "pairs": _pairs_label(args.pairs),
+            "pairs": label,
             "seed": args.seed,
         },
         reports=reports,
@@ -347,9 +346,9 @@ def run_critical(args) -> tuple[RunReport, list[str]]:
     cfg = SolveConfig(seed=args.seed)
     t0 = time.perf_counter()
     closed = verify_known(model)
-    solved = verify_counts(model, cfg)
-    elapsed = time.perf_counter() - t0
     points = atlas_critical_points(model, cfg)
+    solved = verify_counts(model, points)
+    elapsed = time.perf_counter() - t0
     lines = [f"critical points [{model}]"]
     for p in points:
         lines.append(f"  value {p.value:.6f}  residual {p.residual:.2e}")

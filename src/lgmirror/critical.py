@@ -16,14 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .atlas import gr_product_atlas, og15_atlas
 from .laurent import LaurentPoly
-from .potentials import (
-    Potential,
-    gc_torus_potential,
-    gr24_chart_potentials,
-    og_bridge,
-    og_potentials,
-)
+from .potentials import Potential, gr24_chart_potentials, og_potentials, parse_model
 from .plucker import pvar
 from .rational import RationalFunction, as_rational, parse
 from .report import Report, Verdict
@@ -319,13 +314,12 @@ def og15_expected_values() -> list[complex]:
 _QH_RANK = {"gr24": 6, "og15": 4}
 
 
-def _normalize_model(model: str) -> str:
-    text = model.strip().lower().replace(" ", "")
-    if text in {"gr24", "gr(2,4)"}:
-        return "gr24"
-    if text in {"og15", "og(1,5)"}:
-        return "og15"
-    raise ValueError(f"no closed-form critical data for model {model!r}")
+def _closed_form_key(model: str) -> str:
+    kind, n = parse_model(model)
+    key = f"gr2{n}" if kind == "gr" else kind
+    if key not in _QH_RANK:
+        raise ValueError(f"no closed-form critical data for model {model!r}")
+    return key
 
 
 def _value_multiset_match(actual, expected, tol: float) -> bool:
@@ -347,7 +341,7 @@ def _value_multiset_match(actual, expected, tol: float) -> bool:
 def verify_known(model: str) -> Report:
     """Check the stored closed-form points: tiny gradients, the expected
     critical-value multiset, and the quantum-cohomology count."""
-    key = _normalize_model(model)
+    key = _closed_form_key(model)
     if key == "gr24":
         potential = gr24_chart_potentials()[0]
         closed = gr24_closed_points()
@@ -390,84 +384,38 @@ def verify_known(model: str) -> Report:
 # -- per-chart solving and the atlas union ---------------------------------
 
 
-def _gr24_plucker_maps() -> dict:
-    immersed = {
-        pvar(1, 2): parse("z0*w0*(u*v - 1)"),
-        pvar(1, 3): parse("u*z0"),
-        pvar(1, 4): parse("w0"),
-        pvar(2, 3): parse("z0"),
-        pvar(2, 4): parse("v*w0"),
-        pvar(3, 4): parse("1"),
-    }
-    to_chekanov = {
-        "u": parse("y1"),
-        "v": parse("(x1 + 1)/y1"),
-        "z0": parse("z1"),
-        "w0": parse("w1"),
-    }
-    to_clifford = {
-        "u": parse("(1 + x2)*y2"),
-        "v": parse("1/y2"),
-        "z0": parse("z2"),
-        "w0": parse("w2"),
-    }
-    bridge = {
-        "x2": parse("z1_2*z2_1/(z1_1*z2_2)"),
-        "y2": parse("z2_2/z2_1"),
-        "z2": parse("z1_1"),
-        "w2": parse("z2_2"),
-    }
-    clifford = {k: v.substitute(to_clifford) for k, v in immersed.items()}
-    return {
-        "immersed": immersed,
-        "chekanov": {k: v.substitute(to_chekanov) for k, v in immersed.items()},
-        "clifford": clifford,
-        "torus": {k: v.substitute(bridge) for k, v in clifford.items()},
-    }
-
-
-def _og15_plucker_maps() -> dict:
-    immersed = {
-        "p0": parse("z0"),
-        "p1": parse("v*z0"),
-        "p2": parse("u"),
-        "p3": parse("1"),
-    }
-    to_chekanov = {"u": parse("y1"), "v": parse("(x1 + 1)/y1"), "z0": parse("z1")}
-    to_clifford = {"u": parse("(1 + x2)*y2"), "v": parse("1/y2"), "z0": parse("z2")}
-    clifford = {k: v.substitute(to_clifford) for k, v in immersed.items()}
-    return {
-        "immersed": immersed,
-        "chekanov": {k: v.substitute(to_chekanov) for k, v in immersed.items()},
-        "clifford": clifford,
-        "toric-fiber": {k: v.substitute(og_bridge()) for k, v in clifford.items()},
-    }
-
-
 def _model_charts(model: str):
-    key = _normalize_model(model)
+    """The charts of the model's atlas, starting at the node chart, each with
+    its potential, numeric bindings and homogeneous-coordinate projection.
+
+    Only the node chart's projection is written out; every other chart's is
+    pulled back to it along the atlas transitions.
+    """
+    key = _closed_form_key(model)
     if key == "gr24":
-        immersed, chekanov, clifford = gr24_chart_potentials()
-        torus = gc_torus_potential(4)
-        charts = [
-            ("immersed", immersed, {}),
-            ("chekanov", chekanov, {}),
-            ("clifford", clifford, {}),
-            ("torus", torus, {"T": 1}),
-        ]
-        maps = _gr24_plucker_maps()
-        order = [pvar(i, j) for i in range(1, 4) for j in range(i + 1, 5)]
+        # the product atlas of gr(2,4) also carries the torus chart
+        atlas, root, bindings = gr_product_atlas(4), "immersed[1,2]", {"T": 1}
+        projection = {
+            pvar(1, 2): "z1_1*z2_2*(u1*v1 - 1)",
+            pvar(1, 3): "u1*z1_1",
+            pvar(1, 4): "z2_2",
+            pvar(2, 3): "z1_1",
+            pvar(2, 4): "v1*z2_2",
+            pvar(3, 4): "1",
+        }
     else:
-        og = og_potentials()
-        charts = [
-            ("immersed", og.immersed, {}),
-            ("chekanov", og.chekanov, {}),
-            ("clifford", og.clifford, {}),
-            ("toric-fiber", og.toric_fiber, {}),
-        ]
-        maps = _og15_plucker_maps()
-        order = ["p0", "p1", "p2", "p3"]
-    return key, charts, maps, order
+        atlas, root, bindings = og15_atlas(), "immersed", {}
+        projection = {"p0": "z0", "p1": "v*z0", "p2": "u", "p3": "1"}
+    maps = {root: {k: parse(e) for k, e in projection.items()}}
+    frontier = [root]
+    while frontier:
+        known = frontier.pop(0)
+        for t in atlas.transitions:
+            if t.target == known and t.source not in maps:
+                maps[t.source] = {k: e.substitute(t.bindings) for k, e in maps[known].items()}
+                frontier.append(t.source)
+    charts = [(name, atlas.potentials[name], bindings, maps[name]) for name in maps]
+    return key, charts, list(projection)
 
 
 def _project_normalized(coords, projection, order):
@@ -484,10 +432,10 @@ def _project_normalized(coords, projection, order):
 def chart_critical_points(model: str, cfg: SolveConfig = SolveConfig()) -> dict:
     """Solve every chart of the model's atlas separately, at unit quantum
     parameter; returns chart name -> point list."""
-    _, charts, _, _ = _model_charts(model)
+    _, charts, _ = _model_charts(model)
     return {
         name: solve_potential(potential, bindings, cfg)
-        for name, potential, bindings in charts
+        for name, potential, bindings, _ in charts
     }
 
 
@@ -496,12 +444,12 @@ def atlas_critical_points(
 ) -> list[CriticalPoint]:
     """Union of the per-chart critical points, deduplicated through the
     homogeneous-coordinate projection (top coordinate scaled to one)."""
-    key, charts, maps, order = _model_charts(model)
+    _, charts, order = _model_charts(model)
     merged: list[CriticalPoint] = []
     vectors: list[np.ndarray] = []
-    for name, potential, bindings in charts:
+    for _, potential, bindings, projection in charts:
         for pt in solve_potential(potential, bindings, cfg):
-            vec = _project_normalized(pt.coords, maps[name], order)
+            vec = _project_normalized(pt.coords, projection, order)
             if any(np.abs(vec - seen).max() < 1e-6 for seen in vectors):
                 continue
             vectors.append(vec)
@@ -516,11 +464,10 @@ def atlas_critical_points(
     return merged
 
 
-def verify_counts(model: str, cfg: SolveConfig = SolveConfig()) -> Report:
-    """Solver-side check that the atlas union recovers exactly the
-    quantum-cohomology rank, with the expected value multiset."""
-    key = _normalize_model(model)
-    points = atlas_critical_points(model, cfg)
+def verify_counts(model: str, points: Sequence[CriticalPoint]) -> Report:
+    """Solver-side check that an atlas union of critical points recovers
+    exactly the quantum-cohomology rank, with the expected value multiset."""
+    key = _closed_form_key(model)
     expected = gr24_expected_values() if key == "gr24" else og15_expected_values()
     verdicts = [
         Verdict(

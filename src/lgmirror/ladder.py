@@ -31,6 +31,8 @@ __all__ = [
     "admissible_diagrams",
     "bounded_regions",
     "chart_subdivision",
+    "check_pair_set",
+    "check_size",
     "classify_face",
     "diagram_from_pairs",
     "full_ladder_edges",
@@ -38,6 +40,7 @@ __all__ = [
     "is_admissible",
     "moment_inequalities",
     "monotone_point",
+    "pairs_label",
     "positive_paths",
     "tight_edge_indices",
 ]
@@ -49,9 +52,38 @@ def _edge(a: Vertex, b: Vertex) -> Edge:
     return (a, b) if a <= b else (b, a)
 
 
-def full_ladder_edges(n: int) -> frozenset[Edge]:
+# -- model size and pair sets --------------------------------------------
+
+
+def check_size(n: int) -> None:
+    """Reject a size that names no model: gr(2,n) needs n >= 4."""
     if n < 4:
         raise ValueError("need n >= 4")
+
+
+def check_pair_set(n: int, pair_set) -> frozenset:
+    """The pair set as a frozenset of int pairs, once it is valid for gr(2,n).
+
+    Valid means n >= 4, every pair is (i, i+1) with 1 <= i <= n-3, and no
+    index lies in two pairs.
+    """
+    check_size(n)
+    pairs = frozenset((int(i), int(j)) for i, j in pair_set)
+    used: set[int] = set()
+    for i, j in pairs:
+        if j != i + 1 or not 1 <= i <= n - 3 or i in used or j in used:
+            raise ValueError(f"not a valid pair set for n={n}: {sorted(pairs)}")
+        used.update((i, j))
+    return pairs
+
+
+def pairs_label(pair_set) -> str:
+    """The pair set spelled as in chart names and on the command line."""
+    return ";".join(f"{i},{j}" for i, j in sorted(pair_set))
+
+
+def full_ladder_edges(n: int) -> frozenset[Edge]:
+    check_size(n)
     edges = set()
     for j in range(n - 1):
         for i in range(2):
@@ -65,8 +97,7 @@ def full_ladder_edges(n: int) -> frozenset[Edge]:
 @lru_cache(maxsize=None)
 def positive_paths(n: int) -> tuple[frozenset[Edge], ...]:
     """All minimal lattice paths (0,0) -> (2, n-2), as edge sets."""
-    if n < 4:
-        raise ValueError("need n >= 4")
+    check_size(n)
     out: list[frozenset[Edge]] = []
 
     def walk(pos: Vertex, acc: tuple[Edge, ...]):
@@ -263,15 +294,9 @@ def index_sets(n: int) -> tuple[tuple[frozenset, ...], tuple[frozenset, ...]]:
     return tuple(all_sets), tuple(maximal)
 
 
-def _check_pair_set(n: int, pair_set: frozenset) -> None:
-    valid, _ = index_sets(n)
-    if frozenset(pair_set) not in valid:
-        raise ValueError(f"not a valid pair set for n={n}: {sorted(pair_set)}")
-
-
 def diagram_from_pairs(n: int, pair_set: frozenset) -> Diagram:
     """Full ladder minus the four edges through the middle vertex of each pair."""
-    _check_pair_set(n, pair_set)
+    pair_set = check_pair_set(n, pair_set)
     edges = set(full_ladder_edges(n))
     for i, _ in sorted(pair_set):
         mid = (1, i)
@@ -291,7 +316,7 @@ def chart_subdivision(n: int, pair_set: frozenset) -> tuple[tuple[int, ...], ...
     edge and fuses two triangles into the quadrilateral
     (n, n-i, n-i-1, n-i-2).
     """
-    _check_pair_set(n, pair_set)
+    pair_set = check_pair_set(n, pair_set)
     cells: dict[int, tuple[int, ...]] = {k: (k, k + 1, n) for k in range(1, n - 1)}
     for i, _ in sorted(pair_set):
         lo = n - i - 2

@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .ladder import check_pair_set, check_size, index_sets
 from .laurent import LaurentPoly
 from .rational import RationalFunction, as_rational
 
@@ -189,12 +190,7 @@ def geometric_to_plucker(n: int, pair_set: frozenset) -> ChartDictionary:
     the staircase: row-1 column j sits at depth j+1, row-2 column j at
     depth j, each u at 1, each v at -1.
     """
-    from .ladder import index_sets
-
-    valid, _ = index_sets(n)
-    pair_set = frozenset(pair_set)
-    if pair_set not in valid:
-        raise ValueError(f"not a valid pair set for n={n}: {sorted(pair_set)}")
+    pair_set = check_pair_set(n, pair_set)
     dropped_row1 = {i + 1 for i, _ in pair_set}
     dropped_row2 = {i for i, _ in pair_set}
     bindings: dict[str, RationalFunction] = {}
@@ -365,8 +361,7 @@ def covering_check(n: int, num_samples: int, seed: int) -> CoveringReport:
     Random points off the divisor, plus one engineered point per possible
     single vanishing p_{k,n}, must each land in some maximal chart.
     """
-    from .ladder import index_sets
-
+    check_size(n)
     _, maximal = index_sets(n)
     failures = []
     for s in range(num_samples):
@@ -378,7 +373,8 @@ def covering_check(n: int, num_samples: int, seed: int) -> CoveringReport:
     for k in range(2, n - 1):
         pt = _degenerate_point(n, {k})
         checked += 1
-        assert pt.values[(k, n)] == 0
+        if pt.values[(k, n)] != 0:
+            raise RuntimeError(f"engineered point does not vanish at p_{k},{n}")
         if not any(chart_membership(pt, m) for m in maximal):
             degenerate_failures.append(json.loads(pt.to_json()))
     return CoveringReport(n, num_samples, failures, checked, degenerate_failures)
@@ -394,8 +390,7 @@ def covering_certificate(n: int) -> list[dict]:
     pattern, so checking every independent pattern settles the cover.
     Each pattern is realized by an explicit point as a sanity check.
     """
-    from .ladder import index_sets
-
+    check_size(n)
     if n > 7:
         raise ValueError("certificate enumerated only for small n")
     _, maximal = index_sets(n)
@@ -406,8 +401,10 @@ def covering_certificate(n: int) -> list[dict]:
             if any(b - a == 1 for a, b in zip(zeros, zeros[1:])):
                 continue  # not realizable off the divisor
             pt = _degenerate_point(n, set(zeros))
-            assert pt.satisfies_relations()
-            assert all((pt.values[(k, n)] == 0) == (k in zeros) for k in ks)
+            if not pt.satisfies_relations():
+                raise RuntimeError(f"engineered point off the Grassmannian: {pt.to_json()}")
+            if any((pt.values[(k, n)] == 0) != (k in zeros) for k in ks):
+                raise RuntimeError(f"engineered point does not vanish exactly at {zeros}")
             covered_by = [m for m in maximal if chart_membership(pt, m)]
             rows.append(
                 {

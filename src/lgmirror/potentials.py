@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
-from .ladder import index_sets
+from .ladder import check_pair_set, check_size, pairs_label
 from .plucker import geometric_to_plucker, pvar, sum_equal_mod_plucker
 from .rational import RationalFunction, parse
 
@@ -74,18 +74,6 @@ def _sum(terms) -> RationalFunction:
     return total
 
 
-def _validate_pairs(n: int, pair_set) -> frozenset:
-    pair_set = frozenset((int(i), int(j)) for i, j in pair_set)
-    valid, _ = index_sets(n)
-    if pair_set not in valid:
-        raise ValueError(f"not a valid pair set for n={n}: {sorted(pair_set)}")
-    return pair_set
-
-
-def _pairs_label(pair_set) -> str:
-    return ";".join(f"{i},{j}" for i, j in sorted(pair_set))
-
-
 # -- torus and surgered potentials ----------------------------------------
 
 
@@ -115,8 +103,7 @@ def _torus_terms(n: int, quantum: RationalFunction) -> list[RationalFunction]:
 
 def torus_terms(n: int) -> list[RationalFunction]:
     """The Laurent monomials of the torus potential, in display order."""
-    if n < 4:
-        raise ValueError("need n >= 4")
+    check_size(n)
     return _torus_terms(n, _T**n)
 
 
@@ -166,12 +153,12 @@ def _surgered_terms(n: int, pair_set, quantum) -> list[RationalFunction]:
 
 def immersed_terms(n: int, pair_set) -> list[RationalFunction]:
     """Terms of the surgered potential for one admissible set of pairs."""
-    pair_set = _validate_pairs(n, pair_set)
+    pair_set = check_pair_set(n, pair_set)
     return _surgered_terms(n, pair_set, _T**n)
 
 
 def immersed_chart_variables(n: int, pair_set) -> tuple[str, ...]:
-    pair_set = _validate_pairs(n, pair_set)
+    pair_set = check_pair_set(n, pair_set)
     dropped1 = {i + 1 for i, _ in pair_set}
     dropped2 = {i for i, _ in pair_set}
     names: list[str] = []
@@ -184,8 +171,8 @@ def immersed_chart_variables(n: int, pair_set) -> tuple[str, ...]:
 
 def immersed_potential(n: int, pair_set) -> Potential:
     """Disk potential of the immersed Lagrangian selected by the pair set."""
-    pair_set = _validate_pairs(n, pair_set)
-    chart = "torus" if not pair_set else f"immersed[{_pairs_label(pair_set)}]"
+    pair_set = check_pair_set(n, pair_set)
+    chart = "torus" if not pair_set else f"immersed[{pairs_label(pair_set)}]"
     return Potential(
         _sum(immersed_terms(n, pair_set)),
         chart,
@@ -290,8 +277,7 @@ def og15_recovery_bindings() -> dict[str, RationalFunction]:
 
 
 def _rietsch_terms(n: int) -> list[RationalFunction]:
-    if n < 4:
-        raise ValueError("need n >= 4")
+    check_size(n)
 
     def pv(i: int, j: int) -> RationalFunction:
         return RationalFunction.var(pvar(i, j))
@@ -371,19 +357,19 @@ def _restricted_checked(n: int, pair_set: frozenset) -> bool:
 def rietsch_restrict(n: int, pair_set, check: bool = True) -> Potential:
     """Torus-chart form of the homogeneous potential, with the coordinates
     the selected chart allows to vanish cleared out of all denominators."""
-    pair_set = _validate_pairs(n, pair_set)
+    pair_set = check_pair_set(n, pair_set)
     terms = _restricted_terms(n, pair_set)
     if check and not _restricted_checked(n, pair_set):
         raise RuntimeError("cleared potential disagrees with the homogeneous one")
     expr = _sum(terms)
-    base = "torus" if not pair_set else f"immersed[{_pairs_label(pair_set)}]"
+    base = "torus" if not pair_set else f"immersed[{pairs_label(pair_set)}]"
     variables = tuple(v for v in expr.variables() if v != "q")
     return Potential(expr, f"plucker:{base}", variables, f"gr(2,{n})")
 
 
 def restricted_terms(n: int, pair_set) -> list[RationalFunction]:
     """Terms of the cleared homogeneous potential, as Laurent monomials."""
-    pair_set = _validate_pairs(n, pair_set)
+    pair_set = check_pair_set(n, pair_set)
     return list(_restricted_terms(n, pair_set))
 
 
@@ -402,18 +388,17 @@ def staircase_tmap(n: int, pair_set=frozenset()) -> dict[str, int]:
     """The dressing that gives every potential term T-valuation one: row-1
     depth grows along the column, each u carries one unit, each v gives one
     back."""
-    pair_set = _validate_pairs(n, pair_set)
     dic = geometric_to_plucker(n, pair_set)
     return {name: -k for name, k in dic.tpowers.items()}
 
 
-def _parse_model(model: str) -> tuple[str, int]:
+def parse_model(model: str) -> tuple[str, int]:
+    """Model family and size from a name such as gr(2,5), gr24 or og(1,5)."""
     text = model.strip().lower().replace(" ", "")
-    m = re.fullmatch(r"gr\(2,(\d+)\)", text)
+    m = re.fullmatch(r"gr(?:\(2,(\d+)\)|2(\d+))", text)
     if m:
-        n = int(m.group(1))
-        if n < 4:
-            raise ValueError("need n >= 4")
+        n = int(m.group(1) or m.group(2))
+        check_size(n)
         return "gr", n
     if text in {"og15", "og(1,5)"}:
         return "og15", 5
@@ -430,9 +415,9 @@ def verify_rietsch_identity(model: str, pair_set=frozenset()) -> bool:
     coordinate relations with q identified with T^n.  For the quadric
     threefold the identity is an exact rational one at q = 1.
     """
-    kind, n = _parse_model(model)
+    kind, n = parse_model(model)
     if kind == "gr":
-        pair_set = _validate_pairs(n, pair_set)
+        pair_set = check_pair_set(n, pair_set)
         dic = geometric_to_plucker(n, pair_set)
         floer = [
             t.substitute(dic.bindings) for t in immersed_terms(n, pair_set)

@@ -129,6 +129,54 @@ def test_og15_atlas_passes_both_suites():
     assert "transport clifford->toric-fiber" in names
 
 
+# The node transitions of both paper atlases as they were first written out
+# by hand, binding by binding; the atlases now generate them from one table
+# of slot maps.
+_HAND_WRITTEN_GR24 = [
+    ("immersed", "chekanov",
+     {"x1": "u*v - 1", "y1": "u", "z1": "z0", "w1": "w0"}, ["u*v - 1"]),
+    ("chekanov", "immersed",
+     {"u": "y1", "v": "(x1 + 1)/y1", "z0": "z1", "w0": "w1"}, ["y1"]),
+    ("immersed", "clifford",
+     {"x2": "u*v - 1", "y2": "1/v", "z2": "z0", "w2": "w0"}, ["u*v - 1", "v"]),
+    ("clifford", "immersed",
+     {"u": "(1 + x2)*y2", "v": "1/y2", "z0": "z2", "w0": "w2"}, ["y2"]),
+    ("clifford", "chekanov",
+     {"x1": "x2", "y1": "y2*(1 + x2)", "z1": "z2", "w1": "w2"}, ["x2 + 1"]),
+    ("chekanov", "clifford",
+     {"x2": "x1", "y2": "y1/(1 + x1)", "z2": "z1", "w2": "w1"}, ["x1 + 1"]),
+]
+
+_HAND_WRITTEN_OG15 = [
+    ("immersed", "chekanov", {"x1": "u*v - 1", "y1": "u", "z1": "z0"}, ["u*v - 1"]),
+    ("chekanov", "immersed", {"u": "y1", "v": "(x1 + 1)/y1", "z0": "z1"}, ["y1"]),
+    ("immersed", "clifford", {"x2": "u*v - 1", "y2": "1/v", "z2": "z0"}, ["u*v - 1", "v"]),
+    ("clifford", "immersed", {"u": "(1 + x2)*y2", "v": "1/y2", "z0": "z2"}, ["y2"]),
+    ("clifford", "chekanov", {"x1": "x2", "y1": "y2*(1 + x2)", "z1": "z2"}, ["x2 + 1"]),
+    ("chekanov", "clifford", {"x2": "x1", "y2": "y1/(1 + x1)", "z2": "z1"}, ["x1 + 1"]),
+    ("toric-fiber", "clifford", {"x2": "y1_1", "y2": "y1_3", "z2": "y1_3^2/y1_2"}, []),
+    ("clifford", "toric-fiber", {"y1_1": "x2", "y1_2": "y2^2/z2", "y1_3": "y2"}, []),
+]
+
+
+@pytest.mark.parametrize(
+    "atlas, hand_written",
+    [(gr24_atlas, _HAND_WRITTEN_GR24), (og15_atlas, _HAND_WRITTEN_OG15)],
+)
+def test_generated_transitions_match_hand_written(atlas, hand_written):
+    transitions = atlas().transitions
+    assert [(t.source, t.target) for t in transitions] == [
+        (s, t) for s, t, _, _ in hand_written
+    ]
+    for t, (_, _, bindings, guards) in zip(transitions, hand_written):
+        assert set(t.bindings) == set(bindings)
+        for name, text in bindings.items():
+            assert t.bindings[name].equal(parse(text)), (t.source, t.target, name)
+        assert len(t.constraints) == len(guards)
+        for c, text in zip(t.constraints, guards):
+            assert c.equal(parse(text))
+
+
 def test_tree_atlas_charts(tree6):
     assert {c.name for c in tree6.charts} == {
         "torus",

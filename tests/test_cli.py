@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lgmirror import critical
 from lgmirror.cli import main, parse_pairs
 
 
@@ -48,6 +49,25 @@ def test_unknown_model_reports_cli_error(capsys):
     code, _, err = run(capsys, ["potential", "--model", "frog", "--n", "4"])
     assert code == 2
     assert "unknown model" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["charts", "--n", "3"],
+        ["potential", "--model", "gr", "--n", "3"],
+        ["verify", "covering", "--n", "2"],
+        ["verify", "covering", "--n", "3"],
+        ["faces", "--n", "3"],
+        ["verify", "cocycle", "--model", "gr", "--n", "3"],
+        ["charts", "--n", "6", "--pairs", "1,2;2,3"],
+    ],
+)
+def test_invalid_size_or_pairs_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
 
 
 # -- informational commands ------------------------------------------------
@@ -236,6 +256,20 @@ def test_json_report_includes_timings(capsys, tmp_path):
     data = json.loads(path.read_text())
     assert "total" in data["timings"]
     assert data["command"] == "faces"
+
+
+def test_critical_solves_each_chart_once(capsys, monkeypatch):
+    calls = []
+    original = critical.solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(critical, "solve", counted)
+    code, _, _ = run(capsys, ["critical", "--model", "gr", "--n", "4"])
+    assert code == 0
+    assert len(calls) == 4  # one solve per chart of the gr(2,4) atlas
 
 
 def test_gr24_critical_via_cli(capsys):

@@ -180,7 +180,9 @@ def test_point_serialization():
 
 def test_gr24_chart_counts(gr24_per_chart):
     counts = {k: len(v) for k, v in gr24_per_chart.items()}
-    assert counts == {"immersed": 6, "chekanov": 4, "clifford": 4, "torus": 4}
+    assert counts == {
+        "immersed[1,2]": 6, "chekanov[1,2]": 4, "clifford[1,2]": 4, "torus": 4,
+    }
 
 
 def test_og15_chart_counts(og15_per_chart):
@@ -189,12 +191,12 @@ def test_og15_chart_counts(og15_per_chart):
 
 
 def test_gr24_node_chart_sees_everything(gr24_per_chart):
-    values = [p.value for p in gr24_per_chart["immersed"]]
+    values = [p.value for p in gr24_per_chart["immersed[1,2]"]]
     assert match_multiset(values, gr24_expected_values(), 1e-8)
 
 
 def test_gr24_smoothed_charts_miss_the_nodal_points(gr24_per_chart):
-    for chart in ("chekanov", "clifford", "torus"):
+    for chart in ("chekanov[1,2]", "clifford[1,2]", "torus"):
         values = [p.value for p in gr24_per_chart[chart]]
         assert match_multiset(values, gr24_expected_values()[:4], 1e-8)
 
@@ -257,11 +259,12 @@ def test_union_projections_normalized(gr24_union, og15_union):
             assert any(abs(c - 1) < 1e-9 for c in p.coords.values())
 
 
-def test_verify_counts_reports(gr24_union):
-    report = verify_counts("gr24")
+def test_verify_counts_reports(gr24_union, og15_union):
+    report = verify_counts("gr24", gr24_union)
     assert report.passed, [v.name for v in report.failures()]
-    report = verify_counts("og15")
+    report = verify_counts("og15", og15_union)
     assert report.passed, [v.name for v in report.failures()]
+    assert not verify_counts("og15", og15_union[1:]).passed
 
 
 # -- determinism -----------------------------------------------------------

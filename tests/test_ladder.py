@@ -4,11 +4,13 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lgmirror.ladder import (
     Diagram,
     admissible_diagrams,
     chart_subdivision,
+    check_pair_set,
     classify_face,
     diagram_from_pairs,
     full_ladder_edges,
@@ -184,6 +186,31 @@ def test_index_sets_small():
         frozenset({(1, 2), (3, 4)}),
     }
     assert set(max6) == {frozenset({(1, 2), (3, 4)}), frozenset({(2, 3)})}
+
+
+# mostly consecutive pairs near the valid range, some arbitrary ones
+_pairs = st.one_of(
+    st.integers(-1, 10).map(lambda i: (i, i + 1)),
+    st.tuples(st.integers(-1, 11), st.integers(-1, 11)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(4, 10), pair_set=st.frozensets(_pairs, max_size=5))
+def test_check_pair_set_accepts_exactly_the_index_sets(n, pair_set):
+    valid, _ = index_sets(n)
+    try:
+        checked = check_pair_set(n, pair_set)
+    except ValueError:
+        assert pair_set not in valid
+    else:
+        assert pair_set in valid and checked == pair_set
+
+
+@pytest.mark.parametrize("n", [-1, 0, 2, 3])
+def test_check_pair_set_rejects_small_n(n):
+    with pytest.raises(ValueError, match="n >= 4"):
+        check_pair_set(n, frozenset())
 
 
 def test_chart_subdivision_examples():

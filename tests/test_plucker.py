@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from lgmirror import plucker
 from lgmirror.plucker import (
     GrassmannPoint,
     chart_membership,
@@ -234,6 +235,15 @@ def test_covering_certificate(n):
             if all(b - a > 1 for a, b in zip(zeros, zeros[1:])):
                 expected.add(zeros)
     assert patterns == expected
+
+
+def test_covering_rejects_a_point_that_does_not_vanish(monkeypatch):
+    # the checks must hold under python -O, so they may not be asserts
+    monkeypatch.setattr(plucker, "_degenerate_point", lambda n, zeros: random_point(n, 5))
+    with pytest.raises(RuntimeError, match="vanish"):
+        covering_check(5, 0, 0)
+    with pytest.raises(RuntimeError, match="vanish"):
+        covering_certificate(5)
 
 
 def test_cyclic_pairs():
