@@ -288,7 +288,17 @@ class LaurentPoly:
         return LaurentPoly.make(self.vars, out)
 
     def exact_div(self, divisor: "LaurentPoly"):
-        """Return self/divisor if the division is exact, else None."""
+        """Return self/divisor if the division is exact, else None.
+
+        Decided without a size cap.  If self = q * divisor, the Newton
+        polytope of self is the Minkowski sum of those of q and divisor
+        (Ostrowski), so per variable every exponent of q lies in the box
+        [min(self) - min(divisor), max(self) - max(divisor)].  Lex-leading
+        division of an exact quotient produces exactly the terms of q, so a
+        quotient term outside the box proves the division inexact.  The loop
+        ends: quotient exponents strictly decrease in lex order inside a
+        finite box.
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
@@ -298,7 +308,13 @@ class LaurentPoly:
             mono = LaurentPoly(divisor.vars, {tuple(-x for x in e): 1 / c})
             return self * mono
         vars_, ta, tb = LaurentPoly._align(self, divisor)
-        # clear negative exponents so ordinary polynomial division applies
+        # per variable, the exponent range any exact quotient must lie in
+        box = [
+            (min(fs) - min(gs), max(fs) - max(gs))
+            for fs, gs in zip(zip(*ta), zip(*tb))
+        ]
+        if any(lo > hi for lo, hi in box):
+            return None
         rem = dict(ta)
         div = dict(tb)
         lead = max(div)
@@ -308,6 +324,8 @@ class LaurentPoly:
             e = max(rem)
             c = rem[e]
             qe = tuple(x - y for x, y in zip(e, lead))
+            if any(x < lo or x > hi for x, (lo, hi) in zip(qe, box)):
+                return None
             qc = c / lead_c
             quot[qe] = qc
             for de, dc in div.items():
@@ -317,8 +335,6 @@ class LaurentPoly:
                     rem[t] = s
                 else:
                     rem.pop(t, None)
-            if len(quot) > 64 + 8 * (len(ta) + len(tb)):
-                return None  # runaway division cannot be exact at our sizes
         return LaurentPoly.make(vars_, quot)
 
     # -- evaluation and substitution --------------------------------------

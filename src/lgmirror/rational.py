@@ -12,7 +12,11 @@ Denominators are stored as a multiset of factors so that sums and products
 cancel shared factors by exact trial division instead of a general gcd.
 A bounded single-main-variable gcd pass catches the remaining shared
 factors; it gives up (harmlessly) past a fixed size cap, so normalization
-stays fast and deterministic.
+stays fast and deterministic.  The pass skips every factor of the form
+a*v + b, with v a variable, a a monomial and b free of v.  Such a factor is
+irreducible, and trial division has already shown that it does not divide
+the numerator (a cancellation in the pass keeps that true), so the two are
+coprime and the gcd would be 1.
 """
 from __future__ import annotations
 
@@ -69,12 +73,15 @@ class RationalFunction:
                     else:
                         factors[k] = (f, m - 1)
                     changed = True
-        # bounded gcd pass for shared non-unit factors
+        # bounded gcd pass for shared non-unit factors.  Trial division has
+        # shown that no factor divides num, and cancelling a common g from num
+        # and f keeps that true (f/g | num/g would give f | num), so an
+        # irreducible factor is coprime to num and needs no gcd.
         changed = True
         while changed and factors:
             changed = False
             for k, (f, m) in list(factors.items()):
-                if m != 1 or len(num.terms) == 1:
+                if m != 1 or len(num.terms) == 1 or _is_irreducible(f):
                     continue
                 g = poly_gcd(num, f)
                 if g.is_constant():
@@ -313,6 +320,21 @@ def _normalize_factor(f: LaurentPoly):
     for u in units:
         unit = u if unit is None else unit * u
     return f, unit
+
+
+def _is_irreducible(f: LaurentPoly) -> bool:
+    """True if f = a*v + b for a variable v, a monomial a and b != 0 free of v.
+
+    Such an f is irreducible: if f = g*h, the exponent ranges of v in g and
+    h add up to that of f, which is 1, so one of them, say h, is v^k * h0
+    with h0 free of v.  Then h0 divides the v-coefficient a of f, a
+    monomial, so h is a unit.  Hence a factor of this shape that does not
+    divide a polynomial shares no non-unit factor with it, and poly_gcd
+    would return 1.
+    """
+    return len(f.terms) > 1 and any(
+        [e[i] for e in f.terms if e[i]] == [1] for i in range(len(f.vars))
+    )
 
 
 def _substitute_poly(p: LaurentPoly, vals: Mapping[str, "RationalFunction"]) -> "RationalFunction":

@@ -55,6 +55,23 @@ def test_exact_div_with_laurent_units():
     assert f.exact_div(g) == LaurentPoly.monomial({"z": -3})
 
 
+def _geometric(x, n):
+    return sum((x ** k for k in range(n)), LaurentPoly.constant(0))
+
+
+def test_exact_div_long_quotient():
+    x = LaurentPoly.var("x")
+    assert (x ** 200 - 1).exact_div(x - 1) == _geometric(x, 200)
+
+
+def test_exact_div_long_quotient_with_laurent_unit():
+    x = LaurentPoly.var("x")
+    unit = LaurentPoly.monomial({"z": -3})
+    f = (x ** 200 - 1) * unit
+    assert f.exact_div(x - 1) == _geometric(x, 200) * unit
+    assert f.exact_div((x - 1) * unit) == _geometric(x, 200)
+
+
 def test_pow_negative_monomial_only():
     m = LaurentPoly.monomial({"u": 2}, Fraction(1, 2))
     assert m ** -1 == LaurentPoly.monomial({"u": -2}, 2)
@@ -118,3 +135,31 @@ def test_exact_division_inverts_multiplication(a, b):
         return
     q = (a * b).exact_div(b)
     assert q is not None and q == a
+
+
+@st.composite
+def shifts(draw):
+    return LaurentPoly.monomial({v: draw(st.integers(-4, 4)) for v in ("u", "v", "w")})
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_polys(), small_polys(), shifts(), shifts())
+def test_exact_div_rejects_off_by_a_constant(a, b, m1, m2):
+    # a*b + 1 = q*b would make b a unit, and a polynomial of two or more
+    # terms is not one
+    if len(b.terms) < 2:
+        return
+    assert ((a * b + 1) * m1).exact_div(b * m2) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_polys(), small_polys(), small_polys(), shifts())
+def test_exact_div_quotient_is_exact(a, b, c, m):
+    if b.is_zero():
+        return
+    f = a * b * m + c
+    q = f.exact_div(b)
+    if q is not None:
+        assert q * b == f
+    if c.is_zero():
+        assert q == a * m

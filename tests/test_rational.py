@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lgmirror.laurent import LaurentPoly
-from lgmirror.rational import RationalFunction, as_rational, parse, poly_gcd
+from lgmirror.rational import RationalFunction, _is_irreducible, as_rational, parse, poly_gcd
 
 
 def test_partial_fraction_identity():
@@ -60,6 +60,52 @@ def test_poly_gcd_trivial_for_coprime():
     a = parse("u + 1").num
     b = parse("v + 1").num
     assert poly_gcd(a, b).is_constant()
+
+
+def test_long_exact_quotient_cancels():
+    f = parse("(x^120-1)/(x-1)")
+    assert f.factors == ()
+    assert len(f.num.terms) == 120
+
+
+@pytest.mark.parametrize("text", ["1 + x*y", "x*y - 1", "1 + x + y", "x^2*y + x + 1"])
+def test_is_irreducible_linear_in_a_variable(text):
+    assert _is_irreducible(parse(text).num)
+
+
+@pytest.mark.parametrize("text", ["x^2 - 1", "x^2 + y^2", "(1+x)*(1+y)"])
+def test_is_irreducible_refuses_other_shapes(text):
+    assert not _is_irreducible(parse(text).num)
+
+
+@st.composite
+def polys(draw):
+    names = ("u", "v", "w")
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        e = tuple(draw(st.integers(0, 2)) for _ in names)
+        terms[e] = terms.get(e, 0) + draw(st.integers(-3, 3))
+    return LaurentPoly.make(names, {e: Fraction(c) for e, c in terms.items() if c})
+
+
+@st.composite
+def binomials(draw):
+    names = ("u", "v", "w")
+    e1, e2 = (tuple(draw(st.integers(0, 2)) for _ in names) for _ in range(2))
+    sign = draw(st.sampled_from([1, -1]))
+    return LaurentPoly.make(names, {e1: Fraction(1)}) + LaurentPoly.make(names, {e2: Fraction(sign)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(binomials(), binomials(), binomials(), polys())
+def test_irreducible_factor_that_does_not_divide_is_coprime(b1, b2, b3, h):
+    # g shares the factor b1 with the candidate b1*b2, so a wrong verdict shows
+    g = b1 * b3
+    for f in (b1 * b2, b2, h):
+        if f.is_zero() or g.is_zero() or not _is_irreducible(f):
+            continue
+        if g.exact_div(f) is None:
+            assert poly_gcd(g, f).is_constant()
 
 
 def test_normalize_idempotent_structurally():
