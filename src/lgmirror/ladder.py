@@ -190,26 +190,27 @@ def bounded_regions(n: int, edges: frozenset[Edge]) -> tuple[frozenset[Box], ...
 
 
 def admissible_diagrams(n: int) -> tuple[Diagram, ...]:
-    """Every distinct union of positive paths, dimension-sorted.
+    """Every distinct union of positive paths, in increasing order of edge mask.
 
-    Closure by repeatedly adjoining single paths; feasible for n up to 6
-    or so, where the count stays in the thousands.
+    The closure runs over int bitmasks, one bit per edge of the sorted full
+    ladder: after the k-th path, the set holds every union of a nonempty
+    subset of the first k.  Edge sets are built once, at the end.  Measured
+    single-threaded on a 2-core host: 0.05 s at n = 7 (5,695 diagrams),
+    0.4 s at n = 8 (29,823) and 2.7 s with a 390 MB peak at n = 9 (156,159).
+    Count, time and memory grow about fivefold per step in n, so n = 9 is
+    the practical reach.
     """
-    paths = positive_paths(n)
-    seen: set[frozenset[Edge]] = set(paths)
-    frontier = list(paths)
-    while frontier:
-        nxt = []
-        for d in frontier:
-            for p in paths:
-                u = d | p
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    diagrams = [Diagram(n, e) for e in seen]
-    diagrams.sort(key=lambda d: (d.dimension, sorted(d.edges)))
-    return tuple(diagrams)
+    edges = sorted(full_ladder_edges(n))
+    bit = {e: 1 << k for k, e in enumerate(edges)}
+    masks: set[int] = set()
+    for p in positive_paths(n):
+        m = sum(bit[e] for e in p)
+        masks |= {u | m for u in masks}
+        masks.add(m)
+    return tuple(
+        Diagram(n, frozenset(e for k, e in enumerate(edges) if u >> k & 1))
+        for u in sorted(masks)
+    )
 
 
 # -- classification -------------------------------------------------------
@@ -282,20 +283,34 @@ def monotone_point(d: Diagram) -> dict[tuple[int, int], Fraction]:
 def index_sets(n: int) -> tuple[tuple[frozenset, ...], tuple[frozenset, ...]]:
     """Sets of disjoint consecutive pairs from {1..n-2}, plus the maximal ones."""
     pairs = [(i, i + 1) for i in range(1, n - 2)]
-    all_sets = []
+    all_sets, maximal = [], []
     for k in range(len(pairs) + 1):
         for combo in itertools.combinations(pairs, k):
-            ints = [x for p in combo for x in p]
-            if len(ints) == len(set(ints)):
+            used = {x for p in combo for x in p}
+            if len(used) == 2 * k:
                 all_sets.append(frozenset(combo))
-    maximal = [
-        s for s in all_sets if not any(s < t for t in all_sets)
-    ]
+                # maximal exactly when no pair has both of its indices unused
+                if all(i in used or j in used for i, j in pairs):
+                    maximal.append(all_sets[-1])
     return tuple(all_sets), tuple(maximal)
 
 
 def diagram_from_pairs(n: int, pair_set: frozenset) -> Diagram:
-    """Full ladder minus the four edges through the middle vertex of each pair."""
+    """Full ladder minus the four edges through the middle vertex of each pair.
+
+    Over the pair sets of ``index_sets(n)[0]`` these are exactly the
+    Lagrangian diagrams.  In a Lagrangian diagram every region is a single
+    box or a 2x2 block and every box lies in a region, so every edge between
+    two regions, or between a region and the outside, is present.  No edge at
+    a block's centre is: a union of paths uses 0 or at least 2 of the four
+    edges at that vertex, and any 2 of them would split the block.  So the
+    diagram is the full ladder minus the four centre edges of disjoint
+    blocks; the block on rows i-1, i has its centre at (1, i), which is the
+    pair (i, i+1).  Conversely each kept edge lies on a path that crosses
+    the middle rail between two centres, since no two centres are adjacent
+    and neither rail end is one; so the diagram is a union of paths, and its
+    regions are the blocks and the remaining single boxes.
+    """
     pair_set = check_pair_set(n, pair_set)
     edges = set(full_ladder_edges(n))
     for i, _ in sorted(pair_set):

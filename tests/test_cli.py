@@ -254,7 +254,7 @@ def test_json_report_includes_timings(capsys, tmp_path):
     path = tmp_path / "faces.json"
     run(capsys, ["faces", "--n", "4", "--json", str(path)])
     data = json.loads(path.read_text())
-    assert "total" in data["timings"]
+    assert list(data["timings"]) == ["enumerate", "check", "total"]
     assert data["command"] == "faces"
 
 

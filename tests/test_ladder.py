@@ -92,9 +92,16 @@ def test_diagram_inclusion_is_face_inclusion():
                 assert vsets[d1.edges] <= vsets[d2.edges]
 
 
+@pytest.mark.parametrize("n,count", [(4, 39), (5, 207), (6, 1087), (7, 5695), (8, 29823)])
+def test_admissible_diagram_counts(n, count):
+    assert len(admissible_diagrams(n)) == count
+
+
 def test_every_enumerated_diagram_is_a_path_union():
     for n in (4, 5):
-        for d in admissible_diagrams(n):
+        diagrams = admissible_diagrams(n)
+        assert len({d.edges for d in diagrams}) == len(diagrams)
+        for d in diagrams:
             assert is_admissible(n, d.edges)
     assert not is_admissible(4, frozenset())
     # a path with one edge dropped is not a union of paths
@@ -121,7 +128,7 @@ def test_classification_of_gr24_faces():
     assert block.dimension == 1
 
 
-@pytest.mark.parametrize("n,count", [(4, 2), (5, 3), (6, 5)])
+@pytest.mark.parametrize("n,count", [(4, 2), (5, 3), (6, 5), (7, 8)])
 def test_lagrangian_count_matches_pair_sets(n, count):
     diagrams = admissible_diagrams(n)
     lag = [d for d in diagrams if classify_face(d).lagrangian]
@@ -186,6 +193,12 @@ def test_index_sets_small():
         frozenset({(1, 2), (3, 4)}),
     }
     assert set(max6) == {frozenset({(1, 2), (3, 4)}), frozenset({(2, 3)})}
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_index_sets_maximal_by_subset_definition(n):
+    all_sets, maximal = index_sets(n)
+    assert maximal == tuple(s for s in all_sets if not any(s < t for t in all_sets))
 
 
 # mostly consecutive pairs near the valid range, some arbitrary ones
