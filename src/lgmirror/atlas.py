@@ -12,12 +12,18 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .ladder import check_pair_set, index_sets, pairs_label
+from .ladder import (
+    CHART_KINDS,
+    chart_coordinates,
+    check_pair_set,
+    holonomies,
+    index_sets,
+    slot_coordinates,
+)
 from .potentials import (
     Potential,
     gc_torus_potential,
     gr24_chart_potentials,
-    immersed_chart_variables,
     immersed_potential,
     og_bridge,
     og_potentials,
@@ -454,37 +460,12 @@ def og15_atlas() -> Atlas:
 # -- product charts over a pair set ----------------------------------------
 
 
-def _surviving_z(n: int, pair_set) -> tuple[str, ...]:
-    d1 = {i + 1 for i, _ in pair_set}
-    d2 = {i for i, _ in pair_set}
-    return tuple(
-        [f"z1_{j}" for j in range(1, n - 1) if j not in d1]
-        + [f"z2_{j}" for j in range(1, n - 1) if j not in d2]
-    )
-
-
 def product_charts(n: int, pair_set) -> dict:
     """The torus chart and the three chart types over one pair set."""
-    pair_set = check_pair_set(n, pair_set)
-    lbl = pairs_label(pair_set)
-    zs = _surviving_z(n, pair_set)
-    all_z = tuple(
-        [f"z1_{j}" for j in range(1, n - 1)] + [f"z2_{j}" for j in range(1, n - 1)]
-    )
-    pairs = sorted(pair_set)
+    notes = {"torus": "monotone fiber; all holonomies invertible"}
     return {
-        "torus": Chart("torus", all_z, "monotone fiber; all holonomies invertible"),
-        "immersed": Chart(
-            f"immersed[{lbl}]", immersed_chart_variables(n, pair_set)
-        ),
-        "chekanov": Chart(
-            f"chekanov[{lbl}]",
-            tuple(x for i, _ in pairs for x in (f"x{i}_1", f"y{i}_1")) + zs,
-        ),
-        "clifford": Chart(
-            f"clifford[{lbl}]",
-            tuple(x for i, _ in pairs for x in (f"x{i}_2", f"y{i}_2")) + zs,
-        ),
+        kind: Chart(*chart_coordinates(n, pair_set, kind), notes.get(kind, ""))
+        for kind in CHART_KINDS
     }
 
 
@@ -503,22 +484,17 @@ def product_transition(n: int, pair_set, pair) -> Transition:
         return identity_transition(product_charts(n, pair_set)["torus"])
     if (source_kind, target_kind) not in _SLOT_MAPS:
         raise ValueError(f"unsupported chart pair: {pair!r}")
-    charts = product_charts(n, pair_set)
     bindings: dict[str, RationalFunction] = {}
     constraints: list[RationalFunction] = []
     for i, _ in sorted(pair_set):
-        names = {
-            "u": f"u{i}", "v": f"v{i}",
-            "x1": f"x{i}_1", "y1": f"y{i}_1", "x2": f"x{i}_2", "y2": f"y{i}_2",
-            "za": f"z1_{i}", "zb": f"z1_{i + 1}", "wa": f"z2_{i}", "wb": f"z2_{i + 1}",
-        }
+        names = slot_coordinates(i)
         slot = _renamed(_slot_map(source_kind, target_kind), names, names)
         bindings.update(slot.bindings)
         constraints += slot.constraints
-    t = Transition(
-        charts[source_kind].name, charts[target_kind].name, bindings, tuple(constraints)
-    )
-    return extend_identity(t, _surviving_z(n, pair_set))
+    source = chart_coordinates(n, pair_set, source_kind)[0]
+    target = chart_coordinates(n, pair_set, target_kind)[0]
+    t = Transition(source, target, bindings, tuple(constraints))
+    return extend_identity(t, holonomies(n, pair_set))
 
 
 def gr_product_atlas(n: int, pair_sets=None) -> Atlas:
@@ -526,8 +502,7 @@ def gr_product_atlas(n: int, pair_sets=None) -> Atlas:
     listed pair set, the three chart types glued to each other and, via the
     clifford type, to the torus chart."""
     if pair_sets is None:
-        _, maximal = index_sets(n)
-        pair_sets = maximal
+        pair_sets = index_sets(n)[1]
     pair_sets = sorted((check_pair_set(n, ps) for ps in pair_sets), key=sorted)
     torus_potential = gc_torus_potential(n)
     charts = [product_charts(n, frozenset())["torus"]]

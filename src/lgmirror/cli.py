@@ -41,6 +41,7 @@ from .potentials import (
     immersed_terms,
     og_potentials,
     rietsch_gr,
+    verify_rietsch_identity,
 )
 from .laurent import LaurentPoly
 from .rational import parse
@@ -249,13 +250,15 @@ def run_verify(args) -> tuple[RunReport, list[str]]:
     t0 = time.perf_counter()
     label = pairs_label(args.pairs) or "(empty)"
     artifacts: dict = {}
+    if args.pairs and args.check != "rietsch":
+        raise CliError(f"verify {args.check} takes no --pairs")
     if args.check == "rietsch":
         if args.model == "gr":
             n = _need_n(args)
-            ok = verify_rietsch_ok(f"gr(2,{n})", args.pairs)
+            ok = verify_rietsch_identity(f"gr(2,{n})", args.pairs)
             title = f"potential identity [gr(2,{n}), pairs {label}]"
         elif args.model == "og15":
-            ok = verify_rietsch_ok("og15", frozenset())
+            ok = verify_rietsch_identity("og15", frozenset())
             title = "potential identity [og(1,5)]"
         else:
             raise CliError("the identity is stored for gr and og15")
@@ -310,7 +313,7 @@ def run_verify(args) -> tuple[RunReport, list[str]]:
     run = RunReport(
         command=f"verify {args.check}",
         inputs={
-            "model": getattr(args, "model", None),
+            "model": args.model,
             "n": args.n,
             "pairs": label,
             "seed": args.seed,
@@ -320,12 +323,6 @@ def run_verify(args) -> tuple[RunReport, list[str]]:
         artifacts=artifacts,
     )
     return run, []
-
-
-def verify_rietsch_ok(model: str, pairs: frozenset) -> bool:
-    from .potentials import verify_rietsch_identity
-
-    return verify_rietsch_identity(model, pairs)
 
 
 def run_critical(args) -> tuple[RunReport, list[str]]:
@@ -403,6 +400,30 @@ def run_expand(args) -> tuple[RunReport, list[str]]:
 # -- argument wiring -------------------------------------------------------
 
 
+_FLAGS = {
+    "n": dict(type=int, default=None, help="size parameter"),
+    "pairs": dict(
+        type=parse_pairs, default=frozenset(), help="surgery pairs like 1,2 or 1,2;3,4"
+    ),
+    "model": dict(default="gr", help="gr, og15 or og14"),
+    "q": dict(type=_fraction, default=None, help="quantum parameter"),
+    "order": dict(type=int, default=10, help="series cut-off"),
+    "seed": dict(type=int, default=42, help="random seed"),
+    "samples": dict(type=int, default=1000, help="sample count for covering"),
+}
+
+# subcommand -> (handler, help, the flags the handler reads or echoes)
+_COMMANDS = {
+    "faces": (run_faces, "classify Lagrangian faces", "n"),
+    "charts": (run_charts, "print a chart dictionary", "n pairs"),
+    "potential": (run_potential, "print a disk potential", "n pairs model q"),
+    "rietsch": (run_rietsch, "print a homogeneous potential", "n model q"),
+    "verify": (run_verify, "run an exact verification", "n pairs model seed samples"),
+    "critical": (run_critical, "solve for critical points", "n model q seed"),
+    "expand": (run_expand, "expand a wall-crossing term", "model order"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lgmirror",
@@ -410,55 +431,23 @@ def build_parser() -> argparse.ArgumentParser:
         "critical data of the small Grassmannian and quadric models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, model_default=None):
-        p.add_argument("--n", type=int, default=None, help="size parameter")
-        p.add_argument(
-            "--pairs",
-            type=parse_pairs,
-            default=frozenset(),
-            help="surgery pairs like 1,2 or 1,2;3,4",
-        )
-        p.add_argument("--model", default=model_default, help="gr, og15 or og14")
-        p.add_argument("--q", type=_fraction, default=None, help="quantum parameter")
-        p.add_argument("--order", type=int, default=10, help="series cut-off")
-        p.add_argument("--seed", type=int, default=42, help="random seed")
-        p.add_argument(
-            "--samples", type=int, default=1000, help="sample count for covering"
-        )
+    for command, (_, text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        if command == "verify":
+            p.add_argument(
+                "check", choices=["rietsch", "cocycle", "transport", "koszul", "covering"]
+            )
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.add_argument("--json", default=None, metavar="PATH", help="write JSON here")
-
-    common(sub.add_parser("faces", help="classify Lagrangian faces"))
-    common(sub.add_parser("charts", help="print a chart dictionary"))
-    common(sub.add_parser("potential", help="print a disk potential"), "gr")
-    common(sub.add_parser("rietsch", help="print a homogeneous potential"), "gr")
-    verify = sub.add_parser("verify", help="run an exact verification")
-    verify.add_argument(
-        "check",
-        choices=["rietsch", "cocycle", "transport", "koszul", "covering"],
-    )
-    common(verify, "gr")
-    common(sub.add_parser("critical", help="solve for critical points"), "gr")
-    common(sub.add_parser("expand", help="expand a wall-crossing term"), "gr")
     return parser
-
-
-_HANDLERS = {
-    "faces": run_faces,
-    "charts": run_charts,
-    "potential": run_potential,
-    "rietsch": run_rietsch,
-    "verify": run_verify,
-    "critical": run_critical,
-    "expand": run_expand,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        run, lines = _HANDLERS[args.command](args)
+        run, lines = _COMMANDS[args.command][0](args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

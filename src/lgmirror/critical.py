@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .atlas import gr_product_atlas, og15_atlas
+from .ladder import chart_coordinates
 from .laurent import LaurentPoly
 from .potentials import Potential, gr24_chart_potentials, og_potentials, parse_model
 from .plucker import pvar
@@ -85,29 +86,6 @@ class _PolyArrays:
         return (powers.prod(axis=2) * np.abs(self.coeffs)).max(axis=1)
 
 
-def _shift_nonnegative(poly: LaurentPoly) -> LaurentPoly:
-    shift = {}
-    for exps in poly.terms:
-        for v, e in zip(poly.vars, exps):
-            if e < 0:
-                shift[v] = max(shift.get(v, 0), -e)
-    if not shift:
-        return poly
-    mono = LaurentPoly.constant(1)
-    for v, e in shift.items():
-        mono = mono * LaurentPoly.var(v) ** e
-    return poly * mono
-
-
-def _negative_exponent_vars(poly: LaurentPoly):
-    out = set()
-    for exps in poly.terms:
-        for v, e in zip(poly.vars, exps):
-            if e < 0:
-                out.add(v)
-    return out
-
-
 class CriticalSystem:
     """Cleared gradient equations of one potential in one chart."""
 
@@ -125,9 +103,10 @@ class CriticalSystem:
         def note_denominators(f: RationalFunction):
             for factor, _ in f.factors:
                 denominators.setdefault(factor.key(), factor)
-            for v in _negative_exponent_vars(f.num):
-                p = LaurentPoly.var(v)
-                denominators.setdefault(p.key(), p)
+            for v, low in zip(f.num.vars, f.num.monomial_gcd()):
+                if low < 0:
+                    p = LaurentPoly.var(v)
+                    denominators.setdefault(p.key(), p)
 
         note_denominators(expr)
         self.equations: list[LaurentPoly] = []
@@ -135,7 +114,9 @@ class CriticalSystem:
         for v in self.variables:
             d = expr.partial(v)
             note_denominators(d)
-            self.equations.append(_shift_nonnegative(d.num))
+            # the numerator times the least monomial clearing its negative powers
+            low = d.num.monomial_gcd()
+            self.equations.append(d.num.shift(tuple(max(0, -x) for x in low)))
             self._grad_arrays.append(
                 (
                     _PolyArrays(d.num, self.variables),
@@ -149,10 +130,6 @@ class CriticalSystem:
             for e in self.equations
         ]
         self._den_arrays = [_PolyArrays(d, self.variables) for d in self.denominators]
-
-    def residuals(self, pts: np.ndarray) -> np.ndarray:
-        vals = np.stack([a.eval(pts) for a in self._eq_arrays], axis=1)
-        return np.abs(vals).max(axis=1)
 
     def rational_residuals(self, pts: np.ndarray) -> np.ndarray:
         """Residual of the honest gradient, poles and all.  Roots of the
@@ -394,7 +371,8 @@ def _model_charts(model: str):
     key = _closed_form_key(model)
     if key == "gr24":
         # the product atlas of gr(2,4) also carries the torus chart
-        atlas, root, bindings = gr_product_atlas(4), "immersed[1,2]", {"T": 1}
+        atlas, bindings = gr_product_atlas(4), {"T": 1}
+        root = chart_coordinates(4, {(1, 2)}, "immersed")[0]
         projection = {
             pvar(1, 2): "z1_1*z2_2*(u1*v1 - 1)",
             pvar(1, 3): "u1*z1_1",

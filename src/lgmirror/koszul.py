@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .laurent import LaurentPoly
 from .potentials import Potential, gr24_chart_potentials, og_potentials
@@ -53,17 +53,6 @@ def equal_mod_adjoined(
     return reduce_adjoined((a - b).num, symbol).is_zero()
 
 
-def _coefficients_in(poly: LaurentPoly, var: str) -> dict[int, LaurentPoly]:
-    idx = poly.vars.index(var)
-    rest = tuple(v for k, v in enumerate(poly.vars) if k != idx)
-    buckets: dict[int, dict] = {}
-    for exps, coeff in poly.terms.items():
-        e = exps[idx]
-        key = tuple(x for k, x in enumerate(exps) if k != idx)
-        buckets.setdefault(e, {})[key] = coeff
-    return {e: LaurentPoly.make(rest, terms) for e, terms in buckets.items()}
-
-
 def divide_linear(
     poly: LaurentPoly, var: str, shift_value: LaurentPoly, symbol: str | None = None
 ) -> LaurentPoly:
@@ -73,25 +62,18 @@ def divide_linear(
         return poly
     if var not in poly.vars:
         raise ArithmeticError(f"{var} does not divide a polynomial free of it")
-    exponents = [exps[poly.vars.index(var)] for exps in poly.terms]
-    lift = max(0, -min(exponents))
-    work = poly * LaurentPoly.var(var) ** lift if lift else poly
-    coeffs = _coefficients_in(work, var)
-    top = max(coeffs)
+    # synthetic division, run down the exponents of var to the lowest one
+    coeffs = poly.coefficients_in(var)
+    low = min(0, min(coeffs))
     quotient: dict[int, LaurentPoly] = {}
     carry = _ZERO
-    for e in range(top, 0, -1):
+    for e in range(max(coeffs), low, -1):
         carry = reduce_adjoined(coeffs.get(e, _ZERO) + shift_value * carry, symbol)
         quotient[e - 1] = carry
-    remainder = reduce_adjoined(coeffs.get(0, _ZERO) + shift_value * carry, symbol)
+    remainder = reduce_adjoined(coeffs.get(low, _ZERO) + shift_value * carry, symbol)
     if not remainder.is_zero():
         raise ArithmeticError(f"division by {var} - ({shift_value}) is not exact")
-    out = _ZERO
-    for e, c in quotient.items():
-        out = out + c * LaurentPoly.var(var) ** e
-    if lift:
-        out = out * LaurentPoly.var(var) ** (-lift)
-    return out
+    return LaurentPoly.from_coefficients(quotient, var)
 
 
 @dataclass(frozen=True)

@@ -26,22 +26,27 @@ Edge = tuple[Vertex, Vertex]
 Box = tuple[int, int]
 
 __all__ = [
+    "CHART_KINDS",
     "Diagram",
     "FaceClass",
     "admissible_diagrams",
     "bounded_regions",
+    "chart_coordinates",
     "chart_subdivision",
     "check_pair_set",
     "check_size",
     "classify_face",
     "diagram_from_pairs",
     "full_ladder_edges",
+    "holonomies",
+    "holonomy",
     "index_sets",
     "is_admissible",
     "moment_inequalities",
     "monotone_point",
     "pairs_label",
     "positive_paths",
+    "slot_coordinates",
     "tight_edge_indices",
 ]
 
@@ -136,9 +141,6 @@ class Diagram:
     @property
     def dimension(self) -> int:
         return len(self.regions)
-
-    def edge_list(self) -> list[list[list[int]]]:
-        return [[list(a), list(b)] for a, b in sorted(self.edges)]
 
 
 def _edge_sides(n: int, e: Edge):
@@ -339,6 +341,59 @@ def chart_subdivision(n: int, pair_set: frozenset) -> tuple[tuple[int, ...], ...
         del cells[lo + 1]
         cells[lo] = (n, n - i, n - i - 1, n - i - 2)
     return tuple(cells[k] for k in sorted(cells))
+
+
+# -- chart coordinates over a pair set -----------------------------------
+
+
+def holonomy(row: int, j: int) -> str:
+    """The torus-chart holonomy on ladder row 1 or 2 at column j."""
+    return f"z{row}_{j}"
+
+
+def slot_coordinates(i: int) -> dict[str, str]:
+    """Global names of the coordinates at the slot of the pair (i, i+1),
+    keyed by their names in the one-slot wall crossings of ``atlas``."""
+    return {
+        "u": f"u{i}", "v": f"v{i}",
+        "x1": f"x{i}_1", "y1": f"y{i}_1", "x2": f"x{i}_2", "y2": f"y{i}_2",
+        "za": holonomy(1, i), "zb": holonomy(1, i + 1),
+        "wa": holonomy(2, i), "wb": holonomy(2, i + 1),
+    }
+
+
+# the slot coordinates of each chart kind; every kind but the torus trades
+# the holonomies zb and wa of each selected slot for them
+_KIND_SLOT = {
+    "torus": (), "immersed": ("u", "v"), "chekanov": ("x1", "y1"), "clifford": ("x2", "y2")
+}
+CHART_KINDS = tuple(_KIND_SLOT)
+
+
+def holonomies(n: int, pair_set) -> tuple[str, ...]:
+    """The holonomies kept by the charts over the pair set, row 1 then row 2."""
+    pairs = check_pair_set(n, pair_set)
+    traded = {slot_coordinates(i)[k] for i, _ in pairs for k in ("zb", "wa")}
+    every = (holonomy(row, j) for row in (1, 2) for j in range(1, n - 1))
+    return tuple(h for h in every if h not in traded)
+
+
+def chart_coordinates(n: int, pair_set, kind: str) -> tuple[str, tuple[str, ...]]:
+    """Name and variables of the chart of one kind over the pair set.
+
+    The torus kind, and every kind over the empty pair set, gives the torus
+    chart on all holonomies; otherwise the chart is ``kind[pairs]`` on the
+    kind's slot coordinates, slot by slot, then the kept holonomies.
+    """
+    pair_set = check_pair_set(n, pair_set)
+    if kind not in _KIND_SLOT:
+        raise ValueError(f"unknown chart kind: {kind!r}")
+    if kind == "torus" or not pair_set:
+        return "torus", holonomies(n, frozenset())
+    slots = tuple(
+        slot_coordinates(i)[k] for i, _ in sorted(pair_set) for k in _KIND_SLOT[kind]
+    )
+    return f"{kind}[{pairs_label(pair_set)}]", slots + holonomies(n, pair_set)
 
 
 # -- the pinned inequalities ---------------------------------------------

@@ -137,9 +137,6 @@ class LaurentPoly:
             out[tuple(row)] = c
         return out
 
-    def with_vars(self, merged: tuple[str, ...]) -> "LaurentPoly":
-        return LaurentPoly(merged, dict(self._remap(merged)))
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
@@ -255,12 +252,25 @@ class LaurentPoly:
             return LaurentPoly((), {})
         return LaurentPoly(self.vars, {e: k * c for e, k in self.terms.items()})
 
-    def lex_leading(self) -> tuple[Exponents, Fraction]:
-        """Leading (exponents, coefficient) under lex order on the variables."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms)
-        return e, self.terms[e]
+    def coefficients_in(self, name: str) -> dict[int, "LaurentPoly"]:
+        """The univariate view in one variable: exponent -> coefficient
+        polynomial in the other variables, for every exponent that occurs."""
+        if name not in self.vars:
+            return {0: self} if self.terms else {}
+        i = self.vars.index(name)
+        rest = self.vars[:i] + self.vars[i + 1:]
+        buckets: dict[int, dict[Exponents, Fraction]] = {}
+        for e, c in self.terms.items():
+            buckets.setdefault(e[i], {})[e[:i] + e[i + 1:]] = c
+        return {d: LaurentPoly.make(rest, terms) for d, terms in buckets.items()}
+
+    @staticmethod
+    def from_coefficients(coeffs: Mapping[int, "LaurentPoly"], name: str) -> "LaurentPoly":
+        """Inverse of ``coefficients_in``: the sum of coeffs[d] * name^d."""
+        total = LaurentPoly((), {})
+        for d, c in coeffs.items():
+            total = total + (c * LaurentPoly.var(name, d) if d else c)
+        return total
 
     def degree_in(self, name: str) -> tuple[int, int]:
         """(min, max) exponent of a variable across all terms."""

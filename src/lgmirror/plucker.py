@@ -16,12 +16,20 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ladder import check_pair_set, check_size, index_sets
+from .ladder import (
+    chart_coordinates,
+    check_pair_set,
+    check_size,
+    holonomy,
+    index_sets,
+    slot_coordinates,
+)
 from .laurent import LaurentPoly
-from .rational import RationalFunction, as_rational
+from .rational import RationalFunction, as_rational, over_common_denominator
 
 Pair = tuple[int, int]
 
@@ -127,31 +135,16 @@ def sum_equal_mod_plucker(terms1, terms2, n: int) -> bool:
     denominator.  This avoids normalizing the full sums, which is much
     larger work than the final zero test.
     """
-    from collections import Counter
-
     count: Counter = Counter()
     for t in terms1:
         count[as_rational(t)] += 1
     for t in terms2:
         count[as_rational(t)] -= 1
-    parts = [
-        (parametrize(t, n), m) for t, m in count.items() if m
-    ]
-    lcm: dict = {}
-    for p, _ in parts:
-        for f, m in p.factors:
-            k = f.key()
-            if k not in lcm or lcm[k][1] < m:
-                lcm[k] = (f, m)
+    parts = [(parametrize(t, n), m) for t, m in count.items() if m]
+    _, numerators = over_common_denominator([p for p, _ in parts])
     total = LaurentPoly((), {})
-    for p, mult in parts:
-        have = {f.key(): m for f, m in p.factors}
-        cof = p.num * LaurentPoly.constant(mult)
-        for k, (f, m) in lcm.items():
-            dm = m - have.get(k, 0)
-            if dm:
-                cof = cof * f**dm
-        total = total + cof
+    for num, (_, mult) in zip(numerators, parts):
+        total = total + num.scale(mult)
     return total.is_zero()
 
 
@@ -191,22 +184,20 @@ def geometric_to_plucker(n: int, pair_set: frozenset) -> ChartDictionary:
     depth j, each u at 1, each v at -1.
     """
     pair_set = check_pair_set(n, pair_set)
-    dropped_row1 = {i + 1 for i, _ in pair_set}
-    dropped_row2 = {i for i, _ in pair_set}
+    # (numerator pair, denominator pair, T-power) of every name a chart may use
+    ratios: dict[str, tuple[Pair, Pair, int]] = {}
+    for j in range(1, n - 1):
+        ratios[holonomy(1, j)] = ((n - j - 1, n - j), (n - j, n), -(j + 1))
+        ratios[holonomy(2, j)] = ((n - j - 1, n), (n - 1, n), -j)
+    for i, _ in pair_set:
+        slot = slot_coordinates(i)
+        ratios[slot["u"]] = ((n - i - 2, n - i), (n - i - 1, n - i), -1)
+        ratios[slot["v"]] = ((n - i - 1, n), (n - i - 2, n), 1)
     bindings: dict[str, RationalFunction] = {}
     tpowers: dict[str, int] = {}
-    for j in range(1, n - 1):
-        if j not in dropped_row1:
-            bindings[f"z1_{j}"] = _ratio((n - j - 1, n - j), (n - j, n))
-            tpowers[f"z1_{j}"] = -(j + 1)
-        if j not in dropped_row2:
-            bindings[f"z2_{j}"] = _ratio((n - j - 1, n), (n - 1, n))
-            tpowers[f"z2_{j}"] = -j
-    for i, _ in sorted(pair_set):
-        bindings[f"u{i}"] = _ratio((n - i - 2, n - i), (n - i - 1, n - i))
-        tpowers[f"u{i}"] = -1
-        bindings[f"v{i}"] = _ratio((n - i - 1, n), (n - i - 2, n))
-        tpowers[f"v{i}"] = 1
+    for v in chart_coordinates(n, pair_set, "immersed")[1]:
+        num, den, tpowers[v] = ratios[v]
+        bindings[v] = _ratio(num, den)
     return ChartDictionary(n, pair_set, bindings, tpowers, q_power=n)
 
 
@@ -362,6 +353,8 @@ def covering_check(n: int, num_samples: int, seed: int) -> CoveringReport:
     single vanishing p_{k,n}, must each land in some maximal chart.
     """
     check_size(n)
+    if num_samples < 0:
+        raise ValueError(f"need a sample count >= 0, got {num_samples}")
     _, maximal = index_sets(n)
     failures = []
     for s in range(num_samples):

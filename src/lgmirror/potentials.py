@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
-from .ladder import check_pair_set, check_size, pairs_label
+from .ladder import chart_coordinates, check_pair_set, check_size, holonomy
 from .plucker import geometric_to_plucker, pvar, sum_equal_mod_plucker
 from .rational import RationalFunction, parse
 
@@ -81,14 +81,14 @@ def _z1(n: int, j: int, quantum: RationalFunction) -> RationalFunction:
     # the slot one past the top row is, by convention, the quantum monomial
     if j == n - 1:
         return quantum
-    return RationalFunction.var(f"z1_{j}")
+    return RationalFunction.var(holonomy(1, j))
 
 
 def _z2(j: int) -> RationalFunction:
     # the slot before the bottom row starts is, by convention, 1
     if j == 0:
         return _ONE
-    return RationalFunction.var(f"z2_{j}")
+    return RationalFunction.var(holonomy(2, j))
 
 
 def _torus_terms(n: int, quantum: RationalFunction) -> list[RationalFunction]:
@@ -109,10 +109,8 @@ def torus_terms(n: int) -> list[RationalFunction]:
 
 def gc_torus_potential(n: int) -> Potential:
     """Disk potential of the monotone torus fiber: one term per facet."""
-    variables = tuple(f"z1_{j}" for j in range(1, n - 1)) + tuple(
-        f"z2_{j}" for j in range(1, n - 1)
-    )
-    return Potential(_sum(torus_terms(n)), "torus", variables, f"gr(2,{n})")
+    chart, variables = chart_coordinates(n, frozenset(), "torus")
+    return Potential(_sum(torus_terms(n)), chart, variables, f"gr(2,{n})")
 
 
 def _removed_terms(n: int, i: int, quantum) -> list[RationalFunction]:
@@ -157,28 +155,10 @@ def immersed_terms(n: int, pair_set) -> list[RationalFunction]:
     return _surgered_terms(n, pair_set, _T**n)
 
 
-def immersed_chart_variables(n: int, pair_set) -> tuple[str, ...]:
-    pair_set = check_pair_set(n, pair_set)
-    dropped1 = {i + 1 for i, _ in pair_set}
-    dropped2 = {i for i, _ in pair_set}
-    names: list[str] = []
-    for i, _ in sorted(pair_set):
-        names += [f"u{i}", f"v{i}"]
-    names += [f"z1_{j}" for j in range(1, n - 1) if j not in dropped1]
-    names += [f"z2_{j}" for j in range(1, n - 1) if j not in dropped2]
-    return tuple(names)
-
-
 def immersed_potential(n: int, pair_set) -> Potential:
     """Disk potential of the immersed Lagrangian selected by the pair set."""
-    pair_set = check_pair_set(n, pair_set)
-    chart = "torus" if not pair_set else f"immersed[{pairs_label(pair_set)}]"
-    return Potential(
-        _sum(immersed_terms(n, pair_set)),
-        chart,
-        immersed_chart_variables(n, pair_set),
-        f"gr(2,{n})",
-    )
+    chart, variables = chart_coordinates(n, pair_set, "immersed")
+    return Potential(_sum(immersed_terms(n, pair_set)), chart, variables, f"gr(2,{n})")
 
 
 # -- the four-variable local model charts ---------------------------------
@@ -362,7 +342,7 @@ def rietsch_restrict(n: int, pair_set, check: bool = True) -> Potential:
     if check and not _restricted_checked(n, pair_set):
         raise RuntimeError("cleared potential disagrees with the homogeneous one")
     expr = _sum(terms)
-    base = "torus" if not pair_set else f"immersed[{pairs_label(pair_set)}]"
+    base = chart_coordinates(n, pair_set, "immersed")[0]
     variables = tuple(v for v in expr.variables() if v != "q")
     return Potential(expr, f"plucker:{base}", variables, f"gr(2,{n})")
 

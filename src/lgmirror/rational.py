@@ -151,24 +151,8 @@ class RationalFunction:
         other = as_rational(other)
         if other is NotImplemented:
             return NotImplemented
-        mine = dict((f.key(), (f, m)) for f, m in self.factors)
-        theirs = dict((f.key(), (f, m)) for f, m in other.factors)
-        lcm: dict = dict(mine)
-        for k, (f, m) in theirs.items():
-            if k in lcm:
-                lcm[k] = (f, max(lcm[k][1], m))
-            else:
-                lcm[k] = (f, m)
-        left = self.num
-        right = other.num
-        for k, (f, m) in lcm.items():
-            dm = m - mine.get(k, (f, 0))[1]
-            if dm:
-                left = left * f ** dm
-            dm = m - theirs.get(k, (f, 0))[1]
-            if dm:
-                right = right * f ** dm
-        return RationalFunction.make(left + right, tuple(lcm.values()))
+        factors, (left, right) = over_common_denominator((self, other))
+        return RationalFunction.make(left + right, factors)
 
     __radd__ = __add__
 
@@ -206,10 +190,7 @@ class RationalFunction:
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        num = LaurentPoly.constant(1)
-        for f, m in self.factors:
-            num = num * f ** m
-        return RationalFunction.make(num, ((self.num, 1),))
+        return RationalFunction.make(self.den, ((self.num, 1),))
 
     def __pow__(self, n: int) -> "RationalFunction":
         if not isinstance(n, int):
@@ -228,18 +209,7 @@ class RationalFunction:
         other = as_rational(other)
         if self == other:
             return True
-        mine = dict((f.key(), (f, m)) for f, m in self.factors)
-        theirs = dict((f.key(), (f, m)) for f, m in other.factors)
-        left = self.num
-        right = other.num
-        for k, (f, m) in theirs.items():
-            shared = min(m, mine.get(k, (f, 0))[1])
-            if m - shared:
-                left = left * f ** (m - shared)
-        for k, (f, m) in mine.items():
-            shared = min(m, theirs.get(k, (f, 0))[1])
-            if m - shared:
-                right = right * f ** (m - shared)
+        _, (left, right) = over_common_denominator((self, other))
         return (left - right).is_zero()
 
     def substitute(self, bindings: Mapping[str, object]) -> "RationalFunction":
@@ -294,6 +264,29 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({str(self)!r})"
+
+
+def over_common_denominator(parts: Sequence[RationalFunction]):
+    """The LCM of the parts' denominator factor multisets, and an iterator
+    putting each part's numerator over it, one part at a time, in order."""
+    lcm: dict = {}
+    for p in parts:
+        for f, m in p.factors:
+            k = f.key()
+            if k not in lcm or lcm[k][1] < m:
+                lcm[k] = (f, m)
+    return tuple(lcm.values()), (_lifted(p, lcm) for p in parts)
+
+
+def _lifted(p: RationalFunction, lcm: dict) -> LaurentPoly:
+    num = p.num
+    if lcm:
+        have = {f.key(): m for f, m in p.factors}
+        for k, (f, m) in lcm.items():
+            dm = m - have.get(k, 0)
+            if dm:
+                num = num * f**dm
+    return num
 
 
 def _normalize_factor(f: LaurentPoly):
@@ -441,31 +434,6 @@ def _poly_gcd(f: LaurentPoly, g: LaurentPoly, cap: int, work: _Work) -> LaurentP
     return result
 
 
-def _univ(p: LaurentPoly, v: str) -> dict[int, LaurentPoly]:
-    """View p as a univariate polynomial in v with polynomial coefficients."""
-    i = p.vars.index(v) if v in p.vars else None
-    out: dict[int, LaurentPoly] = {}
-    rest = tuple(x for x in p.vars if x != v)
-    for e, c in p.terms.items():
-        if i is None:
-            d = 0
-            re = e
-        else:
-            d = e[i]
-            re = tuple(x for j, x in enumerate(e) if j != i)
-        coeff = out.get(d)
-        add = LaurentPoly.make(rest, {re: c})
-        out[d] = add if coeff is None else coeff + add
-    return {d: c for d, c in out.items() if not c.is_zero()}
-
-
-def _from_univ(u: dict[int, LaurentPoly], v: str) -> LaurentPoly:
-    total = LaurentPoly((), {})
-    for d, c in u.items():
-        total = total + (c * LaurentPoly.var(v, d) if d else c)
-    return total
-
-
 def _content_of(coeffs, cap, work: _Work) -> LaurentPoly:
     items = list(coeffs)
     if not items:
@@ -481,7 +449,7 @@ def _content_of(coeffs, cap, work: _Work) -> LaurentPoly:
 
 
 def _gcd_in_var(f: LaurentPoly, g: LaurentPoly, v: str, cap: int, work: _Work) -> LaurentPoly:
-    uf, ug = _univ(f, v), _univ(g, v)
+    uf, ug = f.coefficients_in(v), g.coefficients_in(v)
     cf = _content_of(uf.values(), cap, work)
     cg = _content_of(ug.values(), cap, work)
     content_gcd = _poly_gcd(cf, cg, cap, work) if not (cf.is_constant() or cg.is_constant()) else LaurentPoly.constant(1)
@@ -500,7 +468,7 @@ def _gcd_in_var(f: LaurentPoly, g: LaurentPoly, v: str, cap: int, work: _Work) -
         a, b = b, r
     if max(a) == 0:
         return content_gcd
-    prim = _from_univ(a, v)
+    prim = LaurentPoly.from_coefficients(a, v)
     prim = prim.shift(tuple(-x for x in prim.monomial_gcd()))
     cc = prim.content()
     lead = max(prim.terms)

@@ -22,6 +22,9 @@ from lgmirror.atlas import (
     verify_cocycle,
     verify_potential_transport,
 )
+from lgmirror.ladder import index_sets
+from lgmirror.plucker import geometric_to_plucker
+from lgmirror.potentials import immersed_potential
 from lgmirror.rational import RationalFunction, parse
 
 
@@ -246,6 +249,14 @@ def test_product_transition_rejects_bad_input():
         product_transition(6, {(2, 3)}, ("torus", "chekanov"))
     with pytest.raises(ValueError):
         product_transition(6, {(1, 2), (2, 3)}, ("immersed", "chekanov"))
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_chart_variables_agree_across_layers(n):
+    for pair_set in index_sets(n)[0]:
+        variables = product_charts(n, pair_set)["immersed"].variables
+        assert immersed_potential(n, pair_set).variables == variables
+        assert tuple(geometric_to_plucker(n, pair_set).bindings) == variables
 
 
 def test_product_charts_variables():

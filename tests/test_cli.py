@@ -61,12 +61,26 @@ def test_unknown_model_reports_cli_error(capsys):
         ["faces", "--n", "3"],
         ["verify", "cocycle", "--model", "gr", "--n", "3"],
         ["charts", "--n", "6", "--pairs", "1,2;2,3"],
+        ["verify", "cocycle", "--model", "gr", "--n", "6", "--pairs", "9,10"],
+        ["verify", "covering", "--n", "5", "--samples", "-3"],
+        # flags the subcommand does not declare; argparse rejects them
+        ["faces", "--n", "4", "--pairs", "9,10"],
+        ["faces", "--n", "4", "--pairs", "1,2"],
+        ["expand", "--model", "gr", "--n", "5"],
+        ["critical", "--model", "og15", "--order", "3"],
     ],
 )
 def test_invalid_size_or_pairs_exit_2(capsys, argv):
-    code, out, err = run(capsys, argv)
+    try:
+        code, out, err = run(capsys, argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        code, out, err = exc.code, captured.out, captured.err
+        assert err.startswith("usage: ")
+        assert "error: unrecognized arguments: " in err
+    else:
+        assert err.startswith("error: ")
     assert code == 2
-    assert err.startswith("error: ")
     assert out == ""
 
 

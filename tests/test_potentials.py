@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lgmirror.ladder import index_sets
+from lgmirror.ladder import chart_coordinates, index_sets
 from lgmirror.novikov import novikov_expand
 from lgmirror.plucker import equal_mod_plucker, pvar
 from lgmirror.potentials import (
@@ -13,7 +13,6 @@ from lgmirror.potentials import (
     Potential,
     gc_torus_potential,
     gr24_chart_potentials,
-    immersed_chart_variables,
     immersed_potential,
     immersed_terms,
     og15_recovery_bindings,
@@ -166,10 +165,10 @@ def test_invalid_pair_sets_raise():
 
 
 def test_immersed_chart_variables():
-    assert immersed_chart_variables(6, {(2, 3)}) == (
+    assert chart_coordinates(6, {(2, 3)}, "immersed")[1] == (
         "u2", "v2", "z1_1", "z1_2", "z1_4", "z2_1", "z2_3", "z2_4",
     )
-    assert immersed_chart_variables(6, {(1, 2), (3, 4)}) == (
+    assert chart_coordinates(6, {(1, 2), (3, 4)}, "immersed")[1] == (
         "u1", "v1", "u3", "v3", "z1_1", "z1_3", "z2_2", "z2_4",
     )
 

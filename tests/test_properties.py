@@ -10,7 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 from lgmirror.atlas import gauge_automorphism
 from lgmirror.laurent import LaurentPoly
 from lgmirror.potentials import gr24_chart_potentials, og_potentials
-from lgmirror.rational import RationalFunction, as_rational, parse
+from lgmirror.rational import (
+    RationalFunction,
+    as_rational,
+    over_common_denominator,
+    parse,
+)
 
 VARS = ("x", "y")
 
@@ -150,6 +155,31 @@ def test_equal_is_stable_under_exact_evaluation(a):
     except ZeroDivisionError:
         assume(False)
     assert va == vb
+
+
+# -- the common denominator and the univariate view ------------------------
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(parts=st.lists(rationals, min_size=1, max_size=3))
+def test_common_denominator_sum_equals_add(parts):
+    factors, numerators = over_common_denominator(parts)
+    total = LaurentPoly((), {})
+    for p, num in zip(parts, numerators):
+        assert RationalFunction.make(num, factors).equal(p)
+        total = total + num
+    expected = parts[0]
+    for p in parts[1:]:
+        expected = expected + p
+    assert RationalFunction.make(total, factors).equal(expected)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(p=laurents, name=st.sampled_from(("x", "y", "z")))
+def test_univariate_view_round_trips(p, name):
+    coeffs = p.coefficients_in(name)
+    assert all(name not in c.vars and not c.is_zero() for c in coeffs.values())
+    assert LaurentPoly.from_coefficients(coeffs, name) == p
 
 
 # -- gauge transformations preserve the wall function ----------------------
