@@ -32,7 +32,7 @@ from .potentials import (
     rietsch_restrict,
     verify_rietsch_identity,
 )
-from .rational import RationalFunction, as_rational, normalize, parse, poly_gcd
+from .rational import RationalFunction, as_rational, parse, poly_gcd
 from .report import Report, RunReport, Verdict
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "LaurentPoly",
     "RationalFunction",
     "parse",
-    "normalize",
     "as_rational",
     "poly_gcd",
     "NovikovSeries",

@@ -43,7 +43,6 @@ from .potentials import (
     rietsch_gr,
     verify_rietsch_identity,
 )
-from .laurent import LaurentPoly
 from .rational import parse
 from .report import Report, RunReport, Verdict
 
@@ -74,17 +73,11 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational number {text!r}")
 
 
-def _need_n(args) -> int:
-    if args.n is None:
-        raise CliError("this command needs --n")
-    return args.n
-
-
 # -- subcommand handlers ---------------------------------------------------
 
 
 def run_faces(args) -> tuple[RunReport, list[str]]:
-    n = _need_n(args)
+    n = args.n
     t0 = time.perf_counter()
     count = len(admissible_diagrams(n))
     # the Lagrangian faces are the pair-set diagrams (proof: diagram_from_pairs)
@@ -134,7 +127,7 @@ def run_faces(args) -> tuple[RunReport, list[str]]:
 
 
 def run_charts(args) -> tuple[RunReport, list[str]]:
-    n = _need_n(args)
+    n = args.n
     dic = geometric_to_plucker(n, args.pairs)
     label = pairs_label(args.pairs) or "(empty)"
     lines = [f"chart dictionary, n = {n}, pairs {label}"]
@@ -163,7 +156,7 @@ def run_charts(args) -> tuple[RunReport, list[str]]:
 
 def run_potential(args) -> tuple[RunReport, list[str]]:
     if args.model == "gr":
-        n = _need_n(args)
+        n = args.n
         pot = immersed_potential(n, args.pairs)
         expected_terms = (3 * n - 6) - 2 * len(args.pairs)
         count = len(immersed_terms(n, args.pairs))
@@ -174,14 +167,12 @@ def run_potential(args) -> tuple[RunReport, list[str]]:
                 f"{count} terms, surgery removes three per pair",
             )
         ]
-    elif args.model in ("og15", "og14"):
+    else:
         og = og_potentials()
         pot = og.immersed if args.model == "og15" else og.og14
         verdicts = [
             Verdict("term-count", True, f"chart {pot.chart} of {pot.model}")
         ]
-    else:
-        raise CliError(f"unknown model {args.model!r}")
     expr = pot.expr
     if args.q is not None:
         if "q" in expr.variables():
@@ -206,11 +197,10 @@ def run_potential(args) -> tuple[RunReport, list[str]]:
 
 def run_rietsch(args) -> tuple[RunReport, list[str]]:
     if args.model == "gr":
-        n = _need_n(args)
-        pot = rietsch_gr(n)
+        pot = rietsch_gr(args.n)
         terms = str(pot.expr).count(" + ") + 1
-        verdicts = [Verdict("term-count", terms == n, f"{terms} summands")]
-    elif args.model == "og15":
+        verdicts = [Verdict("term-count", terms == args.n, f"{terms} summands")]
+    else:
         pot = og_potentials().rietsch
         factors = [str(f) for f, _ in pot.expr.factors]
         verdicts = [
@@ -220,8 +210,6 @@ def run_rietsch(args) -> tuple[RunReport, list[str]]:
                 "denominator is the defining quadric",
             )
         ]
-    else:
-        raise CliError("homogeneous potentials exist for gr and og15")
     expr = pot.expr
     if args.q is not None:
         expr = expr.substitute({"q": args.q})
@@ -235,33 +223,17 @@ def run_rietsch(args) -> tuple[RunReport, list[str]]:
     return run, lines
 
 
-def _select_atlas(args):
-    if args.model == "local":
-        return local_model_atlas()
-    if args.model == "og15":
-        return og15_atlas()
-    if args.model == "gr":
-        n = _need_n(args)
-        return gr24_atlas() if n == 4 else gr_product_atlas(n)
-    raise CliError(f"no atlas for model {args.model!r}")
-
-
 def run_verify(args) -> tuple[RunReport, list[str]]:
     t0 = time.perf_counter()
     label = pairs_label(args.pairs) or "(empty)"
     artifacts: dict = {}
-    if args.pairs and args.check != "rietsch":
-        raise CliError(f"verify {args.check} takes no --pairs")
     if args.check == "rietsch":
         if args.model == "gr":
-            n = _need_n(args)
-            ok = verify_rietsch_identity(f"gr(2,{n})", args.pairs)
-            title = f"potential identity [gr(2,{n}), pairs {label}]"
-        elif args.model == "og15":
+            ok = verify_rietsch_identity(f"gr(2,{args.n})", args.pairs)
+            title = f"potential identity [gr(2,{args.n}), pairs {label}]"
+        else:
             ok = verify_rietsch_identity("og15", frozenset())
             title = "potential identity [og(1,5)]"
-        else:
-            raise CliError("the identity is stored for gr and og15")
         reports = [
             Report(
                 title,
@@ -276,15 +248,18 @@ def run_verify(args) -> tuple[RunReport, list[str]]:
             )
         ]
     elif args.check in ("cocycle", "transport"):
-        atlas = _select_atlas(args)
+        if args.model == "gr":
+            atlas = gr24_atlas() if args.n == 4 else gr_product_atlas(args.n)
+        else:
+            atlas = local_model_atlas() if args.model == "local" else og15_atlas()
         check = verify_cocycle if args.check == "cocycle" else verify_potential_transport
         reports = [check(atlas)]
     elif args.check == "koszul":
         data = gr24_koszul() if args.model == "gr" else og15_koszul()
         reports = [koszul_square_check(data)]
         artifacts["koszul"] = data.as_dict()
-    elif args.check == "covering":
-        n = _need_n(args)
+    else:
+        n = args.n
         sampled = covering_check(n, args.samples, args.seed)
         rows = covering_certificate(n)
         reports = [
@@ -308,8 +283,6 @@ def run_verify(args) -> tuple[RunReport, list[str]]:
             )
         ]
         artifacts["patterns"] = rows
-    else:
-        raise CliError(f"unknown check {args.check!r}")
     run = RunReport(
         command=f"verify {args.check}",
         inputs={
@@ -326,14 +299,7 @@ def run_verify(args) -> tuple[RunReport, list[str]]:
 
 
 def run_critical(args) -> tuple[RunReport, list[str]]:
-    if args.model == "gr":
-        if args.n not in (None, 4):
-            raise CliError("reference critical data covers gr(2,4) only")
-        model = "gr24"
-    elif args.model == "og15":
-        model = "og15"
-    else:
-        raise CliError("critical data stored for gr (n=4) and og15")
+    model = "gr24" if args.model == "gr" else "og15"
     if args.q is not None and args.q != 1:
         raise CliError("reference critical data is at unit quantum parameter")
     cfg = SolveConfig(seed=args.seed)
@@ -355,30 +321,23 @@ def run_critical(args) -> tuple[RunReport, list[str]]:
     return run, lines
 
 
+# model -> (wall term, valuation weights, lead); term k is -lead * (u*v)^k
 _EXPANSIONS = {
-    "gr": ("v/((u*v - 1)*z0)", {"u": 1, "v": 1, "z0": 0}),
-    "og15": ("u^2/(z0*(u*v - 1))", {"u": 1, "v": 1, "z0": 0}),
+    "gr": ("v/((u*v - 1)*z0)", {"u": 1, "v": 1, "z0": 0}, "v/z0"),
+    "og15": ("u^2/(z0*(u*v - 1))", {"u": 1, "v": 1, "z0": 0}, "u^2/z0"),
 }
-
-
-def _expected_expansion_term(model: str, i: int) -> LaurentPoly:
-    if model == "gr":
-        return (-parse("v/z0") * parse("u*v") ** i).num
-    return (-parse("u^2/z0") * parse("u*v") ** i).num
 
 
 def run_expand(args) -> tuple[RunReport, list[str]]:
     model = args.model
-    if model not in _EXPANSIONS:
-        raise CliError("stored expansions exist for gr and og15")
-    text, weights = _EXPANSIONS[model]
+    text, weights, lead = _EXPANSIONS[model]
     series = novikov_expand(parse(text), weights, args.order)
     lines = [f"valuation expansion of {text} to order {args.order}"]
     verdicts = []
     for k, e in enumerate(series.exponents()):
         coeff = series.coefficient(e)
         lines.append(f"  T^{e}: {coeff}")
-        expected = _expected_expansion_term(model, k)
+        expected = (-parse(lead) * parse("u*v") ** k).num
         verdicts.append(
             Verdict(
                 f"coefficient[T^{e}]",
@@ -405,23 +364,64 @@ _FLAGS = {
     "pairs": dict(
         type=parse_pairs, default=frozenset(), help="surgery pairs like 1,2 or 1,2;3,4"
     ),
-    "model": dict(default="gr", help="gr, og15 or og14"),
+    "model": dict(default="gr", help="gr, og15, og14 or local"),
     "q": dict(type=_fraction, default=None, help="quantum parameter"),
     "order": dict(type=int, default=10, help="series cut-off"),
     "seed": dict(type=int, default=42, help="random seed"),
     "samples": dict(type=int, default=1000, help="sample count for covering"),
 }
 
-# subcommand -> (handler, help, the flags the handler reads or echoes)
+# subcommand -> (handler, help, flags the handler reads or echoes, models it
+# serves, per check for verify).  gr(2,n) needs --n and, if marked +pairs, takes
+# a pair set; gr(2,4) takes --n 4 or no --n; other models take no --n or --pairs.
 _COMMANDS = {
-    "faces": (run_faces, "classify Lagrangian faces", "n"),
-    "charts": (run_charts, "print a chart dictionary", "n pairs"),
-    "potential": (run_potential, "print a disk potential", "n pairs model q"),
-    "rietsch": (run_rietsch, "print a homogeneous potential", "n model q"),
-    "verify": (run_verify, "run an exact verification", "n pairs model seed samples"),
-    "critical": (run_critical, "solve for critical points", "n model q seed"),
-    "expand": (run_expand, "expand a wall-crossing term", "model order"),
+    "faces": (run_faces, "classify Lagrangian faces", "n", "gr(2,n)"),
+    "charts": (run_charts, "print a chart dictionary", "n pairs", "gr(2,n)+pairs"),
+    "potential": (
+        run_potential,
+        "print a disk potential",
+        "n pairs model q",
+        "gr(2,n)+pairs og15 og14",
+    ),
+    "rietsch": (run_rietsch, "print a homogeneous potential", "n model q", "gr(2,n) og15"),
+    "verify": (
+        run_verify,
+        "run an exact verification",
+        "n pairs model seed samples",
+        {
+            "rietsch": "gr(2,n)+pairs og15",
+            "cocycle": "gr(2,n) og15 local",
+            "transport": "gr(2,n) og15 local",
+            "koszul": "gr(2,4) og15",
+            "covering": "gr(2,n)",
+        },
+    ),
+    "critical": (run_critical, "solve for critical points", "n model q seed", "gr(2,4) og15"),
+    "expand": (run_expand, "expand a wall-crossing term", "model order", "gr og15"),
 }
+
+
+def check_model(args) -> None:
+    """Reject an unserved model, a missing --n, and an --n or --pairs it lacks."""
+    name, served = args.command, _COMMANDS[args.command][3]
+    if isinstance(served, dict):
+        name, served = f"{name} {args.check}", served[args.check]
+    model = getattr(args, "model", "gr")
+    n, pairs = getattr(args, "n", None), getattr(args, "pairs", frozenset())
+    spec = next((s for s in served.split() if s.partition("(")[0] == model), None)
+    if spec is None:
+        problem = f"unknown model {model!r}"
+    elif spec == "gr(2,4)" and n not in (None, 4):
+        problem = f"gr(2,{n}) is not served"
+    elif spec.startswith("gr(2,n)") and n is None:
+        problem = "model gr needs --n"
+    elif not spec.startswith("gr(2,") and n is not None:
+        problem = f"model {model} takes no --n"
+    elif pairs and not spec.endswith("+pairs"):
+        problem = f"model {model} takes no --pairs"
+    else:
+        return
+    raise CliError(f"{problem}; {name} serves {', '.join(served.split())}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,12 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
         "critical data of the small Grassmannian and quadric models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, text, flags) in _COMMANDS.items():
+    for command, (_, text, flags, served) in _COMMANDS.items():
         p = sub.add_parser(command, help=text)
-        if command == "verify":
-            p.add_argument(
-                "check", choices=["rietsch", "cocycle", "transport", "koszul", "covering"]
-            )
+        if isinstance(served, dict):
+            p.add_argument("check", choices=list(served))
         for flag in flags.split():
             p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.add_argument("--json", default=None, metavar="PATH", help="write JSON here")
@@ -447,6 +445,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
+        check_model(args)
         run, lines = _COMMANDS[args.command][0](args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,6 +49,11 @@ def test_unknown_model_reports_cli_error(capsys):
     code, _, err = run(capsys, ["potential", "--model", "frog", "--n", "4"])
     assert code == 2
     assert "unknown model" in err
+    for argv in (["critical", "--model", "frog"], ["verify", "koszul", "--model", "frog"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert "unknown model" in err
+        assert out == ""
 
 
 @pytest.mark.parametrize(
@@ -68,6 +73,18 @@ def test_unknown_model_reports_cli_error(capsys):
         ["faces", "--n", "4", "--pairs", "1,2"],
         ["expand", "--model", "gr", "--n", "5"],
         ["critical", "--model", "og15", "--order", "3"],
+        # a model the command does not serve, or an --n or --pairs it has none of
+        ["verify", "koszul", "--model", "local"],
+        ["verify", "koszul", "--model", "frog"],
+        ["verify", "koszul", "--model", "gr", "--n", "9"],
+        ["verify", "covering", "--model", "og15", "--n", "5"],
+        ["verify", "cocycle", "--model", "og15", "--n", "9"],
+        ["verify", "cocycle", "--model", "local", "--n", "9"],
+        ["critical", "--model", "og15", "--n", "9"],
+        ["rietsch", "--model", "og15", "--n", "9"],
+        ["verify", "rietsch", "--model", "og15", "--n", "9", "--pairs", "1,2"],
+        ["potential", "--model", "og15", "--n", "9", "--pairs", "1,2"],
+        ["potential", "--model", "og14", "--n", "9", "--pairs", "1,2"],
     ],
 )
 def test_invalid_size_or_pairs_exit_2(capsys, argv):
