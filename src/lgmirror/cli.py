@@ -402,7 +402,7 @@ _COMMANDS = {
 
 
 def check_model(args) -> None:
-    """Reject an unserved model, a missing --n, and an --n or --pairs it lacks."""
+    """Reject an unserved model or size, a missing --n, or a stray --n or --pairs."""
     name, served = args.command, _COMMANDS[args.command][3]
     if isinstance(served, dict):
         name, served = f"{name} {args.check}", served[args.check]

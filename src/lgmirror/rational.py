@@ -16,18 +16,17 @@ deterministic: a term cap on each pseudo-remainder (_GCD_TERM_CAP), a work
 budget over the whole recursion (_GCD_WORK_CAP) and a cap on coefficient
 bits (_GCD_BIT_CAP).  A bail-out only leaves a common factor uncancelled in
 the canonical form.  No verdict depends on it, because equal()
-cross-multiplies.  The budgets are live: over the tier-1 tests, 25 of the
+cross-multiplies.  The budgets are live: over the test suite, 25 of the
 938 poly_gcd calls hit the bit cap, 6 the work budget and 2 the term cap,
 all on random inputs: substituted bivariate rational functions in
 test_substitute_is_a_ring_map (tests/test_properties.py) and quotients of
 polynomials of up to 4 terms in 5 variables in
 test_roundtrip_random_expressions (tests/test_rational.py).
 
-The pass skips every factor of the form
-a*v + b, with v a variable, a a monomial and b free of v.  Such a factor is
-irreducible, and trial division has already shown that it does not divide
-the numerator (a cancellation in the pass keeps that true), so the two are
-coprime and the gcd would be 1.
+The pass skips every factor of the form a*v + b, with v a variable, a a
+monomial and b free of v.  Such a factor is irreducible, and trial division
+has already shown that it does not divide the numerator (a cancellation in
+the pass keeps that true), so the two are coprime and the gcd would be 1.
 """
 from __future__ import annotations
 
