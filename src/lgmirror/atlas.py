@@ -9,7 +9,7 @@ so a potential on the target pulls back along a transition by substitution.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .ladder import (
@@ -23,7 +23,6 @@ from .ladder import (
 from .potentials import (
     Potential,
     gc_torus_potential,
-    gr24_chart_potentials,
     immersed_potential,
     og_bridge,
     og_potentials,
@@ -402,31 +401,18 @@ def local_model_atlas(perturb_cocycle: bool = False) -> Atlas:
     return Atlas("local-model", charts, tuple(transitions))
 
 
-# -- the four-variable and quadric atlases ---------------------------------
+# -- the gr(2,4) and quadric atlases ---------------------------------------
 
 
 def gr24_atlas(flip_sign: bool = False) -> Atlas:
-    """The three glued charts of the smallest Grassmannian, with their
-    potentials.  ``flip_sign`` negates one term of the chekanov potential,
-    which potential transport must flag."""
-    immersed, chekanov, clifford = gr24_chart_potentials()
+    """The product atlas of the smallest Grassmannian.  ``flip_sign``
+    negates the y1_1 term of the chekanov[1,2] potential, which potential
+    transport must flag."""
+    a = gr_product_atlas(4)
     if flip_sign:
-        chekanov = Potential(
-            chekanov.expr - parse("2*y1"), chekanov.chart, chekanov.variables,
-            chekanov.model,
-        )
-    charts = (
-        Chart("immersed", ("u", "v", "z0", "w0"), "node times holonomy torus"),
-        Chart("chekanov", ("x1", "y1", "z1", "w1")),
-        Chart("clifford", ("x2", "y2", "z2", "w2")),
-    )
-    transitions = _node_transitions(("z", "w"))
-    potentials = {
-        "immersed": immersed,
-        "chekanov": chekanov,
-        "clifford": clifford,
-    }
-    return Atlas("gr(2,4)", charts, transitions, potentials)
+        p = a.potentials["chekanov[1,2]"]
+        a.potentials["chekanov[1,2]"] = replace(p, expr=p.expr - parse("2*y1_1"))
+    return a
 
 
 def og15_atlas() -> Atlas:
@@ -497,13 +483,11 @@ def product_transition(n: int, pair_set, pair) -> Transition:
     return extend_identity(t, holonomies(n, pair_set))
 
 
-def gr_product_atlas(n: int, pair_sets=None) -> Atlas:
+def gr_product_atlas(n: int) -> Atlas:
     """The tree of charts through the shared monotone torus: for every
-    listed pair set, the three chart types glued to each other and, via the
-    clifford type, to the torus chart."""
-    if pair_sets is None:
-        pair_sets = index_sets(n)[1]
-    pair_sets = sorted((check_pair_set(n, ps) for ps in pair_sets), key=sorted)
+    maximal pair set, the three chart types glued to each other and, via
+    the clifford type, to the torus chart."""
+    pair_sets = sorted(index_sets(n)[1], key=sorted)
     torus_potential = gc_torus_potential(n)
     charts = [product_charts(n, frozenset())["torus"]]
     transitions: list[Transition] = []

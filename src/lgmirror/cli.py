@@ -14,7 +14,6 @@ import time
 from fractions import Fraction
 
 from .atlas import (
-    gr24_atlas,
     gr_product_atlas,
     local_model_atlas,
     og15_atlas,
@@ -249,7 +248,7 @@ def run_verify(args) -> tuple[RunReport, list[str]]:
         ]
     elif args.check in ("cocycle", "transport"):
         if args.model == "gr":
-            atlas = gr24_atlas() if args.n == 4 else gr_product_atlas(args.n)
+            atlas = gr_product_atlas(args.n)
         else:
             atlas = local_model_atlas() if args.model == "local" else og15_atlas()
         check = verify_cocycle if args.check == "cocycle" else verify_potential_transport
@@ -283,14 +282,12 @@ def run_verify(args) -> tuple[RunReport, list[str]]:
             )
         ]
         artifacts["patterns"] = rows
+    inputs = {"model": args.model, "n": args.n, "pairs": label}
+    if args.check == "covering":
+        inputs["seed"] = args.seed
     run = RunReport(
         command=f"verify {args.check}",
-        inputs={
-            "model": args.model,
-            "n": args.n,
-            "pairs": label,
-            "seed": args.seed,
-        },
+        inputs=inputs,
         reports=reports,
         timings={"verify": time.perf_counter() - t0},
         artifacts=artifacts,
@@ -374,6 +371,7 @@ _FLAGS = {
 # subcommand -> (handler, help, flags the handler reads or echoes, models it
 # serves, per check for verify).  gr(2,n) needs --n and, if marked +pairs, takes
 # a pair set; gr(2,4) takes --n 4 or no --n; other models take no --n or --pairs.
+# A verify check may also name flags of _FLAGS that only it takes.
 _COMMANDS = {
     "faces": (run_faces, "classify Lagrangian faces", "n", "gr(2,n)"),
     "charts": (run_charts, "print a chart dictionary", "n pairs", "gr(2,n)+pairs"),
@@ -387,13 +385,13 @@ _COMMANDS = {
     "verify": (
         run_verify,
         "run an exact verification",
-        "n pairs model seed samples",
+        "n pairs model",
         {
             "rietsch": "gr(2,n)+pairs og15",
             "cocycle": "gr(2,n) og15 local",
             "transport": "gr(2,n) og15 local",
             "koszul": "gr(2,4) og15",
-            "covering": "gr(2,n)",
+            "covering": "gr(2,n) seed samples",
         },
     ),
     "critical": (run_critical, "solve for critical points", "n model q seed", "gr(2,4) og15"),
@@ -401,14 +399,26 @@ _COMMANDS = {
 }
 
 
+def _check_flags(served: dict) -> list[str]:
+    """The flags that some verify check takes and the others do not."""
+    return list(dict.fromkeys(f for spec in served.values() for f in spec.split() if f in _FLAGS))
+
+
 def check_model(args) -> None:
-    """Reject an unserved model or size, a missing --n, or a stray --n or --pairs."""
+    """Reject an unserved model or size, a missing --n, a stray --n or --pairs,
+    or a flag given to a verify check that does not take it."""
     name, served = args.command, _COMMANDS[args.command][3]
     if isinstance(served, dict):
-        name, served = f"{name} {args.check}", served[args.check]
+        checks, name, served = served, f"{name} {args.check}", served[args.check]
+        for flag in _check_flags(checks):
+            if flag in served.split():
+                setattr(args, flag, getattr(args, flag, _FLAGS[flag]["default"]))
+            elif hasattr(args, flag):
+                raise CliError(f"{name} takes no --{flag}")
+    models = [s for s in served.split() if s not in _FLAGS]
     model = getattr(args, "model", "gr")
     n, pairs = getattr(args, "n", None), getattr(args, "pairs", frozenset())
-    spec = next((s for s in served.split() if s.partition("(")[0] == model), None)
+    spec = next((s for s in models if s.partition("(")[0] == model), None)
     if spec is None:
         problem = f"unknown model {model!r}"
     elif spec == "gr(2,4)" and n not in (None, 4):
@@ -421,7 +431,7 @@ def check_model(args) -> None:
         problem = f"model {model} takes no --pairs"
     else:
         return
-    raise CliError(f"{problem}; {name} serves {', '.join(served.split())}")
+    raise CliError(f"{problem}; {name} serves {', '.join(models)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,10 +443,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, text, flags, served) in _COMMANDS.items():
         p = sub.add_parser(command, help=text)
-        if isinstance(served, dict):
-            p.add_argument("check", choices=list(served))
         for flag in flags.split():
             p.add_argument(f"--{flag}", **_FLAGS[flag])
+        if isinstance(served, dict):
+            p.add_argument("check", choices=list(served))
+            # present only when given; check_model supplies the default
+            for flag in _check_flags(served):
+                p.add_argument(f"--{flag}", **dict(_FLAGS[flag], default=argparse.SUPPRESS))
         p.add_argument("--json", default=None, metavar="PATH", help="write JSON here")
     return parser
 

@@ -19,7 +19,7 @@ import numpy as np
 from .atlas import gr_product_atlas, og15_atlas
 from .ladder import chart_coordinates
 from .laurent import LaurentPoly
-from .potentials import Potential, gr24_chart_potentials, og_potentials, parse_model
+from .potentials import Potential, parse_model
 from .plucker import pvar
 from .rational import RationalFunction, as_rational, parse
 from .report import Report, Verdict
@@ -110,9 +110,9 @@ class CriticalSystem:
 
         note_denominators(expr)
         self.equations: list[LaurentPoly] = []
+        self._partials = [expr.partial(v) for v in self.variables]
         self._grad_arrays = []
-        for v in self.variables:
-            d = expr.partial(v)
+        for d in self._partials:
             note_denominators(d)
             # the numerator times the least monomial clearing its negative powers
             low = d.num.monomial_gcd()
@@ -172,8 +172,8 @@ class CriticalSystem:
     def gradient_residual(self, coords: Mapping[str, complex]) -> float:
         point = dict(coords)
         worst = 0.0
-        for v in self.variables:
-            worst = max(worst, abs(complex(self.expr.partial(v).evaluate(point))))
+        for d in self._partials:
+            worst = max(worst, abs(complex(d.evaluate(point))))
         return worst
 
 
@@ -246,7 +246,7 @@ def solve_potential(
 
 
 def gr24_closed_points() -> list[dict]:
-    """The six critical points in the node-chart coordinates, at unit
+    """The six critical points on the immersed[1,2] chart of gr(2,4), at unit
     quantum parameter: four with value 4*sqrt(2)*i^j and two with value 0."""
     root2 = math.sqrt(2.0)
     xi = 1j
@@ -254,15 +254,15 @@ def gr24_closed_points() -> list[dict]:
     for j in range(4):
         pts.append(
             {
-                "u": root2 * xi**j,
-                "v": root2 * xi**-j,
-                "z0": xi ** (-2 * j),
-                "w0": xi ** (-2 * j),
+                "u1": root2 * xi**j,
+                "v1": root2 * xi**-j,
+                "z1_1": xi ** (-2 * j),
+                "z2_2": xi ** (-2 * j),
             }
         )
     for j in range(2):
         sign = (-1) ** j
-        pts.append({"u": 0.0, "v": 0.0, "z0": -1j * sign, "w0": 1j * sign})
+        pts.append({"u1": 0.0, "v1": 0.0, "z1_1": -1j * sign, "z2_2": 1j * sign})
     return pts
 
 
@@ -288,15 +288,44 @@ def og15_expected_values() -> list[complex]:
     return [3 * 4.0 ** (1.0 / 3.0) * xi**j for j in range(3)] + [0.0]
 
 
-_QH_RANK = {"gr24": 6, "og15": 4}
+# model -> (atlas, numeric bindings of its potentials, root chart, the root
+# chart's homogeneous-coordinate projection, closed points, their values).  The
+# root chart holds every closed point; the values number the quantum-cohomology
+# rank.
+_CLOSED_FORMS = {
+    "gr24": (
+        lambda: gr_product_atlas(4),
+        {"T": 1},
+        chart_coordinates(4, {(1, 2)}, "immersed")[0],
+        {
+            pvar(1, 2): "z1_1*z2_2*(u1*v1 - 1)",
+            pvar(1, 3): "u1*z1_1",
+            pvar(1, 4): "z2_2",
+            pvar(2, 3): "z1_1",
+            pvar(2, 4): "v1*z2_2",
+            pvar(3, 4): "1",
+        },
+        gr24_closed_points,
+        gr24_expected_values,
+    ),
+    "og15": (
+        og15_atlas,
+        {},
+        "immersed",
+        {"p0": "z0", "p1": "v*z0", "p2": "u", "p3": "1"},
+        og15_closed_points,
+        og15_expected_values,
+    ),
+}
 
 
-def _closed_form_key(model: str) -> str:
+def _closed_form(model: str) -> tuple:
+    """The model's key followed by its entry of _CLOSED_FORMS."""
     kind, n = parse_model(model)
     key = f"gr2{n}" if kind == "gr" else kind
-    if key not in _QH_RANK:
+    if key not in _CLOSED_FORMS:
         raise ValueError(f"no closed-form critical data for model {model!r}")
-    return key
+    return (key,) + _CLOSED_FORMS[key]
 
 
 def _value_multiset_match(actual, expected, tol: float) -> bool:
@@ -316,18 +345,13 @@ def _value_multiset_match(actual, expected, tol: float) -> bool:
 
 
 def verify_known(model: str) -> Report:
-    """Check the stored closed-form points: tiny gradients, the expected
-    critical-value multiset, and the quantum-cohomology count."""
-    key = _closed_form_key(model)
-    if key == "gr24":
-        potential = gr24_chart_potentials()[0]
-        closed = gr24_closed_points()
-        expected = gr24_expected_values()
-    else:
-        potential = og_potentials().immersed
-        closed = og15_closed_points()
-        expected = og15_expected_values()
-    system = critical_system(potential)
+    """Check the stored closed-form points on the root chart's potential:
+    tiny gradients, the expected critical-value multiset, and the
+    quantum-cohomology count."""
+    key, atlas, bindings, root, _, points, values = _closed_form(model)
+    system = critical_system(atlas().potentials[root], bindings)
+    closed = points()
+    expected = values()
     verdicts = []
     values = []
     for k, coords in enumerate(closed):
@@ -351,7 +375,7 @@ def verify_known(model: str) -> Report:
     verdicts.append(
         Verdict(
             "count",
-            len(closed) == _QH_RANK[key],
+            len(closed) == len(expected),
             f"{len(closed)} points = quantum cohomology rank",
         )
     )
@@ -362,28 +386,14 @@ def verify_known(model: str) -> Report:
 
 
 def _model_charts(model: str):
-    """The charts of the model's atlas, starting at the node chart, each with
+    """The charts of the model's atlas, starting at the root chart, each with
     its potential, numeric bindings and homogeneous-coordinate projection.
 
-    Only the node chart's projection is written out; every other chart's is
+    Only the root chart's projection is written out; every other chart's is
     pulled back to it along the atlas transitions.
     """
-    key = _closed_form_key(model)
-    if key == "gr24":
-        # the product atlas of gr(2,4) also carries the torus chart
-        atlas, bindings = gr_product_atlas(4), {"T": 1}
-        root = chart_coordinates(4, {(1, 2)}, "immersed")[0]
-        projection = {
-            pvar(1, 2): "z1_1*z2_2*(u1*v1 - 1)",
-            pvar(1, 3): "u1*z1_1",
-            pvar(1, 4): "z2_2",
-            pvar(2, 3): "z1_1",
-            pvar(2, 4): "v1*z2_2",
-            pvar(3, 4): "1",
-        }
-    else:
-        atlas, root, bindings = og15_atlas(), "immersed", {}
-        projection = {"p0": "z0", "p1": "v*z0", "p2": "u", "p3": "1"}
+    _, make_atlas, bindings, root, projection, _, _ = _closed_form(model)
+    atlas = make_atlas()
     maps = {root: {k: parse(e) for k, e in projection.items()}}
     frontier = [root]
     while frontier:
@@ -393,7 +403,7 @@ def _model_charts(model: str):
                 maps[t.source] = {k: e.substitute(t.bindings) for k, e in maps[known].items()}
                 frontier.append(t.source)
     charts = [(name, atlas.potentials[name], bindings, maps[name]) for name in maps]
-    return key, charts, list(projection)
+    return charts, list(projection)
 
 
 def _project_normalized(coords, projection, order):
@@ -410,7 +420,7 @@ def _project_normalized(coords, projection, order):
 def chart_critical_points(model: str, cfg: SolveConfig = SolveConfig()) -> dict:
     """Solve every chart of the model's atlas separately, at unit quantum
     parameter; returns chart name -> point list."""
-    _, charts, _ = _model_charts(model)
+    charts, _ = _model_charts(model)
     return {
         name: solve_potential(potential, bindings, cfg)
         for name, potential, bindings, _ in charts
@@ -422,7 +432,7 @@ def atlas_critical_points(
 ) -> list[CriticalPoint]:
     """Union of the per-chart critical points, deduplicated through the
     homogeneous-coordinate projection (top coordinate scaled to one)."""
-    _, charts, order = _model_charts(model)
+    charts, order = _model_charts(model)
     merged: list[CriticalPoint] = []
     vectors: list[np.ndarray] = []
     for _, potential, bindings, projection in charts:
@@ -445,13 +455,13 @@ def atlas_critical_points(
 def verify_counts(model: str, points: Sequence[CriticalPoint]) -> Report:
     """Solver-side check that an atlas union of critical points recovers
     exactly the quantum-cohomology rank, with the expected value multiset."""
-    key = _closed_form_key(model)
-    expected = gr24_expected_values() if key == "gr24" else og15_expected_values()
+    key, *_, values = _closed_form(model)
+    expected = values()
     verdicts = [
         Verdict(
             "count",
-            len(points) == _QH_RANK[key],
-            f"{len(points)} deduplicated points, expected {_QH_RANK[key]}",
+            len(points) == len(expected),
+            f"{len(points)} deduplicated points, expected {len(expected)}",
         ),
         Verdict(
             "values",

@@ -4,7 +4,9 @@ Centering the potential at a chosen point splits W - W(center) into a sum
 of (x_i - c_i) * f_i with exactly divided cofactors f_i.  The associated
 odd operator on the exterior algebra squares to (W - W(center)) times the
 identity, which is verified coefficient by coefficient in exact arithmetic.
-An extra symbol with square -1 can be adjoined for centers that need it.
+The shipped factorizations are centered at critical points of the model
+potentials.  An extra symbol with square -1 can be adjoined for centers
+that need it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .laurent import LaurentPoly
-from .potentials import Potential, gr24_chart_potentials, og_potentials
+from .potentials import Potential, immersed_potential, og_potentials
 from .rational import RationalFunction, as_rational, parse
 from .report import Report, Verdict
 
@@ -270,10 +272,12 @@ def og15_koszul() -> KoszulData:
 
 
 def gr24_koszul() -> KoszulData:
-    """Factorization at a nodal point of the smallest Grassmannian model;
-    the last coordinate needs an adjoined square root of -1."""
+    """Factorization at a nodal critical point of the smallest Grassmannian
+    model, on its immersed[1,2] chart at T = 1; the holonomies sit at -s and
+    s for an adjoined square root s of -1."""
+    p = immersed_potential(4, {(1, 2)})
     return center_decompose(
-        gr24_chart_potentials()[0],
-        {"u": 0, "v": 0, "z0": -1, "w0": parse("s")},
+        replace(p, expr=p.expr.substitute({"T": 1})),
+        {"u1": 0, "v1": 0, "z1_1": parse("-s"), "z2_2": parse("s")},
         adjoined="s",
     )

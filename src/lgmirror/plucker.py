@@ -218,14 +218,14 @@ class GrassmannPoint:
     NUMERIC_TOL = 1e-10
 
     @classmethod
-    def from_vectors(cls, n, top, bottom, require_open: bool = True) -> "GrassmannPoint":
+    def from_vectors(cls, n, top, bottom) -> "GrassmannPoint":
         if len(top) != n or len(bottom) != n:
             raise ValueError("need two coordinate rows of length n")
         vals = {}
         for i, j in itertools.combinations(range(1, n + 1), 2):
             vals[(i, j)] = top[i - 1] * bottom[j - 1] - top[j - 1] * bottom[i - 1]
         pt = cls(n, vals)
-        if require_open and not pt.in_open_part():
+        if not pt.in_open_part():
             raise ValueError("point lies on the forbidden divisor")
         return pt
 

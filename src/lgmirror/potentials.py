@@ -25,11 +25,6 @@ _T = RationalFunction.var("T")
 _Q = RationalFunction.var("q")
 _ONE = RationalFunction.constant(1)
 
-# The n=4 surgered chart and the four-variable local model are the same
-# chart under these names.  Kept as explicit data; nothing is inferred.
-N4_CHART_RENAMING = {"u1": "u", "v1": "v", "z1_1": "z0", "z2_2": "w0"}
-
-
 @dataclass(frozen=True)
 class Potential:
     """A superpotential, tagged with its chart and declared variables."""
@@ -161,20 +156,7 @@ def immersed_potential(n: int, pair_set) -> Potential:
     return Potential(_sum(immersed_terms(n, pair_set)), chart, variables, f"gr(2,{n})")
 
 
-# -- the four-variable local model charts ---------------------------------
-
-
-def gr24_chart_potentials() -> tuple[Potential, Potential, Potential]:
-    """Immersed chart and its two smoothings for the smallest Grassmannian."""
-    immersed = parse("v/((u*v - 1)*z0) + u + u*z0/w0 + v*w0")
-    chekanov = parse("1/(x1*y1*z1) + 1/(y1*z1) + y1 + y1*z1/w1 + x1*w1/y1 + w1/y1")
-    clifford = parse("1/(x2*y2*z2) + y2 + x2*y2 + x2*y2*z2/w2 + y2*z2/w2 + w2/y2")
-    model = "gr(2,4)"
-    return (
-        Potential(immersed, "immersed", ("u", "v", "z0", "w0"), model),
-        Potential(chekanov, "chekanov", ("x1", "y1", "z1", "w1"), model),
-        Potential(clifford, "clifford", ("x2", "y2", "z2", "w2"), model),
-    )
+# -- the quadric charts ----------------------------------------------------
 
 
 class OgPotentials(NamedTuple):
@@ -334,12 +316,12 @@ def _restricted_checked(n: int, pair_set: frozenset) -> bool:
     )
 
 
-def rietsch_restrict(n: int, pair_set, check: bool = True) -> Potential:
+def rietsch_restrict(n: int, pair_set) -> Potential:
     """Torus-chart form of the homogeneous potential, with the coordinates
     the selected chart allows to vanish cleared out of all denominators."""
     pair_set = check_pair_set(n, pair_set)
     terms = _restricted_terms(n, pair_set)
-    if check and not _restricted_checked(n, pair_set):
+    if not _restricted_checked(n, pair_set):
         raise RuntimeError("cleared potential disagrees with the homogeneous one")
     expr = _sum(terms)
     base = chart_coordinates(n, pair_set, "immersed")[0]

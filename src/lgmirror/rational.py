@@ -408,7 +408,7 @@ class _Work:
 _GCD_WORK_CAP = 4000
 
 
-def poly_gcd(f: LaurentPoly, g: LaurentPoly, cap: int = _GCD_TERM_CAP) -> LaurentPoly:
+def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Non-unit common factor of two polynomials, or 1.
 
     Runs a primitive pseudo-remainder sequence in one main variable at a
@@ -419,12 +419,12 @@ def poly_gcd(f: LaurentPoly, g: LaurentPoly, cap: int = _GCD_TERM_CAP) -> Lauren
     corrupt the value.
     """
     try:
-        return _poly_gcd(f, g, cap, _Work(_GCD_WORK_CAP))
+        return _poly_gcd(f, g, _Work(_GCD_WORK_CAP))
     except _OutOfWork:
         return LaurentPoly.constant(1)
 
 
-def _poly_gcd(f: LaurentPoly, g: LaurentPoly, cap: int, work: _Work) -> LaurentPoly:
+def _poly_gcd(f: LaurentPoly, g: LaurentPoly, work: _Work) -> LaurentPoly:
     if f.is_zero() or g.is_zero() or f.is_monomial() or g.is_monomial():
         return LaurentPoly.constant(1)
     work.spend(len(f.terms) + len(g.terms))
@@ -434,7 +434,7 @@ def _poly_gcd(f: LaurentPoly, g: LaurentPoly, cap: int, work: _Work) -> LaurentP
     if not shared:
         return LaurentPoly.constant(1)
     best = min(shared, key=lambda v: f.degree_in(v)[1] + g.degree_in(v)[1])
-    result = _gcd_in_var(f, g, best, cap, work)
+    result = _gcd_in_var(f, g, best, work)
     if result.is_constant() or result.is_monomial():
         return LaurentPoly.constant(1)
     # a useful common factor is no bigger than either input
@@ -445,7 +445,7 @@ def _poly_gcd(f: LaurentPoly, g: LaurentPoly, cap: int, work: _Work) -> LaurentP
     return result
 
 
-def _content_of(coeffs, cap, work: _Work) -> LaurentPoly:
+def _content_of(coeffs, work: _Work) -> LaurentPoly:
     items = list(coeffs)
     if not items:
         return LaurentPoly.constant(1)
@@ -453,27 +453,27 @@ def _content_of(coeffs, cap, work: _Work) -> LaurentPoly:
     for c in items[1:]:
         if acc.is_constant() or acc.is_monomial():
             return LaurentPoly.constant(1)
-        acc = _poly_gcd(acc, c, cap, work)
+        acc = _poly_gcd(acc, c, work)
     if acc.is_monomial():
         return LaurentPoly.constant(1)
     return acc
 
 
-def _gcd_in_var(f: LaurentPoly, g: LaurentPoly, v: str, cap: int, work: _Work) -> LaurentPoly:
+def _gcd_in_var(f: LaurentPoly, g: LaurentPoly, v: str, work: _Work) -> LaurentPoly:
     uf, ug = f.coefficients_in(v), g.coefficients_in(v)
-    cf = _content_of(uf.values(), cap, work)
-    cg = _content_of(ug.values(), cap, work)
-    content_gcd = _poly_gcd(cf, cg, cap, work) if not (cf.is_constant() or cg.is_constant()) else LaurentPoly.constant(1)
+    cf = _content_of(uf.values(), work)
+    cg = _content_of(ug.values(), work)
+    content_gcd = _poly_gcd(cf, cg, work) if not (cf.is_constant() or cg.is_constant()) else LaurentPoly.constant(1)
     pf = {d: c.exact_div(cf) for d, c in uf.items()} if not cf.is_constant() else uf
     pg = {d: c.exact_div(cg) for d, c in ug.items()} if not cg.is_constant() else ug
     a, b = (pf, pg) if max(pf) >= max(pg) else (pg, pf)
     while b:
-        r = _pseudo_rem(a, b, cap, work)
+        r = _pseudo_rem(a, b, work)
         if r is None:
             return content_gcd
         # strip content to control growth
         if r:
-            rc = _content_of(r.values(), cap, work)
+            rc = _content_of(r.values(), work)
             if not rc.is_constant():
                 r = {d: c.exact_div(rc) for d, c in r.items()}
         a, b = b, r
@@ -496,7 +496,7 @@ def _coeff_bits(p: LaurentPoly) -> int:
     return max((c.numerator.bit_length() + c.denominator.bit_length() for c in p.terms.values()), default=0)
 
 
-def _pseudo_rem(a: dict[int, LaurentPoly], b: dict[int, LaurentPoly], cap: int, work: _Work):
+def _pseudo_rem(a: dict[int, LaurentPoly], b: dict[int, LaurentPoly], work: _Work):
     da, db = max(a), max(b)
     lb = b[db]
     nb = sum(len(c.terms) for c in b.values())
@@ -519,7 +519,7 @@ def _pseudo_rem(a: dict[int, LaurentPoly], b: dict[int, LaurentPoly], cap: int, 
             t = nxt.get(d + shift, LaurentPoly((), {})) - c * lr
             nxt[d + shift] = t
         r = {d: c for d, c in nxt.items() if not c.is_zero()}
-        if sum(len(c.terms) for c in r.values()) > cap:
+        if sum(len(c.terms) for c in r.values()) > _GCD_TERM_CAP:
             return None
         if r and max(r) >= dr:  # leading term failed to cancel: bail out
             return None

@@ -85,6 +85,12 @@ def test_unknown_model_reports_cli_error(capsys):
         ["verify", "rietsch", "--model", "og15", "--n", "9", "--pairs", "1,2"],
         ["potential", "--model", "og15", "--n", "9", "--pairs", "1,2"],
         ["potential", "--model", "og14", "--n", "9", "--pairs", "1,2"],
+        # --seed and --samples belong to verify covering alone
+        ["verify", "cocycle", "--model", "local", "--seed", "7", "--samples", "3"],
+        ["verify", "cocycle", "--model", "local", "--seed", "7"],
+        ["verify", "transport", "--model", "og15", "--samples", "3"],
+        ["verify", "rietsch", "--model", "gr", "--n", "4", "--pairs", "1,2", "--seed", "7"],
+        ["verify", "koszul", "--model", "gr", "--samples", "3"],
     ],
 )
 def test_invalid_size_or_pairs_exit_2(capsys, argv):
@@ -200,6 +206,29 @@ def test_verify_transport_product_atlas(capsys):
     assert "transport" in out
 
 
+@pytest.mark.parametrize("check", ["cocycle", "transport"])
+def test_verify_gr24_reads_the_tree_atlas(capsys, tmp_path, check):
+    path = tmp_path / "atlas.json"
+    argv = ["verify", check, "--model", "gr", "--n", "4", "--json", str(path)]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    (report,) = json.loads(path.read_text())["reports"]
+    assert report["title"] == f"{check}[gr(2,4)-tree]"
+    if check == "transport":
+        assert len(report["verdicts"]) == 8
+
+
+def test_seed_echoed_only_where_read(capsys, tmp_path):
+    path = tmp_path / "run.json"
+    for argv, seed in [
+        (["verify", "cocycle", "--model", "local"], None),
+        (["verify", "covering", "--n", "5", "--samples", "5"], 42),
+        (["verify", "covering", "--n", "5", "--samples", "5", "--seed", "7"], 7),
+    ]:
+        assert run(capsys, argv + ["--json", str(path)])[0] == 0
+        assert json.loads(path.read_text())["inputs"].get("seed") == seed, argv
+
+
 def test_verify_koszul_writes_cofactors(capsys, tmp_path):
     path = tmp_path / "koszul.json"
     code, out, _ = run(
@@ -238,6 +267,7 @@ def test_critical_og15_json(capsys, tmp_path):
     assert data["passed"] is True
     assert len(data["artifacts"]["points"]) == 4
     assert len(data["reports"]) == 2
+    assert data["inputs"]["seed"] == 42
 
 
 def test_critical_rejects_other_sizes(capsys):

@@ -20,7 +20,7 @@ from lgmirror.critical import (
     verify_counts,
     verify_known,
 )
-from lgmirror.potentials import Potential, gc_torus_potential, gr24_chart_potentials, og_potentials
+from lgmirror.potentials import Potential, gc_torus_potential, immersed_potential, og_potentials
 from lgmirror.rational import parse
 
 
@@ -93,7 +93,7 @@ def test_og15_closed_point_count():
 
 
 def test_gr24_closed_points_have_tiny_gradients():
-    system = critical_system(gr24_chart_potentials()[0])
+    system = critical_system(immersed_potential(4, {(1, 2)}), {"T": 1})
     for coords in gr24_closed_points():
         assert system.gradient_residual(coords) <= 1e-10
 
@@ -105,7 +105,7 @@ def test_og15_closed_points_have_tiny_gradients():
 
 
 def test_gr24_closed_values_match_stored_points():
-    system = critical_system(gr24_chart_potentials()[0])
+    system = critical_system(immersed_potential(4, {(1, 2)}), {"T": 1})
     values = [system.value_at(c) for c in gr24_closed_points()]
     assert match_multiset(values, gr24_expected_values(), 1e-10)
 

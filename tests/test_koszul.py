@@ -160,7 +160,7 @@ def test_og_first_cofactor(og_data):
 
 
 def test_gr_decomposition(gr_data):
-    assert gr_data.variables == ("u", "v", "z0", "w0")
+    assert gr_data.variables == ("u1", "v1", "z1_1", "z2_2")
     assert gr_data.value.equal(RationalFunction.constant(0))
     assert gr_data.symbol == "s"
     assert gr_data.sum_identity()
@@ -184,8 +184,19 @@ def test_gr_cofactors_are_reduced(gr_data):
 
 def test_model_labels(og_data, gr_data):
     assert og_data.label == "og(1,5)/immersed"
-    assert gr_data.label == "gr(2,4)/immersed"
+    assert gr_data.label == "gr(2,4)/immersed[1,2]"
     assert center_decompose(parse("x^2"), {"x": 0}).label == "generic"
+
+
+@pytest.mark.parametrize("make", [og15_koszul, gr24_koszul])
+def test_shipped_centres_are_critical_points(make):
+    # each partial vanishes at the centre, modulo the adjoined relation
+    data = make()
+    centre = dict(zip(data.variables, data.center))
+    zero = RationalFunction.constant(0)
+    for v in data.variables:
+        slope = data.potential.partial(v).substitute(centre)
+        assert equal_mod_adjoined(slope, zero, data.symbol), v
 
 
 # -- the differential ------------------------------------------------------

@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from lgmirror.atlas import gr_product_atlas
 from lgmirror.ladder import chart_coordinates, index_sets
 from lgmirror.novikov import novikov_expand
 from lgmirror.plucker import equal_mod_plucker, pvar
 from lgmirror.potentials import (
-    N4_CHART_RENAMING,
     Potential,
     gc_torus_potential,
-    gr24_chart_potentials,
     immersed_potential,
     immersed_terms,
     og15_recovery_bindings,
@@ -27,6 +26,9 @@ from lgmirror.potentials import (
     verify_rietsch_identity,
 )
 from lgmirror.rational import as_rational, parse
+
+import gr24_hand_written
+from gr24_hand_written import renamed
 
 
 def multiset(terms):
@@ -180,53 +182,44 @@ def test_immersed_chart_labels():
 
 
 def test_n4_surgered_chart_is_local_model():
-    terms = [t.rename(N4_CHART_RENAMING) for t in immersed_terms(4, {(1, 2)})]
+    terms = immersed_terms(4, {(1, 2)})
     # the quantum parameter sits on the self-intersection correction term
-    assert parse("v*T^4/((u*v - 1)*z0)") in multiset(terms)
-    local = gr24_chart_potentials()[0]
-    assert msum(terms).substitute({"T": 1}).equal(local.expr)
+    assert parse("v1*T^4/((u1*v1 - 1)*z1_1)") in multiset(terms)
+    local = renamed(gr24_hand_written.POTENTIALS["immersed"])
+    assert msum(terms).substitute({"T": 1}).equal(local)
 
 
 # -- local model charts ----------------------------------------------------
 
 
 def test_local_model_charts_frozen():
-    immersed, chekanov, clifford = gr24_chart_potentials()
-    assert immersed.expr.equal(parse("v/((u*v - 1)*z0) + u + u*z0/w0 + v*w0"))
-    assert chekanov.expr.equal(
-        parse("1/(x1*y1*z1) + 1/(y1*z1) + y1 + y1*z1/w1 + x1*w1/y1 + w1/y1")
-    )
-    assert clifford.expr.equal(
-        parse("1/(x2*y2*z2) + y2 + x2*y2 + x2*y2*z2/w2 + y2*z2/w2 + w2/y2")
-    )
-    assert immersed.chart == "immersed"
-    assert chekanov.chart == "chekanov"
-    assert clifford.chart == "clifford"
-    assert immersed.variables == ("u", "v", "z0", "w0")
+    atlas = gr_product_atlas(4)
+    for kind, text in gr24_hand_written.POTENTIALS.items():
+        p = atlas.potentials[f"{kind}[1,2]"]
+        assert p.expr.substitute({"T": 1}).equal(renamed(text)), kind
+        assert p.chart == f"{kind}[1,2]"
+        assert p.model == "gr(2,4)"
+    assert atlas.potentials["immersed[1,2]"].variables == ("u1", "v1", "z1_1", "z2_2")
 
 
 def test_local_model_wall_crossings():
-    immersed, chekanov, clifford = gr24_chart_potentials()
-    into_chekanov = {
-        "x1": parse("u*v - 1"),
-        "y1": parse("u"),
-        "z1": parse("z0"),
-        "w1": parse("w0"),
-    }
-    assert chekanov.expr.substitute(into_chekanov).equal(immersed.expr)
-    into_clifford = {
-        "x2": parse("u*v - 1"),
-        "y2": parse("1/v"),
-        "z2": parse("z0"),
-        "w2": parse("w0"),
-    }
-    assert clifford.expr.substitute(into_clifford).equal(immersed.expr)
+    potentials = gr_product_atlas(4).potentials
+    immersed = potentials["immersed[1,2]"].expr
+    into_chekanov = {"x1_1": parse("u1*v1 - 1"), "y1_1": parse("u1")}
+    assert potentials["chekanov[1,2]"].expr.substitute(into_chekanov).equal(immersed)
+    into_clifford = {"x1_2": parse("u1*v1 - 1"), "y1_2": parse("1/v1")}
+    assert potentials["clifford[1,2]"].expr.substitute(into_clifford).equal(immersed)
 
 
 def test_smoothing_bridge_matches_torus():
     # the second smoothing sits inside the torus chart: rescaling its
     # coordinates by their T-depths turns one potential into the other
-    clifford = gr24_chart_potentials()[2]
+    clifford = Potential(
+        parse(gr24_hand_written.POTENTIALS["clifford"]),
+        "clifford",
+        ("x2", "y2", "z2", "w2"),
+        "gr(2,4)",
+    )
     dressed = valuation_adjust(clifford, {"x2": 0, "y2": -1, "z2": -2, "w2": -2})
     lhs = parse("T") * dressed.expr
     bridge = {
