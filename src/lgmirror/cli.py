@@ -20,7 +20,13 @@ from .atlas import (
     verify_cocycle,
     verify_potential_transport,
 )
-from .critical import SolveConfig, atlas_critical_points, verify_counts, verify_known
+from .critical import (
+    SolveConfig,
+    atlas_critical_points,
+    model_atlas,
+    verify_counts,
+    verify_known,
+)
 from .koszul import gr24_koszul, koszul_square_check, og15_koszul
 from .ladder import (
     admissible_diagrams,
@@ -301,10 +307,13 @@ def run_critical(args) -> tuple[RunReport, list[str]]:
         raise CliError("reference critical data is at unit quantum parameter")
     cfg = SolveConfig(seed=args.seed)
     t0 = time.perf_counter()
-    closed = verify_known(model)
-    points = atlas_critical_points(model, cfg)
+    atlas = model_atlas(model)
+    t1 = time.perf_counter()
+    closed = verify_known(model, atlas)
+    t2 = time.perf_counter()
+    points = atlas_critical_points(model, cfg, atlas)
     solved = verify_counts(model, points)
-    elapsed = time.perf_counter() - t0
+    t3 = time.perf_counter()
     lines = [f"critical points [{model}]"]
     for p in points:
         lines.append(f"  value {p.value:.6f}  residual {p.residual:.2e}")
@@ -312,7 +321,7 @@ def run_critical(args) -> tuple[RunReport, list[str]]:
         command="critical",
         inputs={"model": args.model, "n": args.n, "seed": args.seed},
         reports=[closed, solved],
-        timings={"solve": elapsed},
+        timings={"atlas": t1 - t0, "closed_form": t2 - t1, "solve": t3 - t2},
         artifacts={"points": [p.as_dict() for p in points]},
     )
     return run, lines

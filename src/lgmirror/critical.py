@@ -4,6 +4,13 @@ Each partial derivative is cleared of denominators exactly, the cleared
 polynomial system is solved by vectorized multi-start Newton iteration, and
 roots landing on a recorded denominator are discarded.  Known closed-form
 points act as the ground truth for the two smallest models.
+
+All numeric polynomial evaluation goes through one monomial table: the
+distinct exponent rows of a list of polynomials, with a (monomials x
+polynomials) coefficient matrix.  A Newton step evaluates the cleared
+equations and their Jacobian together from one such table and solves the
+whole batch at once; only a batch holding an exactly singular Jacobian is
+filtered by determinant before solving again.
 """
 
 from __future__ import annotations
@@ -59,31 +66,49 @@ class CriticalPoint:
         }
 
 
-class _PolyArrays:
-    """A Laurent polynomial flattened to exponent rows over a fixed
-    variable order, for batched numeric evaluation."""
+class _Monomials:
+    """Laurent polynomials over a fixed variable order, stored as their
+    distinct exponent rows and a (monomials x polynomials) coefficient
+    matrix, for batched numeric evaluation of all of them at once."""
 
-    def __init__(self, poly: LaurentPoly, variables: Sequence[str]):
+    def __init__(self, polys: Sequence[LaurentPoly], variables: Sequence[str]):
         index = {v: k for k, v in enumerate(variables)}
-        rows = []
-        coeffs = []
-        for exps, c in poly.terms.items():
-            row = [0] * len(variables)
-            for v, e in zip(poly.vars, exps):
-                row[index[v]] = e
-            rows.append(row)
-            coeffs.append(complex(c))
-        self.exps = np.array(rows or [[0] * len(variables)], dtype=np.int64)
-        self.coeffs = np.array(coeffs or [0.0], dtype=np.complex128)
+        rows: dict[tuple[int, ...], int] = {}
+        entries = []
+        for k, poly in enumerate(polys):
+            for exps, c in poly.terms.items():
+                row = [0] * len(variables)
+                for v, e in zip(poly.vars, exps):
+                    row[index[v]] = e
+                entries.append((rows.setdefault(tuple(row), len(rows)), k, complex(c)))
+        self.exps = np.array(list(rows), dtype=np.int64).reshape(len(rows), len(variables))
+        self.coeffs = np.zeros((len(rows), len(polys)), dtype=np.complex128)
+        for r, k, c in entries:
+            self.coeffs[r, k] = c
+
+    def table(self, pts: np.ndarray) -> np.ndarray:
+        """(N, monomials) values of every monomial at pts (N, m), from one
+        table of powers per variable built by repeated multiplication."""
+        mono = np.ones((pts.shape[0], self.exps.shape[0]), dtype=pts.dtype)
+        for j, col in enumerate(self.exps.T):
+            low, high = min(0, int(col.min(initial=0))), int(col.max(initial=0))
+            if low == high:
+                continue
+            x = pts[:, j]
+            powers = np.empty((pts.shape[0], high - low + 1), dtype=pts.dtype)
+            powers[:, -low] = 1
+            for e in range(1, high + 1):
+                powers[:, e - low] = powers[:, e - 1 - low] * x
+            if low:
+                inv = 1 / x
+                for e in range(-1, low - 1, -1):
+                    powers[:, e - low] = powers[:, e + 1 - low] * inv
+            mono *= powers[:, col - low]
+        return mono
 
     def eval(self, pts: np.ndarray) -> np.ndarray:
-        # pts: (N, m) complex; returns (N,)
-        powers = pts[:, None, :] ** self.exps[None, :, :]
-        return powers.prod(axis=2) @ self.coeffs.astype(pts.dtype)
-
-    def term_scale(self, pts: np.ndarray) -> np.ndarray:
-        powers = np.abs(pts[:, None, :]) ** self.exps[None, :, :]
-        return (powers.prod(axis=2) * np.abs(self.coeffs)).max(axis=1)
+        """(N, polynomials) values at pts (N, m)."""
+        return self.table(pts) @ self.coeffs.astype(pts.dtype, copy=False)
 
 
 class CriticalSystem:
@@ -111,59 +136,77 @@ class CriticalSystem:
         note_denominators(expr)
         self.equations: list[LaurentPoly] = []
         self._partials = [expr.partial(v) for v in self.variables]
-        self._grad_arrays = []
+        # the honest gradient: numerator k over the product of the factors
+        # whose columns and multiplicities _grad_factors[k] lists
+        grad_polys = [d.num for d in self._partials]
+        factor_col: dict = {}
+        self._grad_factors = []
         for d in self._partials:
             note_denominators(d)
             # the numerator times the least monomial clearing its negative powers
             low = d.num.monomial_gcd()
             self.equations.append(d.num.shift(tuple(max(0, -x) for x in low)))
-            self._grad_arrays.append(
-                (
-                    _PolyArrays(d.num, self.variables),
-                    [(_PolyArrays(f, self.variables), mult) for f, mult in d.factors],
-                )
-            )
+            cols = []
+            for f, mult in d.factors:
+                if f.key() not in factor_col:
+                    factor_col[f.key()] = len(grad_polys)
+                    grad_polys.append(f)
+                cols.append((factor_col[f.key()], mult))
+            self._grad_factors.append(cols)
         self.denominators = list(denominators.values())
-        self._eq_arrays = [_PolyArrays(e, self.variables) for e in self.equations]
-        self._jac_arrays = [
-            [_PolyArrays(e.partial(v), self.variables) for v in self.variables]
-            for e in self.equations
-        ]
-        self._den_arrays = [_PolyArrays(d, self.variables) for d in self.denominators]
+        self._gradient = _Monomials(grad_polys, self.variables)
+        # F in columns 0..m-1, the Jacobian row by row after it
+        self._newton = _Monomials(
+            self.equations
+            + [e.partial(v) for e in self.equations for v in self.variables],
+            self.variables,
+        )
+        self._den = _Monomials(self.denominators, self.variables)
 
     def rational_residuals(self, pts: np.ndarray) -> np.ndarray:
         """Residual of the honest gradient, poles and all.  Roots of the
         cleared system sitting on a denominator blow up here."""
+        vals = self._gradient.eval(pts)
         worst = np.zeros(pts.shape[0], dtype=np.float64)
-        for num, factors in self._grad_arrays:
-            vals = num.eval(pts)
-            for arr, mult in factors:
-                vals = vals / arr.eval(pts) ** mult
-            mags = np.abs(vals)
+        for k, factors in enumerate(self._grad_factors):
+            grad = vals[:, k]
+            for col, mult in factors:
+                grad = grad / vals[:, col] ** mult
+            mags = np.abs(grad)
             mags = np.where(np.isfinite(mags), mags, np.inf)
             worst = np.maximum(worst, np.asarray(mags, dtype=np.float64))
         return worst
 
-    def _newton_step(self, pts: np.ndarray):
+    def _f_and_j(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cleared equations (N, m) and their Jacobian (N, m, m) at pts."""
         m = len(self.variables)
-        F = np.stack([a.eval(pts) for a in self._eq_arrays], axis=1)
-        J = np.empty((pts.shape[0], m, m), dtype=np.complex128)
-        for i, row in enumerate(self._jac_arrays):
-            for j, a in enumerate(row):
-                J[:, i, j] = a.eval(pts)
-        dets = np.linalg.det(J)
-        good = np.isfinite(dets) & (np.abs(dets) > 1e-300)
-        step = np.zeros_like(pts)
-        if good.any():
-            step[good] = np.linalg.solve(J[good], F[good][..., None])[..., 0]
+        vals = self._newton.eval(pts)
+        return vals[:, :m], vals[:, m:].reshape(-1, m, m)
+
+    def _newton_step(self, pts: np.ndarray):
+        F, J = self._f_and_j(pts)
+        try:
+            step = np.linalg.solve(J, F[..., None])[..., 0]
+            good = np.isfinite(step).all(axis=1)
+        except np.linalg.LinAlgError:
+            # some Jacobian is exactly singular (an iterate drifted onto a
+            # coordinate hyperplane): solve the rest of the batch
+            dets = np.linalg.det(J)
+            good = np.isfinite(dets) & (np.abs(dets) > 1e-300)
+            step = np.zeros_like(pts)
+            if good.any():
+                step[good] = np.linalg.solve(J[good], F[good][..., None])[..., 0]
         return step, good, np.abs(F).max(axis=1)
 
     def off_denominators(self, pts: np.ndarray) -> np.ndarray:
+        mono = self._den.table(pts)
+        vals = np.abs(mono @ self._den.coeffs)
+        mono = np.abs(mono)
         keep = np.ones(pts.shape[0], dtype=bool)
-        for a in self._den_arrays:
-            val = np.abs(a.eval(pts))
-            scale = np.maximum(1.0, a.term_scale(pts))
-            keep &= val >= _DEN_FLOOR * scale
+        for k, coeffs in enumerate(np.abs(self._den.coeffs).T):
+            terms = np.nonzero(coeffs)[0]
+            scale = np.maximum(1.0, (mono[:, terms] * coeffs[terms]).max(axis=1))
+            keep &= vals[:, k] >= _DEN_FLOOR * scale
         return keep
 
     def value_at(self, coords: Mapping[str, complex]) -> complex:
@@ -344,12 +387,19 @@ def _value_multiset_match(actual, expected, tol: float) -> bool:
     return True
 
 
-def verify_known(model: str) -> Report:
+def model_atlas(model: str):
+    """The atlas whose charts hold the model's critical points."""
+    return _closed_form(model)[1]()
+
+
+def verify_known(model: str, atlas=None) -> Report:
     """Check the stored closed-form points on the root chart's potential:
     tiny gradients, the expected critical-value multiset, and the
-    quantum-cohomology count."""
-    key, atlas, bindings, root, _, points, values = _closed_form(model)
-    system = critical_system(atlas().potentials[root], bindings)
+    quantum-cohomology count.  ``atlas`` is the model's atlas if already
+    built."""
+    key, make_atlas, bindings, root, _, points, values = _closed_form(model)
+    atlas = atlas or make_atlas()
+    system = critical_system(atlas.potentials[root], bindings)
     closed = points()
     expected = values()
     verdicts = []
@@ -385,7 +435,7 @@ def verify_known(model: str) -> Report:
 # -- per-chart solving and the atlas union ---------------------------------
 
 
-def _model_charts(model: str):
+def _model_charts(model: str, atlas=None):
     """The charts of the model's atlas, starting at the root chart, each with
     its potential, numeric bindings and homogeneous-coordinate projection.
 
@@ -393,7 +443,7 @@ def _model_charts(model: str):
     pulled back to it along the atlas transitions.
     """
     _, make_atlas, bindings, root, projection, _, _ = _closed_form(model)
-    atlas = make_atlas()
+    atlas = atlas or make_atlas()
     maps = {root: {k: parse(e) for k, e in projection.items()}}
     frontier = [root]
     while frontier:
@@ -428,11 +478,12 @@ def chart_critical_points(model: str, cfg: SolveConfig = SolveConfig()) -> dict:
 
 
 def atlas_critical_points(
-    model: str, cfg: SolveConfig = SolveConfig()
+    model: str, cfg: SolveConfig = SolveConfig(), atlas=None
 ) -> list[CriticalPoint]:
     """Union of the per-chart critical points, deduplicated through the
-    homogeneous-coordinate projection (top coordinate scaled to one)."""
-    charts, order = _model_charts(model)
+    homogeneous-coordinate projection (top coordinate scaled to one).
+    ``atlas`` is the model's atlas if already built."""
+    charts, order = _model_charts(model, atlas)
     merged: list[CriticalPoint] = []
     vectors: list[np.ndarray] = []
     for _, potential, bindings, projection in charts:

@@ -268,6 +268,7 @@ def test_critical_og15_json(capsys, tmp_path):
     assert len(data["artifacts"]["points"]) == 4
     assert len(data["reports"]) == 2
     assert data["inputs"]["seed"] == 42
+    assert list(data["timings"]) == ["atlas", "closed_form", "solve", "total"]
 
 
 def test_critical_rejects_other_sizes(capsys):

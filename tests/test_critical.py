@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from lgmirror.critical import (
@@ -173,6 +174,84 @@ def test_point_serialization():
     data = pt.as_dict()
     assert data["coords"]["x"] == [1.0, 2.0]
     assert data["value"] == [3.0, 0.0]
+
+
+# -- the monomial-table evaluator -------------------------------------------
+
+
+EVALUATOR_CASES = {
+    "torus5": lambda: critical_system(gc_torus_potential(5), {"T": 1}),
+    "gr24-immersed[1,2]": lambda: critical_system(immersed_potential(4, {(1, 2)}), {"T": 1}),
+    "og15-immersed": lambda: critical_system(og_potentials().immersed),
+}
+
+
+def random_points(m, count=50, seed=3):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.3, 3.0, (count, m)) * np.exp(1j * rng.uniform(0, 2 * math.pi, (count, m)))
+
+
+def term_sum(poly, point):
+    """Sum of the absolute values of the terms: the scale of the rounding
+    error of any evaluation order."""
+    total = 0.0
+    for exps, c in poly.terms.items():
+        term = abs(float(c))
+        for v, e in zip(poly.vars, exps):
+            term *= abs(point[v]) ** e
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("case", sorted(EVALUATOR_CASES))
+def test_monomial_table_matches_exact_evaluation(case):
+    system = EVALUATOR_CASES[case]()
+    pts = random_points(len(system.variables))
+    F, J = system._f_and_j(pts)
+    for row, f_row, j_row in zip(pts, F, J):
+        point = dict(zip(system.variables, row))
+        for i, eq in enumerate(system.equations):
+            assert abs(f_row[i] - complex(eq.evaluate(point))) <= 1e-12 * term_sum(eq, point)
+            for j, v in enumerate(system.variables):
+                d = eq.partial(v)
+                assert abs(j_row[i, j] - complex(d.evaluate(point))) <= 1e-12 * term_sum(d, point)
+
+
+@pytest.mark.parametrize("case", sorted(EVALUATOR_CASES))
+def test_rational_residuals_match_exact_gradient(case):
+    # the gradient numerators carry negative powers, so this also covers the
+    # reciprocal half of the power tables
+    system = EVALUATOR_CASES[case]()
+    pts = random_points(len(system.variables), count=20)
+    got = system.rational_residuals(pts)
+    for row, worst in zip(pts, got):
+        want = system.gradient_residual(dict(zip(system.variables, row)))
+        assert worst == pytest.approx(want, rel=1e-10)
+
+
+def test_singular_jacobian_drops_only_its_own_start():
+    system = EVALUATOR_CASES["gr24-immersed[1,2]"]()
+    pts = random_points(len(system.variables), count=6)
+    pts[2, system.variables.index("z1_1")] = 0  # exactly singular Jacobian there
+    F, J = system._f_and_j(pts)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(J, F[..., None])
+    step, good, res = system._newton_step(pts)
+    assert good.tolist() == [True, True, False, True, True, True]
+    for k in np.nonzero(good)[0]:
+        np.testing.assert_allclose(step[k], np.linalg.solve(J[k], F[k]), rtol=1e-13)
+    np.testing.assert_array_equal(res, np.abs(F).max(axis=1))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_torus5_solve_finds_every_closed_form_value(seed):
+    # the critical values of gr(2,5) are 5*(a + b) over pairs a != b of roots
+    # of z^5 = -1; every pair lies on the torus chart since 5 is prime
+    roots = [cmath.exp(1j * math.pi * (2 * k + 1) / 5) for k in range(5)]
+    expected = [5 * (a + b) for k, a in enumerate(roots) for b in roots[k + 1 :]]
+    pts = solve_potential(gc_torus_potential(5), {"T": 1}, SolveConfig(seed=seed))
+    assert match_multiset([p.value for p in pts], expected, 1e-8)
+    assert all(p.residual <= 1e-10 for p in pts)
 
 
 # -- per-chart solves ------------------------------------------------------
