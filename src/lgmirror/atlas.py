@@ -8,7 +8,6 @@ so a potential on the target pulls back along a transition by substitution.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -30,14 +29,11 @@ from .potentials import (
 from .rational import RationalFunction, as_rational, parse
 from .report import Report, Verdict
 
-ATLAS_SCHEMA = "atlas/1"
-
 
 @dataclass(frozen=True)
 class Chart:
     name: str
     variables: tuple[str, ...]
-    domain_notes: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -153,58 +149,6 @@ class Atlas:
 
     def transition(self, source: str, target: str):
         return self._edges.get((source, target))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": ATLAS_SCHEMA,
-                "name": self.name,
-                "charts": [
-                    {
-                        "name": c.name,
-                        "variables": list(c.variables),
-                        "domain_notes": c.domain_notes,
-                    }
-                    for c in self.charts
-                ],
-                "transitions": [
-                    {
-                        "source": t.source,
-                        "target": t.target,
-                        "bindings": {k: str(v) for k, v in sorted(t.bindings.items())},
-                        "constraints": [str(c) for c in t.constraints],
-                    }
-                    for t in self.transitions
-                ],
-                "potentials": {
-                    name: json.loads(p.to_json())
-                    for name, p in sorted(self.potentials.items())
-                },
-            },
-            indent=2,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "Atlas":
-        data = json.loads(text)
-        charts = tuple(
-            Chart(c["name"], tuple(c["variables"]), c.get("domain_notes", ""))
-            for c in data["charts"]
-        )
-        transitions = tuple(
-            Transition(
-                t["source"],
-                t["target"],
-                {k: parse(v) for k, v in t["bindings"].items()},
-                tuple(parse(c) for c in t.get("constraints", ())),
-            )
-            for t in data["transitions"]
-        )
-        potentials = {
-            name: Potential.from_json(json.dumps(p))
-            for name, p in data.get("potentials", {}).items()
-        }
-        return Atlas(data["name"], charts, transitions, potentials)
 
 
 # -- verification ----------------------------------------------------------
@@ -389,9 +333,9 @@ def local_model_atlas(perturb_cocycle: bool = False) -> Atlas:
     extra factor, which the cocycle check must flag.
     """
     charts = (
-        Chart("immersed", ("u", "v"), "node coordinates; u*v stays away from 1"),
-        Chart("chekanov", ("x1", "y1"), "first smoothing; x1 near -1 excluded"),
-        Chart("clifford", ("x2", "y2"), "second smoothing"),
+        Chart("immersed", ("u", "v")),
+        Chart("chekanov", ("x1", "y1")),
+        Chart("clifford", ("x2", "y2")),
     )
     transitions = local_transitions() + _local_inverses()
     if perturb_cocycle:
@@ -420,10 +364,10 @@ def og15_atlas() -> Atlas:
     toric fiber reached through the second smoothing."""
     og = og_potentials()
     charts = (
-        Chart("immersed", ("u", "v", "z0"), "node times holonomy circle"),
+        Chart("immersed", ("u", "v", "z0")),
         Chart("chekanov", ("x1", "y1", "z1")),
         Chart("clifford", ("x2", "y2", "z2")),
-        Chart("toric-fiber", ("y1_1", "y1_2", "y1_3"), "monotone fiber of the degenerate toric system"),
+        Chart("toric-fiber", ("y1_1", "y1_2", "y1_3")),
     )
     bridge = og_bridge()
     transitions = _node_transitions(("z",)) + (
@@ -448,11 +392,7 @@ def og15_atlas() -> Atlas:
 
 def product_charts(n: int, pair_set) -> dict:
     """The torus chart and the three chart types over one pair set."""
-    notes = {"torus": "monotone fiber; all holonomies invertible"}
-    return {
-        kind: Chart(*chart_coordinates(n, pair_set, kind), notes.get(kind, ""))
-        for kind in CHART_KINDS
-    }
+    return {kind: Chart(*chart_coordinates(n, pair_set, kind)) for kind in CHART_KINDS}
 
 
 def product_transition(n: int, pair_set, pair) -> Transition:

@@ -189,6 +189,8 @@ def run_potential(args) -> tuple[RunReport, list[str]]:
                     "only --q 1 substitutes exactly"
                 )
             expr = expr.substitute({"T": 1})
+        else:
+            raise CliError(f"the {pot.model} potential has no quantum parameter to set")
     lines = [f"potential [{pot.model} / {pot.chart}]", f"  {expr}"]
     label = pairs_label(args.pairs) or "(empty)"
     run = RunReport(

@@ -11,7 +11,6 @@ that need it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -112,24 +111,6 @@ class KoszulData:
             "value": str(self.value),
             "symbol": self.symbol,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
-
-    @staticmethod
-    def from_json(text: str) -> "KoszulData":
-        data = json.loads(text)
-        if data.get("schema") != KOSZUL_SCHEMA:
-            raise ValueError(f"unsupported schema: {data.get('schema')!r}")
-        return KoszulData(
-            variables=tuple(data["variables"]),
-            center=tuple(parse(c) for c in data["center"]),
-            cofactors=tuple(parse(f) for f in data["cofactors"]),
-            potential=parse(data["potential"]),
-            value=parse(data["value"]),
-            symbol=data["symbol"],
-            label=data["label"],
-        )
 
 
 def _center_value_poly(value) -> LaurentPoly:

@@ -14,7 +14,6 @@ coordinates p_{1,2}, ..., p_{n-1,n}, p_{1,n} are nonzero.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -41,8 +40,6 @@ __all__ = [
     "covering_certificate",
     "covering_check",
     "cyclic_pairs",
-    "dual_indices",
-    "dual_pair",
     "equal_mod_plucker",
     "geometric_to_plucker",
     "parametrize",
@@ -50,7 +47,6 @@ __all__ = [
     "pvar",
     "random_point",
     "sum_equal_mod_plucker",
-    "var_pair",
 ]
 
 
@@ -58,13 +54,6 @@ def pvar(i: int, j: int) -> str:
     if not 1 <= i < j:
         raise ValueError(f"need 1 <= i < j, got ({i}, {j})")
     return f"p_{i},{j}"
-
-
-def var_pair(name: str) -> Pair:
-    if not name.startswith("p_"):
-        raise ValueError(f"not a coordinate name: {name!r}")
-    i, j = name[2:].split(",")
-    return int(i), int(j)
 
 
 def cyclic_pairs(n: int) -> tuple[Pair, ...]:
@@ -81,20 +70,6 @@ def plucker_relation(i: int, j: int, k: int, l: int, n: int) -> LaurentPoly:
         return LaurentPoly.var(pvar(*a)) * LaurentPoly.var(pvar(*b))
 
     return m((i, j), (k, l)) - m((i, k), (j, l)) + m((i, l), (j, k))
-
-
-def dual_indices(n: int, pair: Pair) -> tuple[int, ...]:
-    i, j = pair
-    if not 1 <= i < j <= n:
-        raise ValueError(f"bad pair {pair} for n={n}")
-    return tuple(k for k in range(1, n + 1) if k not in (i, j))
-
-
-def dual_pair(n: int, indices: tuple[int, ...]) -> Pair:
-    missing = sorted(set(range(1, n + 1)) - set(indices))
-    if len(missing) != 2 or len(set(indices)) != n - 2:
-        raise ValueError(f"not a complementary index set for n={n}: {indices}")
-    return missing[0], missing[1]
 
 
 # -- identity checking ----------------------------------------------------
@@ -253,29 +228,15 @@ class GrassmannPoint:
         tol = self.NUMERIC_TOL * max(self.scale(), 1.0) ** 2
         return all(abs(complex(d)) <= tol for _, d in self.relation_defects())
 
-    def to_json(self) -> str:
+    def as_dict(self) -> dict:
         def enc(v):
-            if isinstance(v, Fraction):
-                return str(v)
-            if isinstance(v, int):
+            if isinstance(v, (Fraction, int)):
                 return str(v)
             c = complex(v)
             return [c.real, c.imag]
 
-        return json.dumps(
-            {"n": self.n, "p": {f"{i},{j}": enc(v) for (i, j), v in sorted(self.values.items())}}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GrassmannPoint":
-        raw = json.loads(text)
-        vals = {}
-        for key, v in raw["p"].items():
-            i, j = key.split(",")
-            vals[(int(i), int(j))] = (
-                complex(v[0], v[1]) if isinstance(v, list) else Fraction(v)
-            )
-        return cls(int(raw["n"]), vals)
+        values = sorted(self.values.items())
+        return {"n": self.n, "p": {f"{i},{j}": enc(v) for (i, j), v in values}}
 
 
 def random_point(n: int, seed: int) -> GrassmannPoint:
@@ -360,7 +321,7 @@ def covering_check(n: int, num_samples: int, seed: int) -> CoveringReport:
     for s in range(num_samples):
         pt = random_point(n, seed + s)
         if not any(chart_membership(pt, m) for m in maximal):
-            failures.append(json.loads(pt.to_json()))
+            failures.append(pt.as_dict())
     degenerate_failures = []
     checked = 0
     for k in range(2, n - 1):
@@ -369,7 +330,7 @@ def covering_check(n: int, num_samples: int, seed: int) -> CoveringReport:
         if pt.values[(k, n)] != 0:
             raise RuntimeError(f"engineered point does not vanish at p_{k},{n}")
         if not any(chart_membership(pt, m) for m in maximal):
-            degenerate_failures.append(json.loads(pt.to_json()))
+            degenerate_failures.append(pt.as_dict())
     return CoveringReport(n, num_samples, failures, checked, degenerate_failures)
 
 
@@ -395,7 +356,7 @@ def covering_certificate(n: int) -> list[dict]:
                 continue  # not realizable off the divisor
             pt = _degenerate_point(n, set(zeros))
             if not pt.satisfies_relations():
-                raise RuntimeError(f"engineered point off the Grassmannian: {pt.to_json()}")
+                raise RuntimeError(f"engineered point off the Grassmannian: {pt.as_dict()}")
             if any((pt.values[(k, n)] == 0) != (k in zeros) for k in ks):
                 raise RuntimeError(f"engineered point does not vanish exactly at {zeros}")
             covered_by = [m for m in maximal if chart_membership(pt, m)]

@@ -9,7 +9,6 @@ T^n, and the two sides agree modulo the quadratic coordinate relations.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,26 +39,6 @@ class Potential:
         stray = [v for v in self.expr.variables() if v not in allowed]
         if stray:
             raise ValueError(f"undeclared variables in potential: {stray}")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "model": self.model,
-                "chart": self.chart,
-                "variables": list(self.variables),
-                "expr": str(self.expr),
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "Potential":
-        data = json.loads(text)
-        return Potential(
-            expr=parse(data["expr"]),
-            chart=data["chart"],
-            variables=tuple(data["variables"]),
-            model=data["model"],
-        )
 
 
 def _sum(terms) -> RationalFunction:

@@ -43,9 +43,6 @@ class Report:
             "verdicts": [v.as_dict() for v in self.verdicts],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
-
     def render(self) -> str:
         lines = [f"== {self.title} =="]
         for v in self.verdicts:

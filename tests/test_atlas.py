@@ -311,17 +311,6 @@ def test_gauge_conjugated_atlas_still_glues(k):
 # -- atlas container -------------------------------------------------------
 
 
-def test_atlas_json_roundtrip():
-    a = og15_atlas()
-    b = Atlas.from_json(a.to_json())
-    assert [c.name for c in b.charts] == [c.name for c in a.charts]
-    for t in a.transitions:
-        back = b.transition(t.source, t.target)
-        assert all(back.bindings[k].equal(v) for k, v in t.bindings.items())
-    assert verify_cocycle(b).passed
-    assert verify_potential_transport(b).passed
-
-
 def test_atlas_validation():
     u_chart = Chart("a", ("u",))
     v_chart = Chart("b", ("v",))

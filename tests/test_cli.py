@@ -91,6 +91,9 @@ def test_unknown_model_reports_cli_error(capsys):
         ["verify", "transport", "--model", "og15", "--samples", "3"],
         ["verify", "rietsch", "--model", "gr", "--n", "4", "--pairs", "1,2", "--seed", "7"],
         ["verify", "koszul", "--model", "gr", "--samples", "3"],
+        # potentials without a quantum parameter take no --q
+        ["potential", "--model", "og15", "--q", "7"],
+        ["potential", "--model", "og14", "--q", "7"],
     ],
 )
 def test_invalid_size_or_pairs_exit_2(capsys, argv):

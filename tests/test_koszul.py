@@ -3,7 +3,6 @@
 import pytest
 
 from lgmirror.koszul import (
-    KoszulData,
     apply_differential,
     center_decompose,
     corrupt_cofactor,
@@ -233,21 +232,6 @@ def test_corruption_leaves_original_intact(og_data):
 
 
 # -- serialization ---------------------------------------------------------
-
-
-def test_json_roundtrip(gr_data):
-    text = gr_data.to_json()
-    back = KoszulData.from_json(text)
-    assert back.variables == gr_data.variables
-    assert back.symbol == "s"
-    assert back.label == gr_data.label
-    assert back.sum_identity()
-    assert koszul_square_check(back).passed
-
-
-def test_json_schema_guard():
-    with pytest.raises(ValueError, match="schema"):
-        KoszulData.from_json('{"schema": "nope/9"}')
 
 
 def test_as_dict_contains_cofactors(og_data):

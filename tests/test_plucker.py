@@ -1,4 +1,5 @@
 """Tests for the Plucker algebra, charts, and covering checks."""
+import cmath
 import itertools
 from fractions import Fraction
 
@@ -11,16 +12,14 @@ from lgmirror.plucker import (
     covering_certificate,
     covering_check,
     cyclic_pairs,
-    dual_indices,
-    dual_pair,
     equal_mod_plucker,
     geometric_to_plucker,
     parametrize,
     plucker_relation,
     pvar,
     random_point,
-    var_pair,
 )
+from lgmirror.ladder import index_sets
 from lgmirror.rational import as_rational, parse
 
 
@@ -85,17 +84,8 @@ def test_equal_mod_plucker_rejects_undefined():
 
 def test_variable_names_roundtrip():
     assert pvar(1, 12) == "p_1,12"
-    assert var_pair("p_3,7") == (3, 7)
     with pytest.raises(ValueError):
         pvar(3, 2)
-
-
-def test_dual_index_involution():
-    for n in (4, 5, 6, 7):
-        for pair in itertools.combinations(range(1, n + 1), 2):
-            comp = dual_indices(n, pair)
-            assert len(comp) == n - 2
-            assert dual_pair(n, comp) == pair
 
 
 def test_dictionary_gr24_immersed():
@@ -139,17 +129,20 @@ def test_random_point_exact_and_deterministic():
     assert random_point(5, 43).values != pt.values
 
 
-def test_point_json_roundtrip():
-    pt = random_point(6, 3)
-    back = GrassmannPoint.from_json(pt.to_json())
-    assert back.n == pt.n and back.values == pt.values
-    numeric = GrassmannPoint(4, {k: complex(i, -i) for i, k in enumerate(pt.values) if k[1] <= 4})
-    # only roundtrip encoding; not a valid plane
-    sub = GrassmannPoint(
-        4, {k: complex(v) for k, v in random_point(4, 1).values.items()}
-    )
-    again = GrassmannPoint.from_json(sub.to_json())
-    assert all(abs(again.values[k] - sub.values[k]) < 1e-12 for k in sub.values)
+@pytest.mark.parametrize("n,on_torus", [(4, 4), (5, 10), (6, 6), (7, 21), (8, 16)])
+def test_vandermonde_points_in_charts(n, on_torus):
+    # rows (zeta_a^(k-1)) and (zeta_b^(k-1)) over the roots of zeta^n = -1;
+    # the torus chart holds the pairs whose ratio has order n, n*phi(n)/2 of them
+    roots = [cmath.exp(1j * cmath.pi * (2 * k + 1) / n) for k in range(n)]
+    points = [
+        GrassmannPoint.from_vectors(n, [za**k for k in range(n)], [zb**k for k in range(n)])
+        for za, zb in itertools.combinations(roots, 2)
+    ]
+    assert not any(pt.is_exact() for pt in points)
+    assert all(pt.satisfies_relations() and pt.in_open_part() for pt in points)
+    assert sum(chart_membership(pt, frozenset()) for pt in points) == on_torus
+    maximal = index_sets(n)[1]
+    assert all(any(chart_membership(pt, m) for m in maximal) for pt in points)
 
 
 def test_from_vectors_rejects_divisor_points():

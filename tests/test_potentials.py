@@ -489,21 +489,6 @@ def test_valuation_adjust_roundtrip():
 # -- container behaviour ---------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: gc_torus_potential(5),
-        lambda: rietsch_gr(6),
-        lambda: og_potentials().immersed,
-    ],
-)
-def test_potential_json_roundtrip(make):
-    p = make()
-    q = Potential.from_json(p.to_json())
-    assert q.expr.equal(p.expr)
-    assert (q.chart, q.variables, q.model) == (p.chart, p.variables, p.model)
-
-
 def test_potential_rejects_stray_variables():
     with pytest.raises(ValueError):
         Potential(parse("a + b"), "chart", ("a",), "model")
