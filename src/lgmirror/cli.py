@@ -338,6 +338,8 @@ _EXPANSIONS = {
 
 def run_expand(args) -> tuple[RunReport, list[str]]:
     model = args.model
+    if args.order < 1:
+        raise CliError(f"need --order >= 1, got {args.order}")
     text, weights, lead = _EXPANSIONS[model]
     series = novikov_expand(parse(text), weights, args.order)
     lines = [f"valuation expansion of {text} to order {args.order}"]

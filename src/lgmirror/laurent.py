@@ -1,7 +1,9 @@
 """Sparse Laurent polynomials over the exact rationals.
 
-A polynomial is a dict mapping exponent tuples to nonzero Fractions; the
-tuples are aligned with a sorted tuple of variable names.  Exponents may be
+A polynomial is a dict mapping exponent tuples to nonzero rational
+coefficients; the tuples are aligned with a sorted tuple of variable names.
+A coefficient is an int when it is whole and a Fraction only when it is
+not, so integer arithmetic never builds a Fraction.  Exponents may be
 negative, so monomials are units and can always be moved between numerator
 and denominator.
 """
@@ -10,26 +12,49 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping
+from operator import add, itemgetter
+from typing import Iterable, Mapping, Union
 
 Exponents = tuple[int, ...]
+# an int, or a Fraction whose denominator is not 1
+Coeff = Union[int, Fraction]
 
 
-def _frac(value) -> Fraction:
+def _frac(value) -> Coeff:
+    """The canonical coefficient of an int or Fraction value."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def coeff_quotient(a: Coeff, b: Coeff) -> Coeff:
+    """The exact quotient a / b of two coefficients, as a canonical
+    coefficient.  Plain ``/`` would give a float for two ints."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _frac(Fraction(a, b))
+
+
+def _demoted(terms: dict[Exponents, Coeff]) -> dict[Exponents, Coeff]:
+    """The terms with every whole Fraction coefficient made an int.  Sums
+    and products of Fractions can be whole; those of ints stay ints."""
+    if Fraction in map(type, terms.values()):
+        return {e: c.numerator if c.denominator == 1 else c for e, c in terms.items()}
+    return terms
+
+
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial with Fraction coefficients."""
+    """Immutable sparse Laurent polynomial with int or Fraction coefficients."""
 
     __slots__ = ("vars", "terms", "_key")
 
-    def __init__(self, vars: tuple[str, ...], terms: dict[Exponents, Fraction]):
-        # Trusted constructor: callers must pass pruned, sorted data.
+    def __init__(self, vars: tuple[str, ...], terms: dict[Exponents, Coeff]):
+        # Trusted constructor: callers must pass pruned, sorted data with
+        # nonzero canonical coefficients.
         self.vars = vars
         self.terms = terms
         self._key = None
@@ -37,22 +62,30 @@ class LaurentPoly:
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def make(vars: Iterable[str], terms: Mapping[Exponents, Fraction]) -> "LaurentPoly":
-        """Build a polynomial, dropping zero terms and unused variables."""
-        vtuple = tuple(vars)
+    def make(vars: Iterable[str], terms: Mapping[Exponents, object]) -> "LaurentPoly":
+        """Build a polynomial from int or Fraction coefficients, dropping
+        zero terms and unused variables."""
         cleaned = {tuple(e): _frac(c) for e, c in terms.items() if c != 0}
-        # prune variables that never occur with a nonzero exponent
-        used = [i for i in range(len(vtuple)) if any(e[i] for e in cleaned)]
-        if len(used) != len(vtuple):
-            vtuple2 = tuple(vtuple[i] for i in used)
-            cleaned = {tuple(e[i] for i in used): c for e, c in cleaned.items()}
-            vtuple = vtuple2
+        poly = LaurentPoly._pruned(tuple(vars), cleaned)
+        vtuple = poly.vars
         if vtuple != tuple(sorted(vtuple)):
             order = sorted(range(len(vtuple)), key=lambda i: vtuple[i])
-            vtuple2 = tuple(vtuple[i] for i in order)
-            cleaned = {tuple(e[i] for i in order): c for e, c in cleaned.items()}
-            vtuple = vtuple2
-        return LaurentPoly(vtuple, cleaned)
+            poly = LaurentPoly(
+                tuple(vtuple[i] for i in order),
+                {tuple(e[i] for i in order): c for e, c in poly.terms.items()},
+            )
+        return poly
+
+    @staticmethod
+    def _pruned(vars_: tuple[str, ...], terms: dict[Exponents, Coeff]) -> "LaurentPoly":
+        """Trusted constructor for sorted variables and nonzero canonical
+        coefficients that drops the variables no term uses (x * x^-1 and
+        cancelling sums can remove one)."""
+        used = [i for i, column in enumerate(zip(*terms)) if any(column)]
+        if len(used) != len(vars_):
+            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+            vars_ = tuple(vars_[i] for i in used)
+        return LaurentPoly(vars_, terms)
 
     @staticmethod
     def constant(c) -> "LaurentPoly":
@@ -90,9 +123,9 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Coeff:
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
@@ -123,19 +156,18 @@ class LaurentPoly:
         merged = tuple(sorted(set(a.vars) | set(b.vars)))
         return merged, a._remap(merged), b._remap(merged)
 
-    def _remap(self, merged: tuple[str, ...]) -> dict[Exponents, Fraction]:
+    def _remap(self, merged: tuple[str, ...]) -> dict[Exponents, Coeff]:
         if merged == self.vars:
             return self.terms
-        idx = {v: i for i, v in enumerate(merged)}
-        pos = [idx[v] for v in self.vars]
-        width = len(merged)
-        out: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            row = [0] * width
-            for p, val in zip(pos, e):
-                row[p] = val
-            out[tuple(row)] = c
-        return out
+        if not self.vars:
+            return {(0,) * len(merged): c for c in self.terms.values()}
+        # merged strictly contains self.vars here, so it has two or more
+        # variables and the getter returns a tuple; a variable self lacks
+        # reads the 0 appended to each exponent tuple
+        where = {v: i for i, v in enumerate(self.vars)}
+        pad = len(self.vars)
+        pick = itemgetter(*[where.get(v, pad) for v in merged])
+        return {pick(e + (0,)): c for e, c in self.terms.items()}
 
     # -- arithmetic -------------------------------------------------------
 
@@ -147,12 +179,12 @@ class LaurentPoly:
         vars_, ta, tb = LaurentPoly._align(self, other)
         out = dict(ta)
         for e, c in tb.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        return LaurentPoly.make(vars_, out)
+                del out[e]
+        return LaurentPoly._pruned(vars_, _demoted(out))
 
     __radd__ = __add__
 
@@ -171,10 +203,7 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            if c == 0:
-                return LaurentPoly((), {})
-            return LaurentPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+            return self.scale(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if not self.terms or not other.terms:
@@ -182,16 +211,17 @@ class LaurentPoly:
         vars_, ta, tb = LaurentPoly._align(self, other)
         if len(ta) > len(tb):
             ta, tb = tb, ta
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coeff] = {}
+        get = out.get
         for ea, ca in ta.items():
             for eb, cb in tb.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, Fraction(0)) + ca * cb
+                e = tuple(map(add, ea, eb))
+                s = get(e, 0) + ca * cb
                 if s:
                     out[e] = s
                 else:
-                    out.pop(e, None)
-        return LaurentPoly.make(vars_, out)
+                    del out[e]
+        return LaurentPoly._pruned(vars_, _demoted(out))
 
     __rmul__ = __mul__
 
@@ -202,7 +232,7 @@ class LaurentPoly:
             if not self.is_monomial():
                 raise ValueError("negative power of a non-monomial Laurent polynomial")
             (e, c), = self.terms.items()
-            return LaurentPoly(self.vars, {tuple(n * x for x in e): c ** n})
+            return LaurentPoly(self.vars, {tuple(n * x for x in e): coeff_quotient(1, c ** -n)})
         result = LaurentPoly.constant(1)
         base = self
         while n:
@@ -214,16 +244,16 @@ class LaurentPoly:
 
     # -- structure --------------------------------------------------------
 
-    def content(self) -> Fraction:
+    def content(self) -> Coeff:
         """Positive rational c with self/c having coprime integer coefficients."""
         if not self.terms:
-            return Fraction(1)
+            return 1
         num_gcd = 0
         den_lcm = 1
         for c in self.terms.values():
             num_gcd = math.gcd(num_gcd, abs(c.numerator))
             den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+        return coeff_quotient(num_gcd, den_lcm)
 
     def monomial_gcd(self) -> Exponents:
         """Componentwise minimum exponent over all terms."""
@@ -241,16 +271,16 @@ class LaurentPoly:
         """Multiply by the monomial with the given exponents (same vars)."""
         if not any(exps):
             return self
-        return LaurentPoly.make(
+        return LaurentPoly._pruned(
             self.vars,
-            {tuple(x + d for x, d in zip(e, exps)): c for e, c in self.terms.items()},
+            {tuple(map(add, e, exps)): c for e, c in self.terms.items()},
         )
 
     def scale(self, c) -> "LaurentPoly":
         c = _frac(c)
         if c == 0:
             return LaurentPoly((), {})
-        return LaurentPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+        return LaurentPoly(self.vars, _demoted({e: k * c for e, k in self.terms.items()}))
 
     def coefficients_in(self, name: str) -> dict[int, "LaurentPoly"]:
         """The univariate view in one variable: exponent -> coefficient
@@ -259,10 +289,10 @@ class LaurentPoly:
             return {0: self} if self.terms else {}
         i = self.vars.index(name)
         rest = self.vars[:i] + self.vars[i + 1:]
-        buckets: dict[int, dict[Exponents, Fraction]] = {}
+        buckets: dict[int, dict[Exponents, Coeff]] = {}
         for e, c in self.terms.items():
             buckets.setdefault(e[i], {})[e[:i] + e[i + 1:]] = c
-        return {d: LaurentPoly.make(rest, terms) for d, terms in buckets.items()}
+        return {d: LaurentPoly._pruned(rest, terms) for d, terms in buckets.items()}
 
     @staticmethod
     def from_coefficients(coeffs: Mapping[int, "LaurentPoly"], name: str) -> "LaurentPoly":
@@ -284,18 +314,13 @@ class LaurentPoly:
         if name not in self.vars:
             return LaurentPoly((), {})
         i = self.vars.index(name)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coeff] = {}
         for e, c in self.terms.items():
             k = e[i]
             if k == 0:
                 continue
-            e2 = tuple(x - 1 if j == i else x for j, x in enumerate(e))
-            s = out.get(e2, Fraction(0)) + c * k
-            if s:
-                out[e2] = s
-            else:
-                out.pop(e2, None)
-        return LaurentPoly.make(self.vars, out)
+            out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        return LaurentPoly._pruned(self.vars, _demoted(out))
 
     def exact_div(self, divisor: "LaurentPoly"):
         """Return self/divisor if the division is exact, else None.
@@ -315,7 +340,7 @@ class LaurentPoly:
             return LaurentPoly((), {})
         if divisor.is_monomial():
             (e, c), = divisor.terms.items()
-            mono = LaurentPoly(divisor.vars, {tuple(-x for x in e): 1 / c})
+            mono = LaurentPoly(divisor.vars, {tuple(-x for x in e): coeff_quotient(1, c)})
             return self * mono
         vars_, ta, tb = LaurentPoly._align(self, divisor)
         # per variable, the exponent range any exact quotient must lie in
@@ -329,23 +354,23 @@ class LaurentPoly:
         div = dict(tb)
         lead = max(div)
         lead_c = div[lead]
-        quot: dict[Exponents, Fraction] = {}
+        quot: dict[Exponents, Coeff] = {}
         while rem:
             e = max(rem)
             c = rem[e]
             qe = tuple(x - y for x, y in zip(e, lead))
             if any(x < lo or x > hi for x, (lo, hi) in zip(qe, box)):
                 return None
-            qc = c / lead_c
+            qc = coeff_quotient(c, lead_c)
             quot[qe] = qc
             for de, dc in div.items():
-                t = tuple(x + y for x, y in zip(qe, de))
-                s = rem.get(t, Fraction(0)) - qc * dc
+                t = tuple(map(add, qe, de))
+                s = rem.get(t, 0) - qc * dc
                 if s:
                     rem[t] = s
                 else:
-                    rem.pop(t, None)
-        return LaurentPoly.make(vars_, quot)
+                    del rem[t]
+        return LaurentPoly._pruned(vars_, quot)
 
     # -- evaluation and substitution --------------------------------------
 
@@ -407,7 +432,7 @@ def format_poly(p: LaurentPoly) -> str:
     return " ".join(chunks)
 
 
-def _format_fraction(q: Fraction) -> str:
+def _format_fraction(q: Coeff) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, coeff_quotient
 from .rational import RationalFunction, as_rational
 
 
@@ -137,7 +137,7 @@ def novikov_expand(expr, valuations: Mapping[str, object], order) -> NovikovSeri
             "denominator has no unique minimal-valuation term; expansion undefined"
         )
     lead = leads[0]
-    lead_inv = LaurentPoly(den.vars, {tuple(-x for x in lead): 1 / den.terms[lead]})
+    lead_inv = LaurentPoly(den.vars, {tuple(-x for x in lead): coeff_quotient(1, den.terms[lead])})
     r = (den - LaurentPoly.make(den.vars, {lead: den.terms[lead]})) * lead_inv
     base = f.num * lead_inv
     if base.is_zero():
@@ -187,7 +187,7 @@ def novikov_expand(expr, valuations: Mapping[str, object], order) -> NovikovSeri
         else:
             rest_e = tuple(x for i, x in enumerate(e) if i != t_index)
         slot = bucket.setdefault(v, {})
-        slot[rest_e] = slot.get(rest_e, Fraction(0)) + c
+        slot[rest_e] = slot.get(rest_e, 0) + c
     terms = []
     for v in sorted(bucket):
         coeff = LaurentPoly.make(rest_vars, bucket[v])

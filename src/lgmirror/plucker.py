@@ -18,6 +18,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .ladder import (
     chart_coordinates,
@@ -75,13 +78,16 @@ def plucker_relation(i: int, j: int, k: int, l: int, n: int) -> LaurentPoly:
 # -- identity checking ----------------------------------------------------
 
 
-def _generic_minors(n: int) -> dict[str, RationalFunction]:
+@lru_cache(maxsize=None)
+def _generic_minors(n: int) -> Mapping[str, RationalFunction]:
+    """p_{i,j} -> a_i b_j - a_j b_i, built once per n and shared by every
+    caller, hence read-only."""
     out = {}
     for i, j in itertools.combinations(range(1, n + 1), 2):
         ai_bj = LaurentPoly.var(f"a{i}") * LaurentPoly.var(f"b{j}")
         aj_bi = LaurentPoly.var(f"a{j}") * LaurentPoly.var(f"b{i}")
         out[pvar(i, j)] = as_rational(ai_bj - aj_bi)
-    return out
+    return MappingProxyType(out)
 
 
 def parametrize(expr, n: int) -> RationalFunction:
@@ -314,8 +320,8 @@ def covering_check(n: int, num_samples: int, seed: int) -> CoveringReport:
     single vanishing p_{k,n}, must each land in some maximal chart.
     """
     check_size(n)
-    if num_samples < 0:
-        raise ValueError(f"need a sample count >= 0, got {num_samples}")
+    if num_samples < 1:
+        raise ValueError(f"need a sample count >= 1, got {num_samples}")
     _, maximal = index_sets(n)
     failures = []
     for s in range(num_samples):

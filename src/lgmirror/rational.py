@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .laurent import LaurentPoly, format_poly, tokenize
+from .laurent import LaurentPoly, coeff_quotient, format_poly, tokenize
 
 _GCD_TERM_CAP = 240
 
@@ -115,7 +115,7 @@ class RationalFunction:
 
     @staticmethod
     def constant(c) -> "RationalFunction":
-        return RationalFunction.make(LaurentPoly.constant(Fraction(c)), ())
+        return RationalFunction.make(LaurentPoly.constant(c), ())
 
     @staticmethod
     def var(name: str) -> "RationalFunction":
@@ -250,13 +250,15 @@ class RationalFunction:
         return RationalFunction.make(top, tuple((f, m + 1) for f, m in flist))
 
     def evaluate(self, point: Mapping[str, object]):
-        """Evaluate numerically (complex/float) or exactly (Fraction)."""
+        """Evaluate numerically (complex/float) or exactly (int, Fraction)."""
         total = self.num.evaluate(point)
         for f, m in self.factors:
             v = f.evaluate(point)
             if v == 0:
                 raise ZeroDivisionError(f"denominator factor vanishes at the point: {format_poly(f)}")
-            total = total / v ** m
+            d = v ** m
+            # two ints divide exactly, not into a float
+            total = coeff_quotient(total, d) if type(total) is type(d) is int else total / d
         return total
 
     def rename(self, mapping: Mapping[str, str]) -> "RationalFunction":
@@ -306,18 +308,19 @@ def _normalize_factor(f: LaurentPoly):
     if any(mono):
         orig_vars = f.vars
         f = f.shift(tuple(-x for x in mono))
-        units.append(LaurentPoly.make(orig_vars, {tuple(-x for x in mono): Fraction(1)}))
+        units.append(LaurentPoly.make(orig_vars, {tuple(-x for x in mono): 1}))
     c = f.content()
     lead_e = max(f.terms)
     if f.terms[lead_e] < 0:
         c = -c
     if c != 1:
-        f = f.scale(1 / c)
-        units.append(LaurentPoly.constant(1 / c))
+        inv = coeff_quotient(1, c)
+        f = f.scale(inv)
+        units.append(LaurentPoly.constant(inv))
     if f.is_constant():
         v = f.constant_value()
         if v != 1:
-            units.append(LaurentPoly.constant(1 / v))
+            units.append(LaurentPoly.constant(coeff_quotient(1, v)))
         f = None
     unit = None
     for u in units:
@@ -485,7 +488,7 @@ def _gcd_in_var(f: LaurentPoly, g: LaurentPoly, v: str, work: _Work) -> LaurentP
     lead = max(prim.terms)
     if prim.terms[lead] < 0:
         cc = -cc
-    prim = prim.scale(1 / cc)
+    prim = prim.scale(coeff_quotient(1, cc))
     return content_gcd * prim
 
 

@@ -68,6 +68,10 @@ def test_unknown_model_reports_cli_error(capsys):
         ["charts", "--n", "6", "--pairs", "1,2;2,3"],
         ["verify", "cocycle", "--model", "gr", "--n", "6", "--pairs", "9,10"],
         ["verify", "covering", "--n", "5", "--samples", "-3"],
+        ["verify", "covering", "--n", "5", "--samples", "0"],
+        # a series cut-off below 1
+        ["expand", "--model", "og15", "--order", "0"],
+        ["expand", "--model", "gr", "--order", "-3"],
         # flags the subcommand does not declare; argparse rejects them
         ["faces", "--n", "4", "--pairs", "9,10"],
         ["faces", "--n", "4", "--pairs", "1,2"],

@@ -16,7 +16,6 @@ from lgmirror.critical import (
     gr24_expected_values,
     og15_closed_points,
     og15_expected_values,
-    solve,
     solve_potential,
     verify_counts,
     verify_known,

@@ -14,7 +14,7 @@ from lgmirror.koszul import (
     reduce_adjoined,
 )
 from lgmirror.laurent import LaurentPoly
-from lgmirror.rational import RationalFunction, as_rational, parse
+from lgmirror.rational import RationalFunction, parse
 
 
 @pytest.fixture(scope="module")

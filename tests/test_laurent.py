@@ -163,3 +163,71 @@ def test_exact_div_quotient_is_exact(a, b, c, m):
         assert q * b == f
     if c.is_zero():
         assert q == a * m
+
+
+# -- the coefficient invariant: an int when whole, else a Fraction ----------
+
+
+def _canonical(p):
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        for c in p.terms.values()
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_polys(), small_polys(), small_polys())
+def test_arithmetic_keeps_coefficients_ints_or_proper_fractions(a, b, c):
+    # small_polys draws halves and thirds, so sums and products land on
+    # whole values that must come out as ints
+    results = [a + b, a - b, a + b + c, a * b, (a + b) * c, a * 2, Fraction(1, 2) * a]
+    results += [p.partial(v) for p in (a, a * b) for v in ("u", "v", "w")]
+    if not b.is_zero():
+        results.append((a * b).exact_div(b))
+    for p in results:
+        assert _canonical(p), p.terms
+
+
+def test_exact_div_by_a_monomial_gives_exact_halves():
+    x, y = LaurentPoly.var("x"), LaurentPoly.var("y")
+    q = (x + 3 * x ** 2 * y + 4 * x * y).exact_div(2 * x)
+    assert q.terms == {(0, 0): Fraction(1, 2), (1, 1): Fraction(3, 2), (0, 1): 2}
+    assert _canonical(q) and type(q.terms[(0, 1)]) is int
+    half = (x ** 2 - 1).exact_div(2 * x - 2)
+    assert half == LaurentPoly.make(("x",), {(1,): Fraction(1, 2), (0,): Fraction(1, 2)})
+    assert _canonical(half)
+    assert _canonical((6 * x ** 2 - 6).exact_div(2 * x - 2))
+
+
+def test_negative_power_of_an_integer_coefficient_is_exact():
+    inv = LaurentPoly.monomial({"x": 1}, 2) ** -1
+    assert inv.terms == {(-1,): Fraction(1, 2)} and _canonical(inv)
+    back = LaurentPoly.monomial({"x": 1}, Fraction(1, 2)) ** -2
+    assert back.terms == {(-2,): 4} and type(back.terms[(-2,)]) is int
+
+
+def test_make_and_constructors_demote_whole_fractions():
+    p = LaurentPoly.make(("x", "y"), {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3)})
+    assert type(p.terms[(1, 0)]) is int and _canonical(p)
+    assert type(LaurentPoly.constant(Fraction(6, 3)).constant_value()) is int
+    assert type(P("u/2 + u/2").terms[(1,)]) is int
+    with pytest.raises(TypeError):
+        LaurentPoly.constant(0.5)
+
+
+def test_univariate_view_keeps_coefficients_canonical():
+    p = P("3*u^2*v + u*v/2 - 7 + w/3")
+    view = p.coefficients_in("u")
+    assert all(_canonical(c) for c in view.values())
+    back = LaurentPoly.from_coefficients(view, "u")
+    assert back == p and _canonical(back)
+
+
+def test_novikov_expansion_with_lead_two_stays_exact():
+    from lgmirror.novikov import novikov_expand
+
+    series = novikov_expand(parse("4/(2 + T)"), {}, 4)
+    coeffs = [series.coefficient(e) for e in series.exponents()]
+    assert [c.constant_value() for c in coeffs] == [2, -1, Fraction(1, 2), Fraction(-1, 4)]
+    assert all(_canonical(c) for c in coeffs)
+    assert type(coeffs[0].constant_value()) is int

@@ -234,10 +234,23 @@ def test_covering_rejects_a_point_that_does_not_vanish(monkeypatch):
     # the checks must hold under python -O, so they may not be asserts
     monkeypatch.setattr(plucker, "_degenerate_point", lambda n, zeros: random_point(n, 5))
     with pytest.raises(RuntimeError, match="vanish"):
-        covering_check(5, 0, 0)
+        covering_check(5, 1, 0)
     with pytest.raises(RuntimeError, match="vanish"):
         covering_certificate(5)
 
 
 def test_cyclic_pairs():
     assert cyclic_pairs(4) == ((1, 2), (2, 3), (3, 4), (1, 4))
+
+
+def test_generic_minors_are_built_once_per_n_and_read_only():
+    plucker._generic_minors.cache_clear()
+    first = plucker._generic_minors(6)
+    for _ in range(3):
+        parametrize(parse("p_1,2*p_3,4/p_2,5"), 6)
+    info = plucker._generic_minors.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert plucker._generic_minors(6) is first
+    with pytest.raises(TypeError):
+        first[pvar(1, 2)] = as_rational(0)
+

@@ -155,6 +155,9 @@ def test_evaluate_exact():
     f = parse("(u^2 - v)/(u - 1)")
     got = f.evaluate({"u": Fraction(3), "v": Fraction(2)})
     assert got == Fraction(7, 2)
+    # integer coefficients at an integer point divide exactly, not into a float
+    got = f.evaluate({"u": 3, "v": 2})
+    assert type(got) is Fraction and got == Fraction(7, 2)
     with pytest.raises(ZeroDivisionError):
         f.evaluate({"u": Fraction(1), "v": Fraction(0)})
 
