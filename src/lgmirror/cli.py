@@ -342,6 +342,8 @@ def run_expand(args) -> tuple[RunReport, list[str]]:
         raise CliError(f"need --order >= 1, got {args.order}")
     text, weights, lead = _EXPANSIONS[model]
     series = novikov_expand(parse(text), weights, args.order)
+    if not series.exponents():
+        raise CliError(f"the series has no terms below the cut-off --order {args.order}")
     lines = [f"valuation expansion of {text} to order {args.order}"]
     verdicts = []
     for k, e in enumerate(series.exponents()):
@@ -355,8 +357,6 @@ def run_expand(args) -> tuple[RunReport, list[str]]:
                 f"matches the closed form {expected}",
             )
         )
-    if not verdicts:
-        verdicts.append(Verdict("series", False, "no terms below the cut-off"))
     run = RunReport(
         command="expand",
         inputs={"model": model, "order": args.order},

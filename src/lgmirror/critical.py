@@ -34,6 +34,10 @@ from .report import Report, Verdict
 # cleared roots closer to a denominator zero than this (relative to the
 # denominator's own term sizes) belong to another chart
 _DEN_FLOOR = 1e-8
+# Newton starts are drawn with moduli uniform in this annulus
+_ANNULUS = (0.05, 20.0)
+# certified roots closer than this in every coordinate are one point
+_DEDUP_RADIUS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -41,13 +45,9 @@ class SolveConfig:
     starts: int = 2000
     newton_tol: float = 1e-12
     max_iter: int = 100
-    dedup_radius: float = 1e-6
-    annulus: tuple[float, float] = (0.05, 20.0)
     seed: int = 42
 
     def __post_init__(self):
-        if self.annulus[0] <= 0 or self.annulus[1] <= self.annulus[0]:
-            raise ValueError("annulus radii must satisfy 0 < r_min < r_max")
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
 
@@ -230,7 +230,7 @@ def solve(system: CriticalSystem, cfg: SolveConfig = SolveConfig()) -> list[Crit
     """Multi-start Newton on the cleared system; deterministic per seed."""
     m = len(system.variables)
     rng = np.random.default_rng(cfg.seed)
-    radii = rng.uniform(cfg.annulus[0], cfg.annulus[1], size=(cfg.starts, m))
+    radii = rng.uniform(*_ANNULUS, size=(cfg.starts, m))
     angles = rng.uniform(0.0, 2.0 * math.pi, size=(cfg.starts, m))
     pts = radii * np.exp(1j * angles)
     alive = np.ones(cfg.starts, dtype=bool)
@@ -259,7 +259,7 @@ def solve(system: CriticalSystem, cfg: SolveConfig = SolveConfig()) -> list[Crit
             pts = pts[wide <= cfg.newton_tol]
     unique: list[np.ndarray] = []
     for row in pts:
-        if all(np.abs(row - kept).max() >= cfg.dedup_radius for kept in unique):
+        if all(np.abs(row - kept).max() >= _DEDUP_RADIUS for kept in unique):
             unique.append(row)
     points = []
     for row in unique:

@@ -3,8 +3,9 @@
 Vertices of the grid are (i, j) with 0 <= i <= 2 and 0 <= j <= n-2, drawn
 with i horizontal.  A positive path walks from (0,0) to (2, n-2) by unit
 steps; a diagram is a union of such paths.  Unit boxes of the grid are
-(a, b) with a in {0,1} and b in 0..n-3.  Most functions take the ambient
-size n alongside the edge set.
+(a, b) with a in {0,1} and b in 0..n-3.  An edge set is an int mask whose
+bit k stands for edge k of ``ladder_edges(n)``; most functions take the
+ambient size n alongside the mask.
 
 The same grid indexes the defining inequalities of a moment polytope:
 each inequality is pinned to one grid edge, and the face attached to a
@@ -37,11 +38,11 @@ __all__ = [
     "check_size",
     "classify_face",
     "diagram_from_pairs",
-    "full_ladder_edges",
     "holonomies",
     "holonomy",
     "index_sets",
     "is_admissible",
+    "ladder_edges",
     "moment_inequalities",
     "monotone_point",
     "pairs_label",
@@ -51,10 +52,6 @@ __all__ = [
 ]
 
 _OUT = "out"
-
-
-def _edge(a: Vertex, b: Vertex) -> Edge:
-    return (a, b) if a <= b else (b, a)
 
 
 # -- model size and pair sets --------------------------------------------
@@ -87,54 +84,67 @@ def pairs_label(pair_set) -> str:
     return ";".join(f"{i},{j}" for i, j in sorted(pair_set))
 
 
-def full_ladder_edges(n: int) -> frozenset[Edge]:
+@lru_cache(maxsize=None)
+def ladder_edges(n: int) -> tuple[Edge, ...]:
+    """Every edge of the grid, sorted; bit k of an edge mask is edge k.
+
+    An edge is its two end vertices in increasing order.
+    """
     check_size(n)
-    edges = set()
-    for j in range(n - 1):
-        for i in range(2):
-            edges.add(_edge((i, j), (i + 1, j)))
-    for j in range(n - 2):
-        for i in range(3):
-            edges.add(_edge((i, j), (i, j + 1)))
-    return frozenset(edges)
+    rungs = [((i, j), (i + 1, j)) for j in range(n - 1) for i in range(2)]
+    rails = [((i, j), (i, j + 1)) for j in range(n - 2) for i in range(3)]
+    return tuple(sorted(rungs + rails))
 
 
 @lru_cache(maxsize=None)
-def positive_paths(n: int) -> tuple[frozenset[Edge], ...]:
-    """All minimal lattice paths (0,0) -> (2, n-2), as edge sets."""
-    check_size(n)
-    out: list[frozenset[Edge]] = []
+def _bits(n: int) -> dict[Edge, int]:
+    return {e: 1 << k for k, e in enumerate(ladder_edges(n))}
 
-    def walk(pos: Vertex, acc: tuple[Edge, ...]):
+
+@lru_cache(maxsize=None)
+def positive_paths(n: int) -> tuple[int, ...]:
+    """All minimal lattice paths (0,0) -> (2, n-2), as edge masks."""
+    bits = _bits(n)
+    out: list[int] = []
+
+    def walk(pos: Vertex, acc: int):
         i, j = pos
-        if (i, j) == (2, n - 2):
-            out.append(frozenset(acc))
+        if pos == (2, n - 2):
+            out.append(acc)
             return
         if i < 2:
-            walk((i + 1, j), acc + (_edge(pos, (i + 1, j)),))
+            walk((i + 1, j), acc | bits[pos, (i + 1, j)])
         if j < n - 2:
-            walk((i, j + 1), acc + (_edge(pos, (i, j + 1)),))
+            walk((i, j + 1), acc | bits[pos, (i, j + 1)])
 
-    walk((0, 0), ())
+    walk((0, 0), 0)
     return tuple(out)
 
 
-def is_admissible(n: int, edges: frozenset[Edge]) -> bool:
-    """True when the edge set is precisely a union of positive paths."""
-    inside = [p for p in positive_paths(n) if p <= edges]
-    return bool(inside) and frozenset().union(*inside) == edges
+def is_admissible(n: int, mask: int) -> bool:
+    """True when the edge mask is precisely a union of positive paths."""
+    union = 0
+    for p in positive_paths(n):
+        if p & mask == p:
+            union |= p
+    return bool(mask) and union == mask
 
 
 @dataclass(frozen=True)
 class Diagram:
     n: int
-    edges: frozenset[Edge]
+    mask: int
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """The edge set, decoded from the mask."""
+        return frozenset(e for k, e in enumerate(ladder_edges(self.n)) if self.mask >> k & 1)
 
     @property
     def regions(self) -> tuple[frozenset[Box], ...]:
         cached = self.__dict__.get("_regions")
         if cached is None:
-            cached = bounded_regions(self.n, self.edges)
+            cached = bounded_regions(self.n, self.mask)
             self.__dict__["_regions"] = cached
         return cached
 
@@ -144,19 +154,18 @@ class Diagram:
 
 
 def _edge_sides(n: int, e: Edge):
-    (i1, j1), (i2, j2) = e
-    if j1 == j2:  # step in i, horizontal segment at height j1
-        i, j = min(i1, i2), j1
+    (i, j), (_, j2) = e
+    if j == j2:  # step in i, horizontal segment at height j
         below: Box | str = (i, j - 1) if j >= 1 else _OUT
         above: Box | str = (i, j) if j <= n - 3 else _OUT
         return below, above
-    i, j = i1, min(j1, j2)  # step in j, vertical segment at x = i1
+    # step in j, vertical segment at x = i
     left: Box | str = (i - 1, j) if i >= 1 else _OUT
     right: Box | str = (i, j) if i <= 1 else _OUT
     return left, right
 
 
-def bounded_regions(n: int, edges: frozenset[Edge]) -> tuple[frozenset[Box], ...]:
+def bounded_regions(n: int, mask: int) -> tuple[frozenset[Box], ...]:
     """Connected groups of unit boxes enclosed by the diagram.
 
     Boxes merge across every grid edge the diagram does not use; groups
@@ -179,10 +188,9 @@ def bounded_regions(n: int, edges: frozenset[Edge]) -> tuple[frozenset[Box], ...
     for box in boxes:
         find(box)
     find(_OUT)
-    for e in full_ladder_edges(n):
-        if e not in edges:
-            s1, s2 = _edge_sides(n, e)
-            union(s1, s2)
+    for k, e in enumerate(ladder_edges(n)):
+        if not mask >> k & 1:
+            union(*_edge_sides(n, e))
     groups: dict = {}
     for box in boxes:
         groups.setdefault(find(box), set()).add(box)
@@ -194,25 +202,16 @@ def bounded_regions(n: int, edges: frozenset[Edge]) -> tuple[frozenset[Box], ...
 def admissible_diagrams(n: int) -> tuple[Diagram, ...]:
     """Every distinct union of positive paths, in increasing order of edge mask.
 
-    The closure runs over int bitmasks, one bit per edge of the sorted full
-    ladder: after the k-th path, the set holds every union of a nonempty
-    subset of the first k.  Edge sets are built once, at the end.  Measured
-    single-threaded on a 2-core host: 0.05 s at n = 7 (5,695 diagrams),
-    0.4 s at n = 8 (29,823) and 2.7 s with a 390 MB peak at n = 9 (156,159).
-    Count, time and memory grow about fivefold per step in n, so n = 9 is
-    the practical reach.
+    The closure runs over the path masks: after the k-th path, the set holds
+    every union of a nonempty subset of the first k.  Measured
+    single-threaded on a 2-core host: TIMINGS
+    Count, time and memory grow about fivefold per step in n.
     """
-    edges = sorted(full_ladder_edges(n))
-    bit = {e: 1 << k for k, e in enumerate(edges)}
     masks: set[int] = set()
     for p in positive_paths(n):
-        m = sum(bit[e] for e in p)
-        masks |= {u | m for u in masks}
-        masks.add(m)
-    return tuple(
-        Diagram(n, frozenset(e for k, e in enumerate(edges) if u >> k & 1))
-        for u in sorted(masks)
-    )
+        masks |= {u | p for u in masks}
+        masks.add(p)
+    return tuple(Diagram(n, u) for u in sorted(masks))
 
 
 # -- classification -------------------------------------------------------
@@ -314,16 +313,13 @@ def diagram_from_pairs(n: int, pair_set: frozenset) -> Diagram:
     regions are the blocks and the remaining single boxes.
     """
     pair_set = check_pair_set(n, pair_set)
-    edges = set(full_ladder_edges(n))
-    for i, _ in sorted(pair_set):
+    bits = _bits(n)
+    mask = (1 << len(bits)) - 1
+    for i, _ in pair_set:
         mid = (1, i)
-        edges -= {
-            _edge((0, i), mid),
-            _edge(mid, (2, i)),
-            _edge((1, i - 1), mid),
-            _edge(mid, (1, i + 1)),
-        }
-    return Diagram(n, frozenset(edges))
+        for e in (((0, i), mid), (mid, (2, i)), ((1, i - 1), mid), (mid, (1, i + 1))):
+            mask &= ~bits[e]
+    return Diagram(n, mask)
 
 
 def chart_subdivision(n: int, pair_set: frozenset) -> tuple[tuple[int, ...], ...]:
@@ -430,16 +426,17 @@ def moment_inequalities(n: int):
             q = form({(1, j + 1): 1, (1, j): -1})
         else:
             q = form({(1, j): -1}, n - 2)
-        add(q, _edge((0, j), (1, j)))
+        add(q, ((0, j), (1, j)))
     for j in range(1, n - 2):  # row-2 increments, pinned to bottom rung
-        add(form({(2, j + 1): 1, (2, j): -1}), _edge((1, j), (2, j)))
+        add(form({(2, j + 1): 1, (2, j): -1}), ((1, j), (2, j)))
     for j in range(1, n - 1):  # interlacing, pinned to middle rail segments
-        add(form({(1, j): 1, (2, j): -1}), _edge((1, j - 1), (1, j)))
-    add(form({(2, 1): 1}, 2), _edge((2, 0), (2, 1)))  # floor, pinned to first bottom rail segment
+        add(form({(1, j): 1, (2, j): -1}), ((1, j - 1), (1, j)))
+    add(form({(2, 1): 1}, 2), ((2, 0), (2, 1)))  # floor, pinned to first bottom rail segment
     return labels, ineqs, pinned
 
 
 def tight_edge_indices(d: Diagram) -> frozenset[int]:
     """Indices of pinned inequalities whose edges the diagram is missing."""
     _, _, pinned = moment_inequalities(d.n)
-    return frozenset(idx for e, idx in pinned.items() if e not in d.edges)
+    bits = _bits(d.n)
+    return frozenset(idx for e, idx in pinned.items() if not d.mask & bits[e])

@@ -375,7 +375,8 @@ class LaurentPoly:
     # -- evaluation and substitution --------------------------------------
 
     def evaluate(self, point: Mapping[str, object]):
-        """Evaluate at a point; works for complex, float or Fraction values."""
+        """Evaluate at a point; works for complex, float, int or Fraction
+        values, and stays exact at an int or Fraction point."""
         missing = [v for v in self.vars if v not in point]
         if missing:
             raise KeyError(f"no value supplied for {missing}")
@@ -384,9 +385,11 @@ class LaurentPoly:
         for e, c in self.terms.items():
             acc = c
             for v, k in zip(vals, e):
-                if k == 0:
-                    continue
-                acc = acc * v ** k
+                if k > 0:
+                    acc = acc * v ** k
+                elif k < 0:
+                    # an int to a negative power would be a float
+                    acc = acc * (coeff_quotient(1, v ** -k) if v.__class__ is int else v ** k)
             total = total + acc
         return total
 

@@ -4,7 +4,7 @@ A polytope is given by inequalities ``coeffs . x + const >= 0`` with
 Fraction data.  Vertices come from solving square tight subsystems, faces
 from intersecting facet vertex sets.  Everything is exact; no floating
 point enters.  Intended for small instances (a dozen inequalities or so),
-where brute force over constraint subsets is perfectly adequate.
+where brute force over square constraint subsets is perfectly adequate.
 """
 from __future__ import annotations
 
@@ -139,23 +139,16 @@ def enumerate_faces(
     """All nonempty faces, the whole polytope included.
 
     Every proper face of a polytope is an intersection of facets, so
-    intersecting the vertex sets of all constraint subsets finds each face
-    exactly once after deduplication.
+    closing the constraints' vertex sets under intersection finds each face
+    exactly once: after the k-th constraint, the set holds the nonempty
+    intersections over every subset of the first k.
     """
     if vertices is None:
         vertices = enumerate_vertices(ineqs)
     masks = _active_masks(ineqs, vertices)
-    full = (1 << len(vertices)) - 1
-    found = {full}
-    for k in range(1, len(ineqs) + 1):
-        for subset in itertools.combinations(range(len(ineqs)), k):
-            m = full
-            for i in subset:
-                m &= masks[i]
-                if m == 0:
-                    break
-            if m:
-                found.add(m)
+    found = {(1 << len(vertices)) - 1}
+    for f in masks:
+        found |= {f & m for m in found} - {0}
     faces = [_mask_face(m, ineqs, vertices, masks) for m in found]
     faces.sort(key=lambda f: (f.dim, sorted(f.vertex_ids)))
     return tuple(faces)

@@ -98,6 +98,10 @@ def test_unknown_model_reports_cli_error(capsys):
         # potentials without a quantum parameter take no --q
         ["potential", "--model", "og15", "--q", "7"],
         ["potential", "--model", "og14", "--q", "7"],
+        # a series cut-off at or below the series' lowest valuation
+        ["expand", "--model", "gr", "--order", "1"],
+        ["expand", "--model", "og15", "--order", "1"],
+        ["expand", "--model", "og15", "--order", "2"],
     ],
 )
 def test_invalid_size_or_pairs_exit_2(capsys, argv):
@@ -310,10 +314,13 @@ def test_expand_longer_order_still_matches(capsys):
     assert "T^15" in out
 
 
-def test_expand_empty_series_fails(capsys):
-    code, out, _ = run(capsys, ["expand", "--model", "gr", "--order", "1"])
-    assert code == 1
-    assert "no terms" in out
+def test_expand_empty_series_is_invalid_input(capsys, tmp_path):
+    path = tmp_path / "expand.json"
+    code, out, err = run(capsys, ["expand", "--model", "gr", "--order", "1", "--json", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: the series has no terms below the cut-off --order 1\n"
+    assert not path.exists()
 
 
 # -- report plumbing -------------------------------------------------------

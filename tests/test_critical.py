@@ -57,13 +57,6 @@ def match_multiset(actual, expected, tol):
 # -- configuration ---------------------------------------------------------
 
 
-def test_config_rejects_bad_annulus():
-    with pytest.raises(ValueError):
-        SolveConfig(annulus=(0.0, 5.0))
-    with pytest.raises(ValueError):
-        SolveConfig(annulus=(3.0, 1.0))
-
-
 def test_config_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         SolveConfig(newton_tol=0.0)

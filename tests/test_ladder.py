@@ -13,9 +13,9 @@ from lgmirror.ladder import (
     check_pair_set,
     classify_face,
     diagram_from_pairs,
-    full_ladder_edges,
     index_sets,
     is_admissible,
+    ladder_edges,
     moment_inequalities,
     monotone_point,
     positive_paths,
@@ -27,6 +27,10 @@ from lgmirror.polytope import (
     face_from_tight,
     satisfies,
 )
+
+
+def _full(n: int) -> int:
+    return (1 << len(ladder_edges(n))) - 1
 
 
 def _grid_path_count(n: int) -> int:
@@ -50,6 +54,23 @@ def test_positive_path_count(n):
     assert len(set(paths)) == len(paths)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_positive_path_masks_take_two_rungs_and_n_minus_2_rails(n):
+    edges = ladder_edges(n)
+    for p in positive_paths(n):
+        assert p.bit_count() == n
+        steps = [e for k, e in enumerate(edges) if p >> k & 1]
+        rungs = [(a, b) for a, b in steps if a[1] == b[1]]
+        assert len(rungs) == 2 and len(steps) - len(rungs) == n - 2
+
+
+def test_edges_view_reencodes_to_the_mask():
+    for n in (4, 5, 6):
+        bit = {e: 1 << k for k, e in enumerate(ladder_edges(n))}
+        for d in admissible_diagrams(n):
+            assert sum(bit[e] for e in d.edges) == d.mask
+
+
 def test_single_path_is_zero_dimensional():
     for n in (4, 5):
         for p in positive_paths(n):
@@ -58,7 +79,7 @@ def test_single_path_is_zero_dimensional():
 
 def test_full_ladder_dimension():
     for n in (4, 5, 6):
-        assert Diagram(n, full_ladder_edges(n)).dimension == 2 * (n - 2)
+        assert Diagram(n, _full(n)).dimension == 2 * (n - 2)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -92,7 +113,9 @@ def test_diagram_inclusion_is_face_inclusion():
                 assert vsets[d1.edges] <= vsets[d2.edges]
 
 
-@pytest.mark.parametrize("n,count", [(4, 39), (5, 207), (6, 1087), (7, 5695), (8, 29823)])
+@pytest.mark.parametrize(
+    "n,count", [(4, 39), (5, 207), (6, 1087), (7, 5695), (8, 29823), (9, 156159)]
+)
 def test_admissible_diagram_counts(n, count):
     assert len(admissible_diagrams(n)) == count
 
@@ -102,11 +125,11 @@ def test_every_enumerated_diagram_is_a_path_union():
         diagrams = admissible_diagrams(n)
         assert len({d.edges for d in diagrams}) == len(diagrams)
         for d in diagrams:
-            assert is_admissible(n, d.edges)
-    assert not is_admissible(4, frozenset())
+            assert is_admissible(n, d.mask)
+    assert not is_admissible(4, 0)
     # a path with one edge dropped is not a union of paths
     p = positive_paths(4)[0]
-    broken = frozenset(list(p)[1:])
+    broken = p & (p - 1)
     assert not is_admissible(4, broken)
 
 
@@ -119,7 +142,7 @@ def test_gr24_has_six_facets():
 
 
 def test_classification_of_gr24_faces():
-    full = Diagram(4, full_ladder_edges(4))
+    full = Diagram(4, _full(4))
     c = classify_face(full)
     assert (c.lagrangian, c.n1, c.n2, c.diffeo_type) == (True, 4, 0, "T^4")
     block = diagram_from_pairs(4, frozenset({(1, 2)}))
@@ -148,7 +171,7 @@ def test_lagrangian_block_balance():
 
 
 def test_monotone_point_values_gr24():
-    full = Diagram(4, full_ladder_edges(4))
+    full = Diagram(4, _full(4))
     assert monotone_point(full) == {
         (1, 1): Fraction(0),
         (1, 2): Fraction(1),

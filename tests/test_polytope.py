@@ -1,6 +1,10 @@
 """Tests for the exact H-polytope face machinery."""
+import itertools
 from fractions import Fraction
 
+import pytest
+
+from lgmirror.ladder import moment_inequalities
 from lgmirror.polytope import (
     affine_rank,
     enumerate_faces,
@@ -44,13 +48,17 @@ def test_cube_face_lattice():
     assert by_dim == {0: 8, 1: 12, 2: 6, 3: 1}
 
 
-def test_simplex_every_vertex_subset_is_a_face():
-    qs = [
+def _simplex():
+    return [
         _ineq([1, 0, 0], 0),
         _ineq([0, 1, 0], 0),
         _ineq([0, 0, 1], 0),
         _ineq([-1, -1, -1], 1),
     ]
+
+
+def test_simplex_every_vertex_subset_is_a_face():
+    qs = _simplex()
     faces = enumerate_faces(qs)
     assert len(faces) == 15  # all nonempty subsets of 4 vertices
     dims = sorted(f.dim for f in faces)
@@ -89,3 +97,24 @@ def test_satisfies_is_closed_halfspace():
     q = _ineq([1, -1, 0], 2)
     assert satisfies((F(0), F(2), F(9)), q)
     assert satisfies((F(0), F(3), F(0)), q) is False
+
+
+def _faces_by_subset_scan(qs, verts):
+    # reference: the face of every constraint subset, empty ones dropped
+    found = {}
+    for k in range(len(qs) + 1):
+        for subset in itertools.combinations(range(len(qs)), k):
+            f = face_from_tight(qs, verts, subset)
+            if f.vertex_ids:
+                found[f.vertex_ids] = f
+    return tuple(sorted(found.values(), key=lambda f: (f.dim, sorted(f.vertex_ids))))
+
+
+@pytest.mark.parametrize(
+    "qs",
+    [_unit_cube(), _simplex(), moment_inequalities(4)[1], moment_inequalities(5)[1]],
+    ids=["cube", "simplex", "ladder4", "ladder5"],
+)
+def test_faces_equal_the_subset_scan(qs):
+    verts = enumerate_vertices(qs)
+    assert enumerate_faces(qs, verts) == _faces_by_subset_scan(qs, verts)

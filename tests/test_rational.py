@@ -162,6 +162,18 @@ def test_evaluate_exact():
         f.evaluate({"u": Fraction(1), "v": Fraction(0)})
 
 
+def test_evaluate_exact_with_negative_exponents():
+    # monomial denominators are negative exponents of the numerator
+    got = parse("1/u").evaluate({"u": 2})
+    assert type(got) is Fraction and got == Fraction(1, 2)
+    got = parse("(u+1)/v").evaluate({"u": 2, "v": 3})
+    assert type(got) in (int, Fraction) and got == 1
+    got = parse("v/u^2").evaluate({"u": Fraction(1, 3), "v": 2})
+    assert type(got) in (int, Fraction) and got == 18
+    # complex points stay complex
+    assert parse("1/u").evaluate({"u": 2j}) == -0.5j
+
+
 def test_parser_rejects_garbage():
     for bad in ["", "u +", "(u", "u ? v", "2^u"]:
         with pytest.raises(ValueError):
