@@ -385,11 +385,10 @@ class LaurentPoly:
         for e, c in self.terms.items():
             acc = c
             for v, k in zip(vals, e):
-                if k > 0:
-                    acc = acc * v ** k
-                elif k < 0:
+                if k:
                     # an int to a negative power would be a float
-                    acc = acc * (coeff_quotient(1, v ** -k) if v.__class__ is int else v ** k)
+                    exact = k < 0 and v.__class__ is int
+                    acc = acc * (coeff_quotient(1, v ** -k) if exact else v ** k)
             total = total + acc
         return total
 
