@@ -169,7 +169,7 @@ def run_potential(args) -> tuple[RunReport, list[str]]:
             Verdict(
                 "term-count",
                 count == expected_terms,
-                f"{count} terms, surgery removes three per pair",
+                f"{count} terms, surgery removes six and inserts four per pair",
             )
         ]
     else:
@@ -205,7 +205,7 @@ def run_potential(args) -> tuple[RunReport, list[str]]:
 def run_rietsch(args) -> tuple[RunReport, list[str]]:
     if args.model == "gr":
         pot = rietsch_gr(args.n)
-        terms = str(pot.expr).count(" + ") + 1
+        terms = len(pot.expr.num.terms)
         verdicts = [Verdict("term-count", terms == args.n, f"{terms} summands")]
     else:
         pot = og_potentials().rietsch

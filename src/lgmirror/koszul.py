@@ -5,8 +5,8 @@ of (x_i - c_i) * f_i with exactly divided cofactors f_i.  The associated
 odd operator on the exterior algebra squares to (W - W(center)) times the
 identity, which is verified coefficient by coefficient in exact arithmetic.
 The shipped factorizations are centered at critical points of the model
-potentials.  An extra symbol with square -1 can be adjoined for centers
-that need it.
+potentials.  A center with algebraic coordinates adjoins a root s of a
+minimal polynomial m(s), and every zero test is then made modulo m.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, coeff_quotient
 from .potentials import Potential, immersed_potential, og_potentials
 from .rational import RationalFunction, as_rational, parse
 from .report import Report, Verdict
@@ -24,41 +24,44 @@ KOSZUL_SCHEMA = "koszul/1"
 _ZERO = LaurentPoly((), {})
 
 
-def reduce_adjoined(poly: LaurentPoly, symbol: str | None) -> LaurentPoly:
-    """Rewrite powers of the adjoined symbol via symbol^2 = -1."""
-    if symbol is None or symbol not in poly.vars:
+def reduce_adjoined(poly: LaurentPoly, modulus: LaurentPoly | None) -> LaurentPoly:
+    """The residue of poly modulo the polynomial m(s) of the adjoined number,
+    every power of s in 0 ... deg m - 1: m(s) * s^k = 0 removes the lowest
+    negative power (pivot on the constant term) or the highest power >= deg m
+    (pivot on the lead term).  A zero residue means the identity holds at every
+    root of m.  For irreducible m, as s^2 + 1 and every cyclotomic polynomial,
+    a nonzero residue is a nonzero number, so no inverse is ever needed."""
+    if modulus is None:
         return poly
-    idx = poly.vars.index(symbol)
-    terms: dict = {}
-    for exps, coeff in poly.terms.items():
-        e = exps[idx] % 4
-        sign = 1 if e < 2 else -1
-        new = list(exps)
-        new[idx] = e % 2
-        key = tuple(new)
-        terms[key] = terms.get(key, 0) + sign * coeff
-    return LaurentPoly.make(poly.vars, {k: c for k, c in terms.items() if c})
+    (name,) = modulus.vars
+    m = {j: c.constant_value() for j, c in modulus.coefficients_in(name).items()}
+    top = max(m)
+    coeffs = poly.coefficients_in(name)
+    while coeffs and (min(coeffs) < 0 or max(coeffs) >= top):
+        k = min(coeffs) if min(coeffs) < 0 else max(coeffs)
+        pivot = 0 if k < 0 else top
+        c = coeffs.pop(k).scale(coeff_quotient(-1, m[pivot]))
+        for j, mj in m.items():
+            if j != pivot:
+                coeffs[k - pivot + j] = coeffs.get(k - pivot + j, _ZERO) + c.scale(mj)
+    return LaurentPoly.from_coefficients(coeffs, name)
 
 
-def _reduced(f: RationalFunction, symbol: str | None) -> RationalFunction:
-    if symbol is None:
-        return f
-    return RationalFunction.make(reduce_adjoined(f.num, symbol), f.factors)
+def _reduced(f: RationalFunction, modulus: LaurentPoly | None) -> RationalFunction:
+    return RationalFunction.make(reduce_adjoined(f.num, modulus), f.factors)
 
 
 def equal_mod_adjoined(
-    a: RationalFunction, b: RationalFunction, symbol: str | None
+    a: RationalFunction, b: RationalFunction, modulus: LaurentPoly | None
 ) -> bool:
-    if symbol is None:
-        return a.equal(b)
-    return reduce_adjoined((a - b).num, symbol).is_zero()
+    return reduce_adjoined((a - b).num, modulus).is_zero()
 
 
 def divide_linear(
-    poly: LaurentPoly, var: str, shift_value: LaurentPoly, symbol: str | None = None
+    poly: LaurentPoly, var: str, shift_value: LaurentPoly, modulus: LaurentPoly | None = None
 ) -> LaurentPoly:
     """Exact quotient poly / (var - shift_value); the input must vanish at
-    var = shift_value, modulo the adjoined relation if one is active."""
+    var = shift_value, modulo the adjoined polynomial if one is given."""
     if poly.is_zero():
         return poly
     if var not in poly.vars:
@@ -69,9 +72,9 @@ def divide_linear(
     quotient: dict[int, LaurentPoly] = {}
     carry = _ZERO
     for e in range(max(coeffs), low, -1):
-        carry = reduce_adjoined(coeffs.get(e, _ZERO) + shift_value * carry, symbol)
+        carry = reduce_adjoined(coeffs.get(e, _ZERO) + shift_value * carry, modulus)
         quotient[e - 1] = carry
-    remainder = reduce_adjoined(coeffs.get(low, _ZERO) + shift_value * carry, symbol)
+    remainder = reduce_adjoined(coeffs.get(low, _ZERO) + shift_value * carry, modulus)
     if not remainder.is_zero():
         raise ArithmeticError(f"division by {var} - ({shift_value}) is not exact")
     return LaurentPoly.from_coefficients(quotient, var)
@@ -86,7 +89,7 @@ class KoszulData:
     cofactors: tuple[RationalFunction, ...]
     potential: RationalFunction
     value: RationalFunction
-    symbol: str | None = None
+    modulus: LaurentPoly | None = None
     label: str = "generic"
 
     def linear_forms(self) -> list[RationalFunction]:
@@ -98,7 +101,7 @@ class KoszulData:
         total = RationalFunction.constant(0)
         for form, cof in zip(self.linear_forms(), self.cofactors):
             total = total + form * cof
-        return equal_mod_adjoined(total, self.potential - self.value, self.symbol)
+        return equal_mod_adjoined(total, self.potential - self.value, self.modulus)
 
     def as_dict(self) -> dict:
         return {
@@ -109,7 +112,7 @@ class KoszulData:
             "cofactors": [str(f) for f in self.cofactors],
             "potential": str(self.potential),
             "value": str(self.value),
-            "symbol": self.symbol,
+            "symbol": self.modulus.vars[0] if self.modulus is not None else None,
         }
 
 
@@ -123,10 +126,10 @@ def _center_value_poly(value) -> LaurentPoly:
 
 
 def center_decompose(
-    potential, center: Mapping[str, object], adjoined: str | None = None
+    potential, center: Mapping[str, object], adjoined: LaurentPoly | None = None
 ) -> KoszulData:
     """Split the potential at the given center by successive exact division
-    of one-variable differences."""
+    of one-variable differences, modulo the ``adjoined`` polynomial if given."""
     if isinstance(potential, Potential):
         expr = potential.expr
         label = f"{potential.model}/{potential.chart}"
@@ -134,10 +137,11 @@ def center_decompose(
         expr = as_rational(potential)
         label = "generic"
     variables = tuple(center.keys())
-    if adjoined is not None and adjoined in variables:
-        raise ValueError("the adjoined symbol cannot be a chart variable")
-    allowed = set(variables) | ({adjoined} if adjoined else set())
-    stray = sorted(set(expr.variables()) - allowed)
+    symbols = () if adjoined is None else adjoined.vars
+    lowest = adjoined.degree_in(symbols[0])[0] if len(symbols) == 1 else None
+    if adjoined is not None and (lowest != 0 or symbols[0] in variables):
+        raise ValueError("adjoined polynomial needs one new variable and a constant term")
+    stray = sorted(set(expr.variables()) - set(variables) - set(symbols))
     if stray:
         raise ValueError(f"center does not cover variables: {stray}")
     values = [_center_value_poly(center[v]) for v in variables]
@@ -164,7 +168,7 @@ def center_decompose(
         cofactors=tuple(cofactors),
         potential=expr,
         value=_reduced(stages[0], adjoined),
-        symbol=adjoined,
+        modulus=adjoined,
         label=label,
     )
 
@@ -229,7 +233,7 @@ def koszul_square_check(data: KoszulData) -> Report:
         detail = "matches"
         for k, coeff in square.items():
             want = target if k == mask else zero
-            if not equal_mod_adjoined(coeff, want, data.symbol):
+            if not equal_mod_adjoined(coeff, want, data.modulus):
                 ok = False
                 detail = f"wrong coefficient on {_basis_label(k, m)}"
                 break
@@ -255,10 +259,10 @@ def og15_koszul() -> KoszulData:
 def gr24_koszul() -> KoszulData:
     """Factorization at a nodal critical point of the smallest Grassmannian
     model, on its immersed[1,2] chart at T = 1; the holonomies sit at -s and
-    s for an adjoined square root s of -1."""
+    s for an adjoined root s of s^2 + 1."""
     p = immersed_potential(4, {(1, 2)})
     return center_decompose(
         replace(p, expr=p.expr.substitute({"T": 1})),
         {"u1": 0, "v1": 0, "z1_1": parse("-s"), "z2_2": parse("s")},
-        adjoined="s",
+        adjoined=parse("s^2 + 1").num,
     )

@@ -141,7 +141,7 @@ def test_potential_counts_surgered_terms(capsys):
         capsys, ["potential", "--model", "gr", "--n", "6", "--pairs", "2,3"]
     )
     assert code == 0
-    assert "10 terms" in out
+    assert "10 terms, surgery removes six and inserts four per pair" in out
 
 
 def test_potential_torus_when_no_pairs(capsys):
@@ -250,6 +250,7 @@ def test_verify_koszul_writes_cofactors(capsys, tmp_path):
     assert data["schema"] == "run-report/1"
     assert data["artifacts"]["koszul"]["schema"] == "koszul/1"
     assert len(data["artifacts"]["koszul"]["cofactors"]) == 4
+    assert data["artifacts"]["koszul"]["symbol"] == "s"
 
 
 def test_verify_covering_seed_reproducible(capsys, tmp_path):

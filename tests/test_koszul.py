@@ -1,5 +1,10 @@
 """Koszul factorization: exact division, the squared differential, faults."""
 
+import cmath
+import math
+import random
+import signal
+
 import pytest
 
 from lgmirror.koszul import (
@@ -15,6 +20,8 @@ from lgmirror.koszul import (
 )
 from lgmirror.laurent import LaurentPoly
 from lgmirror.rational import RationalFunction, parse
+
+I_MODULUS = parse("s^2 + 1").num
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +62,7 @@ def test_divide_linear_handles_negative_exponents():
 
 def test_divide_linear_with_adjoined_symbol():
     # x^2 + 1 = (x - s)(x + s) once s^2 = -1
-    q = divide_linear(parse("x^2 + 1").num, "x", parse("s").num, symbol="s")
+    q = divide_linear(parse("x^2 + 1").num, "x", parse("s").num, modulus=I_MODULUS)
     assert RationalFunction.from_poly(q).equal(parse("x + s"))
 
 
@@ -63,22 +70,82 @@ def test_divide_linear_with_adjoined_symbol():
 
 
 def test_reduce_adjoined_powers():
-    assert reduce_adjoined(parse("s^2 + 1").num, "s").is_zero()
-    assert reduce_adjoined(parse("s^3").num, "s").key() == parse("-s").num.key()
-    assert reduce_adjoined(parse("s^4").num, "s").key() == parse("1").num.key()
-    assert reduce_adjoined(parse("1/s").num, "s").key() == parse("-s").num.key()
+    assert reduce_adjoined(parse("s^2 + 1").num, I_MODULUS).is_zero()
+    assert reduce_adjoined(parse("s^3").num, I_MODULUS).key() == parse("-s").num.key()
+    assert reduce_adjoined(parse("s^4").num, I_MODULUS).key() == parse("1").num.key()
+    assert reduce_adjoined(parse("1/s").num, I_MODULUS).key() == parse("-s").num.key()
 
 
 def test_reduce_adjoined_leaves_other_variables_alone():
     p = parse("x^2*s^2 + x^2").num
-    assert reduce_adjoined(p, "s").is_zero()
-    assert reduce_adjoined(p, "t").key() == p.key()
+    assert reduce_adjoined(p, I_MODULUS).is_zero()
+    assert reduce_adjoined(p, parse("t^2 + 1").num).key() == p.key()
 
 
 def test_equal_mod_adjoined():
-    assert equal_mod_adjoined(parse("s^2"), parse("-1"), "s")
-    assert not equal_mod_adjoined(parse("s^2"), parse("1"), "s")
+    assert equal_mod_adjoined(parse("s^2"), parse("-1"), I_MODULUS)
+    assert not equal_mod_adjoined(parse("s^2"), parse("1"), I_MODULUS)
     assert not equal_mod_adjoined(parse("s^2"), parse("-1"), None)
+
+
+def _cyclotomic(m):
+    """Integer coefficients, constant term first, of the m-th cyclotomic
+    polynomial: x^m - 1 divided exactly by the monic Phi_d over the proper
+    divisors d of m."""
+    quotient = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d:
+            continue
+        divisor = _cyclotomic(d)
+        top = len(divisor) - 1
+        out = [0] * (len(quotient) - top)
+        for k in range(len(out) - 1, -1, -1):
+            out[k] = quotient[k + top]
+            for j, c in enumerate(divisor):
+                quotient[k + j] -= out[k] * c
+        assert not any(quotient[:top])
+        quotient = out
+    return quotient
+
+
+@pytest.fixture
+def deadline():
+    """Turn a reduction that never terminates into a failure."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the reduction did not terminate")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 9, 12, 15])
+def test_reduce_adjoined_matches_roots_of_unity(m, deadline):
+    # the residue modulo Phi_m takes the value of the input at e^(2 pi i / m)
+    phi = _cyclotomic(m)
+    assert len(phi) - 1 == sum(math.gcd(k, m) == 1 for k in range(1, m + 1))
+    modulus = LaurentPoly.make(("s",), {(k,): c for k, c in enumerate(phi) if c})
+    zeta, x = cmath.exp(2j * cmath.pi / m), 0.8 - 0.6j
+    rng = random.Random(m)
+    for _ in range(25):
+        terms = {
+            (rng.randint(-2, 2), rng.randint(-3 * m, 3 * m)): rng.randint(-9, 9)
+            for _ in range(rng.randint(1, 6))
+        }
+        residue = reduce_adjoined(LaurentPoly.make(("x", "s"), terms), modulus)
+        if "s" in residue.vars:
+            low, high = residue.degree_in("s")
+            assert 0 <= low and high < len(phi) - 1
+        want = sum(c * x**a * zeta**b for (a, b), c in terms.items())
+        point = {"x": x, "s": zeta}
+        got = sum(
+            c * math.prod(point[v] ** e for v, e in zip(residue.vars, exps))
+            for exps, c in residue.terms.items()
+        )
+        assert abs(got - want) < 1e-9 * (1 + sum(map(abs, terms.values()))), terms
 
 
 # -- decomposition ---------------------------------------------------------
@@ -128,7 +195,14 @@ def test_center_values_must_be_polynomial():
 
 def test_variable_used_as_adjoined_symbol_rejected():
     with pytest.raises(ValueError, match="adjoined"):
-        center_decompose(parse("x^2"), {"x": 0}, adjoined="x")
+        center_decompose(parse("x^2"), {"x": 0}, adjoined=parse("x^2 + 1").num)
+
+
+@pytest.mark.parametrize("modulus", ["s^2 + t", "s^2 + s", "3", "1/s + 1"])
+def test_malformed_adjoined_polynomial_rejected(modulus):
+    # two variables, no constant term, no variable, a negative exponent
+    with pytest.raises(ValueError, match="adjoined"):
+        center_decompose(parse("x^2"), {"x": 0}, adjoined=parse(modulus).num)
 
 
 def test_vacuous_cofactor_for_absent_variable():
@@ -143,7 +217,7 @@ def test_vacuous_cofactor_for_absent_variable():
 def test_og_decomposition(og_data):
     assert og_data.variables == ("u", "v", "z0")
     assert og_data.value.equal(RationalFunction.constant(0))
-    assert og_data.symbol is None
+    assert og_data.modulus is None
     assert og_data.sum_identity()
 
 
@@ -161,7 +235,7 @@ def test_og_first_cofactor(og_data):
 def test_gr_decomposition(gr_data):
     assert gr_data.variables == ("u1", "v1", "z1_1", "z2_2")
     assert gr_data.value.equal(RationalFunction.constant(0))
-    assert gr_data.symbol == "s"
+    assert gr_data.modulus.key() == I_MODULUS.key()
     assert gr_data.sum_identity()
 
 
@@ -195,7 +269,7 @@ def test_shipped_centres_are_critical_points(make):
     zero = RationalFunction.constant(0)
     for v in data.variables:
         slope = data.potential.partial(v).substitute(centre)
-        assert equal_mod_adjoined(slope, zero, data.symbol), v
+        assert equal_mod_adjoined(slope, zero, data.modulus), v
 
 
 # -- the differential ------------------------------------------------------
