@@ -275,6 +275,12 @@ def test_gauge_zero_is_identity():
     assert g.bindings["v"].equal(parse("v"))
 
 
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_gauge_preserves_uv(k):
+    g = gauge_automorphism(k)
+    assert parse("u*v").substitute(g.bindings).equal(parse("u*v"))
+
+
 @pytest.mark.parametrize("k", [-3, -1, 2, 3])
 def test_gauge_inverse_composition(k):
     loop = compose(gauge_automorphism(k), gauge_automorphism(-k))
