@@ -33,6 +33,8 @@ def reduce_adjoined(poly: LaurentPoly, modulus: LaurentPoly | None) -> LaurentPo
     a nonzero residue is a nonzero number, so no inverse is ever needed."""
     if modulus is None:
         return poly
+    if len(modulus.vars) != 1 or modulus.degree_in(modulus.vars[0])[0] != 0:
+        raise ValueError("adjoined polynomial needs one new variable and a constant term")
     (name,) = modulus.vars
     m = {j: c.constant_value() for j, c in modulus.coefficients_in(name).items()}
     top = max(m)
@@ -138,8 +140,7 @@ def center_decompose(
         label = "generic"
     variables = tuple(center.keys())
     symbols = () if adjoined is None else adjoined.vars
-    lowest = adjoined.degree_in(symbols[0])[0] if len(symbols) == 1 else None
-    if adjoined is not None and (lowest != 0 or symbols[0] in variables):
+    if any(s in variables for s in symbols):
         raise ValueError("adjoined polynomial needs one new variable and a constant term")
     stray = sorted(set(expr.variables()) - set(variables) - set(symbols))
     if stray:

@@ -1,10 +1,23 @@
 """Superpotential constructors.
 
 The torus potential is a Laurent polynomial in the ladder variables.  Each
-admissible set of pairs surgers it: six terms leave, four terms in the
-immersed variables u_i, v_i enter.  The same expressions exist on the
-homogeneous-coordinate side, where the quantum parameter is q instead of
-T^n, and the two sides agree modulo the quadratic coordinate relations.
+admissible set of pairs surgers it: per pair (i, i+1) six terms leave and
+four in the immersed variables u_i, v_i enter.
+
+The homogeneous-coordinate side, with q in place of T^n, surgers the torus
+potential pushed into Plucker ratios.  Per pair four terms leave, entries
+1-4 of the same table: a = z1_{i+1}/z1_i, b' = z2_{i+1}/z2_i,
+c = z1_{i+1}/z2_{i+1} and d = z1_i/z2_i.  Two enter, (a + b') r and
+(c + d) r, where with b = n - i - 2
+
+    r = p_{b,b+2} p_{b+1,n} / (p_{b,b+1} p_{b+2,n} + p_{b,n} p_{b+1,b+2})
+
+is 1 by the three-term relation on (b, b+1, b+2, n).  Both products are
+Laurent monomials free of negative powers of p_{b+1,n}, the coordinate the
+pair's chart lets vanish.  The result is still checked against Rietsch's
+potential, written out on its own and sharing no code with the surgery
+table, so a wrong table entry cannot pass.  The two sides agree modulo the
+quadratic coordinate relations with q identified with T^n.
 """
 
 from __future__ import annotations
@@ -14,7 +27,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
-from .ladder import chart_coordinates, check_pair_set, check_size, holonomy
+from .ladder import (
+    chart_coordinates,
+    check_pair_set,
+    check_size,
+    holonomy,
+    slot_coordinates,
+)
 from .plucker import geometric_to_plucker, pvar, sum_equal_mod_plucker
 from .rational import RationalFunction, parse
 
@@ -99,8 +118,9 @@ def _removed_terms(n: int, i: int, quantum) -> list[RationalFunction]:
 
 
 def _inserted_terms(n: int, i: int, quantum) -> list[RationalFunction]:
-    u = RationalFunction.var(f"u{i}")
-    v = RationalFunction.var(f"v{i}")
+    slot = slot_coordinates(i)
+    u = RationalFunction.var(slot["u"])
+    v = RationalFunction.var(slot["v"])
     return [
         u,
         u * _z1(n, i, quantum) / _z2(i + 1),
@@ -109,16 +129,20 @@ def _inserted_terms(n: int, i: int, quantum) -> list[RationalFunction]:
     ]
 
 
+def _remove_terms(terms: list[RationalFunction], targets) -> None:
+    for target in targets:
+        for k, t in enumerate(terms):
+            if t == target:
+                del terms[k]
+                break
+        else:
+            raise RuntimeError(f"term scheduled for removal is absent: {target}")
+
+
 def _surgered_terms(n: int, pair_set, quantum) -> list[RationalFunction]:
     terms = _torus_terms(n, quantum)
     for i, _ in sorted(pair_set):
-        for target in _removed_terms(n, i, quantum):
-            for k, t in enumerate(terms):
-                if t == target:
-                    del terms[k]
-                    break
-            else:
-                raise RuntimeError(f"term scheduled for removal is absent: {target}")
+        _remove_terms(terms, _removed_terms(n, i, quantum))
         terms.extend(_inserted_terms(n, i, quantum))
     return terms
 
@@ -217,16 +241,16 @@ def og15_recovery_bindings() -> dict[str, RationalFunction]:
 # -- homogeneous-coordinate potentials ------------------------------------
 
 
+def _p(i: int, j: int) -> RationalFunction:
+    return RationalFunction.var(pvar(i, j))
+
+
 def _rietsch_terms(n: int) -> list[RationalFunction]:
     check_size(n)
-
-    def pv(i: int, j: int) -> RationalFunction:
-        return RationalFunction.var(pvar(i, j))
-
-    terms = [_Q * pv(2, n) / pv(1, 2)]
+    terms = [_Q * _p(2, n) / _p(1, 2)]
     for j in range(2, n):
-        terms.append(pv(j - 1, j + 1) / pv(j, j + 1))
-    terms.append(pv(1, n - 1) / pv(1, n))
+        terms.append(_p(j - 1, j + 1) / _p(j, j + 1))
+    terms.append(_p(1, n - 1) / _p(1, n))
     return terms
 
 
@@ -239,52 +263,21 @@ def rietsch_gr(n: int) -> Potential:
     return Potential(expr, "plucker", variables, f"gr(2,{n})")
 
 
-def _monomial_exponent(t: RationalFunction, name: str) -> int:
-    if t.factors or len(t.num.terms) != 1:
-        raise ValueError("expected a Laurent monomial")
-    if name not in t.num.vars:
-        return 0
-    k = t.num.vars.index(name)
-    (exps,) = t.num.terms
-    return exps[k]
-
-
 @lru_cache(maxsize=None)
 def _restricted_terms(n: int, pair_set: frozenset) -> tuple[RationalFunction, ...]:
-    empty = geometric_to_plucker(n, frozenset())
-    terms = [t.substitute(empty.bindings) for t in _torus_terms(n, _Q)]
+    push = geometric_to_plucker(n, frozenset()).bindings
+    pushed = {t: t.substitute(push) for t in _torus_terms(n, _Q)}
+    terms = list(pushed.values())
     for i, _ in sorted(pair_set):
         b = n - i - 2
-        cleared = pvar(n - i - 1, n)
-        # three-term quadratic relation on (b, b+1, b+2, n), solved for the
-        # product containing the coordinate being cleared
-        binom = RationalFunction.var(pvar(b, b + 1)) * RationalFunction.var(
-            pvar(b + 2, n)
-        ) + RationalFunction.var(pvar(b, n)) * RationalFunction.var(pvar(b + 1, b + 2))
-        ratio = (
-            RationalFunction.var(pvar(b, b + 2)) * RationalFunction.var(cleared) / binom
+        # the three-term relation on (b, b+1, b+2, n) as a ratio equal to 1;
+        # it clears p_{b+1,n} from the denominators of a + b1 and c + d
+        ratio = _p(b, b + 2) * _p(b + 1, n) / (
+            _p(b, b + 1) * _p(b + 2, n) + _p(b, n) * _p(b + 1, b + 2)
         )
-        keep = [t for t in terms if _monomial_exponent(t, cleared) >= 0]
-        bad = [t for t in terms if _monomial_exponent(t, cleared) < 0]
-        merged: list[RationalFunction] = []
-        while bad:
-            t1 = bad.pop(0)
-            hits = []
-            for k, t2 in enumerate(bad):
-                rep = (t1 + t2) * ratio
-                if rep.factors or len(rep.num.terms) != 1:
-                    continue
-                if _monomial_exponent(rep, cleared) < 0:
-                    continue
-                hits.append((k, rep))
-            if len(hits) != 1:
-                raise RuntimeError(
-                    f"clearing {cleared} failed: {len(hits)} candidate reductions"
-                )
-            k, rep = hits[0]
-            del bad[k]
-            merged.append(rep)
-        terms = keep + merged
+        a, b1, c, d = (pushed[t] for t in _removed_terms(n, i, _Q)[1:5])
+        _remove_terms(terms, (a, b1, c, d))
+        terms += [(a + b1) * ratio, (c + d) * ratio]
     return tuple(terms)
 
 

@@ -102,6 +102,8 @@ def test_unknown_model_reports_cli_error(capsys):
         ["expand", "--model", "gr", "--order", "1"],
         ["expand", "--model", "og15", "--order", "1"],
         ["expand", "--model", "og15", "--order", "2"],
+        # a negative solver seed
+        ["critical", "--model", "og15", "--seed", "-1"],
     ],
 )
 def test_invalid_size_or_pairs_exit_2(capsys, argv):
@@ -116,6 +118,8 @@ def test_invalid_size_or_pairs_exit_2(capsys, argv):
         assert err.startswith("error: ")
     assert code == 2
     assert out == ""
+    if "--seed" in argv:
+        assert "seed" in err
 
 
 # -- informational commands ------------------------------------------------

@@ -62,6 +62,11 @@ def test_config_rejects_bad_tolerance():
         SolveConfig(newton_tol=0.0)
 
 
+def test_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        SolveConfig(seed=-1)
+
+
 def test_unbound_parameter_rejected():
     with pytest.raises(ValueError, match="unbound"):
         critical_system(gc_torus_potential(4))

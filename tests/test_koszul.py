@@ -205,6 +205,13 @@ def test_malformed_adjoined_polynomial_rejected(modulus):
         center_decompose(parse("x^2"), {"x": 0}, adjoined=parse(modulus).num)
 
 
+@pytest.mark.parametrize("modulus", ["s^2 + t", "s^2 + s", "3", "1/s + 1"])
+def test_reduce_adjoined_checks_its_modulus(modulus, deadline):
+    # the reduction itself refuses a modulus it cannot pivot on
+    with pytest.raises(ValueError, match="adjoined"):
+        reduce_adjoined(parse("1/s").num, parse(modulus).num)
+
+
 def test_vacuous_cofactor_for_absent_variable():
     data = center_decompose(parse("x^2"), {"x": 0, "y": 5})
     assert data.cofactors[1].equal(RationalFunction.constant(0))

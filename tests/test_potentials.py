@@ -8,7 +8,8 @@ import pytest
 from lgmirror.atlas import gr_product_atlas
 from lgmirror.ladder import chart_coordinates, index_sets
 from lgmirror.novikov import novikov_expand
-from lgmirror.plucker import equal_mod_plucker, pvar
+from lgmirror import potentials
+from lgmirror.plucker import equal_mod_plucker, geometric_to_plucker, pvar
 from lgmirror.potentials import (
     Potential,
     gc_torus_potential,
@@ -387,6 +388,59 @@ def test_restricted_maximal_n4_equals_homogeneous_verbatim():
         "p_1,3/p_1,4",
     ]
     assert multiset(restricted_terms(4, {(1, 2)})) == multiset(map(parse, expected))
+
+
+def _exponent(t, name):
+    # power of one variable in a Laurent monomial
+    assert t.is_polynomial() and len(t.num.terms) == 1
+    (exps,) = t.num.terms
+    return dict(zip(t.num.vars, exps)).get(name, 0)
+
+
+def _merge_search_terms(n, pair_set):
+    """Reference for the cleared potential: per pair, every pair of terms
+    with a negative power of the cleared coordinate whose sum times the
+    relation ratio is a Laurent monomial free of that negative power."""
+    q = parse("q")
+    push = geometric_to_plucker(n, frozenset()).bindings
+    terms = [t.substitute(push) for t in potentials._torus_terms(n, q)]
+    for i, _ in sorted(pair_set):
+        b = n - i - 2
+        cleared = pvar(n - i - 1, n)
+
+        def p(j, k):
+            return parse(pvar(j, k))
+
+        binom = p(b, b + 1) * p(b + 2, n) + p(b, n) * p(b + 1, b + 2)
+        ratio = p(b, b + 2) * p(b + 1, n) / binom
+        keep = [t for t in terms if _exponent(t, cleared) >= 0]
+        bad = [t for t in terms if _exponent(t, cleared) < 0]
+        merged = []
+        while bad:
+            t1 = bad.pop(0)
+            hits = []
+            for k, t2 in enumerate(bad):
+                rep = (t1 + t2) * ratio
+                if rep.is_polynomial() and len(rep.num.terms) == 1:
+                    if _exponent(rep, cleared) >= 0:
+                        hits.append((k, rep))
+            assert len(hits) == 1, (n, sorted(pair_set), cleared, len(hits))
+            k, rep = hits[0]
+            del bad[k]
+            merged.append(rep)
+        terms = keep + merged
+    return terms
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_restricted_closed_form_matches_merge_search(n):
+    for pair_set in index_sets(n)[0]:
+        terms = restricted_terms(n, pair_set)
+        assert multiset(terms) == multiset(_merge_search_terms(n, pair_set))
+        assert len(terms) == (3 * n - 6) - 2 * len(pair_set)
+        cleared = [pvar(n - i - 1, n) for i, _ in pair_set]
+        for t in terms:
+            assert all(_exponent(t, c) >= 0 for c in cleared), (n, sorted(pair_set), t)
 
 
 def test_restrict_chart_labels():
