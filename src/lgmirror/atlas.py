@@ -363,12 +363,8 @@ def og15_atlas() -> Atlas:
     """Quadric threefold: node chart, both smoothings, and the degenerate
     toric fiber reached through the second smoothing."""
     og = og_potentials()
-    charts = (
-        Chart("immersed", ("u", "v", "z0")),
-        Chart("chekanov", ("x1", "y1", "z1")),
-        Chart("clifford", ("x2", "y2", "z2")),
-        Chart("toric-fiber", ("y1_1", "y1_2", "y1_3")),
-    )
+    potentials = {p.chart: p for p in (og.immersed, og.chekanov, og.clifford, og.toric_fiber)}
+    charts = tuple(Chart(p.chart, p.variables) for p in potentials.values())
     bridge = og_bridge()
     transitions = _node_transitions(("z",)) + (
         Transition("toric-fiber", "clifford", dict(bridge)),
@@ -378,12 +374,6 @@ def og15_atlas() -> Atlas:
             {"y1_1": parse("x2"), "y1_2": parse("y2^2/z2"), "y1_3": parse("y2")},
         ),
     )
-    potentials = {
-        "immersed": og.immersed,
-        "chekanov": og.chekanov,
-        "clifford": og.clifford,
-        "toric-fiber": og.toric_fiber,
-    }
     return Atlas("og(1,5)", charts, transitions, potentials)
 
 

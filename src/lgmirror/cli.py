@@ -305,8 +305,6 @@ def run_verify(args) -> tuple[RunReport, list[str]]:
 
 def run_critical(args) -> tuple[RunReport, list[str]]:
     model = "gr24" if args.model == "gr" else "og15"
-    if args.q is not None and args.q != 1:
-        raise CliError("reference critical data is at unit quantum parameter")
     cfg = SolveConfig(seed=args.seed)
     t0 = time.perf_counter()
     atlas = model_atlas(model)
@@ -407,7 +405,7 @@ _COMMANDS = {
             "covering": "gr(2,n) seed samples",
         },
     ),
-    "critical": (run_critical, "solve for critical points", "n model q seed", "gr(2,4) og15"),
+    "critical": (run_critical, "solve for critical points", "n model seed", "gr(2,4) og15"),
     "expand": (run_expand, "expand a wall-crossing term", "model order", "gr og15"),
 }
 

@@ -16,6 +16,7 @@ so the polytope route stays independent of the diagram route.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -66,11 +67,14 @@ def check_size(n: int) -> None:
 def check_pair_set(n: int, pair_set) -> frozenset:
     """The pair set as a frozenset of int pairs, once it is valid for gr(2,n).
 
-    Valid means n >= 4, every pair is (i, i+1) with 1 <= i <= n-3, and no
-    index lies in two pairs.
+    Valid means n >= 4, every pair is (i, i+1) of integers with
+    1 <= i <= n-3, and no index lies in two pairs.
     """
     check_size(n)
-    pairs = frozenset((int(i), int(j)) for i, j in pair_set)
+    pairs = frozenset(map(tuple, pair_set))
+    if not all(isinstance(x, numbers.Integral) for pair in pairs for x in pair):
+        raise ValueError(f"not a valid pair set for n={n}: {sorted(pairs, key=str)}")
+    pairs = frozenset((int(i), int(j)) for i, j in pairs)
     used: set[int] = set()
     for i, j in pairs:
         if j != i + 1 or not 1 <= i <= n - 3 or i in used or j in used:

@@ -341,36 +341,31 @@ def covering_check(n: int, num_samples: int, seed: int) -> CoveringReport:
 
 
 def covering_certificate(n: int) -> list[dict]:
-    """Exhaustive cover proof by vanishing patterns, for small n.
+    """Exhaustive cover proof by vanishing patterns, for every n.
 
-    On the open part, two cyclically consecutive p_{k,n} cannot both
-    vanish (the three-term relation propagates the zero to a forbidden
-    coordinate), so the vanishing pattern of (p_{2,n}, ..., p_{n-2,n}) is
-    an independent set in a path.  Chart membership depends only on that
-    pattern, so checking every independent pattern settles the cover.
-    Each pattern is realized by an explicit point as a sanity check.
+    On the open part no two consecutive p_{k,n}, 2 <= k < n-2, both
+    vanish: the three-term relation on (1, k, k+1, n) would force
+    p_{1,n} p_{k,k+1} = 0, a product of forbidden coordinates.  So the
+    vanishing pattern of (p_{2,n}, ..., p_{n-2,n}) is a set of pairwise
+    non-adjacent k, and k = n - i - 1 turns it into a pair set of
+    ``index_sets(n)[0]``: k runs over 2..n-2 as i runs over 1..n-3, and
+    adjacent k are overlapping pairs.  ``chart_membership`` waives exactly
+    p_{n-i-1,n} for each chosen pair (i, i+1), so a point with pattern P
+    lies in the chart of a maximal set M exactly when M contains the pair
+    set of P.  Each row lists those M, in ``index_sets`` order; the charts
+    cover the open part when no list is empty.
     """
     check_size(n)
-    if n > 7:
-        raise ValueError("certificate enumerated only for small n")
-    _, maximal = index_sets(n)
-    ks = list(range(2, n - 1))
+    pair_sets, maximal = index_sets(n)
     rows = []
-    for size in range(len(ks) + 1):
-        for zeros in itertools.combinations(ks, size):
-            if any(b - a == 1 for a, b in zip(zeros, zeros[1:])):
-                continue  # not realizable off the divisor
-            pt = _degenerate_point(n, set(zeros))
-            if not pt.satisfies_relations():
-                raise RuntimeError(f"engineered point off the Grassmannian: {pt.as_dict()}")
-            if any((pt.values[(k, n)] == 0) != (k in zeros) for k in ks):
-                raise RuntimeError(f"engineered point does not vanish exactly at {zeros}")
-            covered_by = [m for m in maximal if chart_membership(pt, m)]
-            rows.append(
-                {
-                    "vanishing": list(zeros),
-                    "covered": bool(covered_by),
-                    "charts": [sorted(m) for m in covered_by],
-                }
-            )
+    for pairs in pair_sets:
+        charts = [m for m in maximal if pairs <= m]
+        rows.append(
+            {
+                "vanishing": sorted(n - i - 1 for i, _ in pairs),
+                "covered": bool(charts),
+                "charts": [sorted(m) for m in charts],
+            }
+        )
+    rows.sort(key=lambda row: (len(row["vanishing"]), row["vanishing"]))
     return rows

@@ -1,14 +1,20 @@
 """Superpotential constructors.
 
-The torus potential is a Laurent polynomial in the ladder variables.  Each
-admissible set of pairs surgers it: per pair (i, i+1) six terms leave and
-four in the immersed variables u_i, v_i enter.
+The torus potential is a Laurent polynomial in the ladder variables with
+one term per key: ("row1", j) is z1_{j+1}/z1_j, ("row2", j) is
+z2_{j+1}/z2_j and ("rung", j) is z1_j/z2_j, where z1_{n-1} stands for the
+quantum monomial and z2_0 for 1.  Each admissible set of pairs surgers it:
+per pair (i, i+1) the six terms keyed row1 i+1 and i, row2 i, rung i+1
+and i, and row2 i-1 leave, and four in the immersed variables u_i, v_i
+enter.  Disjoint pairs have disjoint keys, so every removal is a deletion
+by key.
 
 The homogeneous-coordinate side, with q in place of T^n, surgers the torus
-potential pushed into Plucker ratios.  Per pair four terms leave, entries
-1-4 of the same table: a = z1_{i+1}/z1_i, b' = z2_{i+1}/z2_i,
-c = z1_{i+1}/z2_{i+1} and d = z1_i/z2_i.  Two enter, (a + b') r and
-(c + d) r, where with b = n - i - 2
+potential pushed into Plucker ratios.  Per pair four terms leave, the
+middle four keys of the same six: a = z1_{i+1}/z1_i (row1 i),
+b' = z2_{i+1}/z2_i (row2 i), c = z1_{i+1}/z2_{i+1} (rung i+1) and
+d = z1_i/z2_i (rung i).  Two enter, (a + b') r and (c + d) r, where with
+b = n - i - 2
 
     r = p_{b,b+2} p_{b+1,n} / (p_{b,b+1} p_{b+2,n} + p_{b,n} p_{b+1,b+2})
 
@@ -38,6 +44,7 @@ from .plucker import geometric_to_plucker, pvar, sum_equal_mod_plucker
 from .rational import RationalFunction, parse
 
 Pair = tuple[int, int]
+TermKey = tuple[str, int]  # ("row1" | "row2" | "rung", column)
 
 _T = RationalFunction.var("T")
 _Q = RationalFunction.var("q")
@@ -84,20 +91,20 @@ def _z2(j: int) -> RationalFunction:
     return RationalFunction.var(holonomy(2, j))
 
 
-def _torus_terms(n: int, quantum: RationalFunction) -> list[RationalFunction]:
-    terms = [_z2(1), quantum / _z1(n, n - 2, quantum)]
+def _torus_terms(n: int, quantum: RationalFunction) -> dict[TermKey, RationalFunction]:
+    terms = {("row2", 0): _z2(1), ("row1", n - 2): quantum / _z1(n, n - 2, quantum)}
     for j in range(1, n - 2):
-        terms.append(_z1(n, j + 1, quantum) / _z1(n, j, quantum))
-        terms.append(_z2(j + 1) / _z2(j))
+        terms["row1", j] = _z1(n, j + 1, quantum) / _z1(n, j, quantum)
+        terms["row2", j] = _z2(j + 1) / _z2(j)
     for j in range(1, n - 1):
-        terms.append(_z1(n, j, quantum) / _z2(j))
+        terms["rung", j] = _z1(n, j, quantum) / _z2(j)
     return terms
 
 
 def torus_terms(n: int) -> list[RationalFunction]:
     """The Laurent monomials of the torus potential, in display order."""
     check_size(n)
-    return _torus_terms(n, _T**n)
+    return list(_torus_terms(n, _T**n).values())
 
 
 def gc_torus_potential(n: int) -> Potential:
@@ -106,15 +113,13 @@ def gc_torus_potential(n: int) -> Potential:
     return Potential(_sum(torus_terms(n)), chart, variables, f"gr(2,{n})")
 
 
-def _removed_terms(n: int, i: int, quantum) -> list[RationalFunction]:
-    return [
-        _z1(n, i + 2, quantum) / _z1(n, i + 1, quantum),
-        _z1(n, i + 1, quantum) / _z1(n, i, quantum),
-        _z2(i + 1) / _z2(i),
-        _z1(n, i + 1, quantum) / _z2(i + 1),
-        _z1(n, i, quantum) / _z2(i),
-        _z2(i) / _z2(i - 1),
-    ]
+def _pair_keys(i: int) -> tuple[TermKey, ...]:
+    """The six torus terms the pair (i, i+1) removes; the middle four are
+    the ones the homogeneous side merges."""
+    return (
+        ("row1", i + 1), ("row1", i), ("row2", i),
+        ("rung", i + 1), ("rung", i), ("row2", i - 1),
+    )
 
 
 def _inserted_terms(n: int, i: int, quantum) -> list[RationalFunction]:
@@ -129,22 +134,14 @@ def _inserted_terms(n: int, i: int, quantum) -> list[RationalFunction]:
     ]
 
 
-def _remove_terms(terms: list[RationalFunction], targets) -> None:
-    for target in targets:
-        for k, t in enumerate(terms):
-            if t == target:
-                del terms[k]
-                break
-        else:
-            raise RuntimeError(f"term scheduled for removal is absent: {target}")
-
-
 def _surgered_terms(n: int, pair_set, quantum) -> list[RationalFunction]:
     terms = _torus_terms(n, quantum)
+    inserted = []
     for i, _ in sorted(pair_set):
-        _remove_terms(terms, _removed_terms(n, i, quantum))
-        terms.extend(_inserted_terms(n, i, quantum))
-    return terms
+        for key in _pair_keys(i):
+            del terms[key]
+        inserted += _inserted_terms(n, i, quantum)
+    return list(terms.values()) + inserted
 
 
 def immersed_terms(n: int, pair_set) -> list[RationalFunction]:
@@ -266,8 +263,8 @@ def rietsch_gr(n: int) -> Potential:
 @lru_cache(maxsize=None)
 def _restricted_terms(n: int, pair_set: frozenset) -> tuple[RationalFunction, ...]:
     push = geometric_to_plucker(n, frozenset()).bindings
-    pushed = {t: t.substitute(push) for t in _torus_terms(n, _Q)}
-    terms = list(pushed.values())
+    pushed = {key: t.substitute(push) for key, t in _torus_terms(n, _Q).items()}
+    merged = []
     for i, _ in sorted(pair_set):
         b = n - i - 2
         # the three-term relation on (b, b+1, b+2, n) as a ratio equal to 1;
@@ -275,10 +272,9 @@ def _restricted_terms(n: int, pair_set: frozenset) -> tuple[RationalFunction, ..
         ratio = _p(b, b + 2) * _p(b + 1, n) / (
             _p(b, b + 1) * _p(b + 2, n) + _p(b, n) * _p(b + 1, b + 2)
         )
-        a, b1, c, d = (pushed[t] for t in _removed_terms(n, i, _Q)[1:5])
-        _remove_terms(terms, (a, b1, c, d))
-        terms += [(a + b1) * ratio, (c + d) * ratio]
-    return tuple(terms)
+        a, b1, c, d = (pushed.pop(key) for key in _pair_keys(i)[1:5])
+        merged += [(a + b1) * ratio, (c + d) * ratio]
+    return tuple(pushed.values()) + tuple(merged)
 
 
 @lru_cache(maxsize=None)

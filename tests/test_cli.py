@@ -104,6 +104,9 @@ def test_unknown_model_reports_cli_error(capsys):
         ["expand", "--model", "og15", "--order", "2"],
         # a negative solver seed
         ["critical", "--model", "og15", "--seed", "-1"],
+        # critical takes no quantum parameter; argparse rejects the flag
+        ["critical", "--model", "og15", "--q", "1"],
+        ["critical", "--model", "og15", "--q", "2"],
     ],
 )
 def test_invalid_size_or_pairs_exit_2(capsys, argv):
@@ -291,12 +294,6 @@ def test_critical_rejects_other_sizes(capsys):
     code, _, err = run(capsys, ["critical", "--model", "gr", "--n", "6"])
     assert code == 2
     assert "gr(2,4)" in err
-
-
-def test_critical_rejects_non_unit_quantum(capsys):
-    code, _, err = run(capsys, ["critical", "--model", "og15", "--q", "2"])
-    assert code == 2
-    assert "unit quantum" in err
 
 
 def test_expand_gr_pattern(capsys):

@@ -27,6 +27,7 @@ from lgmirror.polytope import (
     face_from_tight,
     satisfies,
 )
+from lgmirror.potentials import immersed_potential
 
 
 def _full(n: int) -> int:
@@ -241,6 +242,14 @@ def test_check_pair_set_accepts_exactly_the_index_sets(n, pair_set):
         assert pair_set not in valid
     else:
         assert pair_set in valid and checked == pair_set
+
+
+@pytest.mark.parametrize("pair_set", [{(1.9, 2.9)}, {(1.5, 2.5)}, {(1.0, 2.0)}, {(1, 2), (3.5, 4.5)}])
+def test_check_pair_set_rejects_non_integer_indices(pair_set):
+    with pytest.raises(ValueError, match="not a valid pair set"):
+        check_pair_set(6, pair_set)
+    with pytest.raises(ValueError, match="not a valid pair set"):
+        immersed_potential(6, pair_set)
 
 
 @pytest.mark.parametrize("n", [-1, 0, 2, 3])

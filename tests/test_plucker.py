@@ -214,29 +214,61 @@ def test_covering_sampling(n):
     assert rep.failures == [] and rep.degenerate_failures == []
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", range(4, 15))
 def test_covering_certificate(n):
     rows = covering_certificate(n)
     assert rows, "certificate must consider at least the all-nonzero pattern"
     assert all(row["covered"] for row in rows)
-    patterns = {tuple(row["vanishing"]) for row in rows}
+    patterns = [tuple(row["vanishing"]) for row in rows]
     # independent sets in the path on 2..n-2, the empty one included
     ks = list(range(2, n - 1))
-    expected = set()
+    expected = []
     for size in range(len(ks) + 1):
         for zeros in itertools.combinations(ks, size):
             if all(b - a > 1 for a, b in zip(zeros, zeros[1:])):
-                expected.add(zeros)
+                expected.append(zeros)
     assert patterns == expected
+    # the listed charts are exactly the maximal sets holding the pattern's pairs
+    _, maximal = index_sets(n)
+    for row in rows:
+        pairs = {(n - k - 1, n - k) for k in row["vanishing"]}
+        assert row["charts"] == [sorted(m) for m in maximal if pairs <= m]
+
+
+def _point_certificate(n):
+    """Reference: one engineered point per vanishing pattern, tested against
+    every maximal chart."""
+    _, maximal = index_sets(n)
+    ks = range(2, n - 1)
+    rows = []
+    for size in range(len(ks) + 1):
+        for zeros in itertools.combinations(ks, size):
+            if any(b - a == 1 for a, b in zip(zeros, zeros[1:])):
+                continue
+            pt = plucker._degenerate_point(n, set(zeros))
+            assert pt.satisfies_relations()
+            assert [k for k in ks if pt.values[(k, n)] == 0] == list(zeros)
+            covered_by = [m for m in maximal if chart_membership(pt, m)]
+            rows.append(
+                {
+                    "vanishing": list(zeros),
+                    "covered": bool(covered_by),
+                    "charts": [sorted(m) for m in covered_by],
+                }
+            )
+    return rows
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_covering_certificate_matches_engineered_points(n):
+    assert covering_certificate(n) == _point_certificate(n)
 
 
 def test_covering_rejects_a_point_that_does_not_vanish(monkeypatch):
-    # the checks must hold under python -O, so they may not be asserts
+    # the check must hold under python -O, so it may not be an assert
     monkeypatch.setattr(plucker, "_degenerate_point", lambda n, zeros: random_point(n, 5))
     with pytest.raises(RuntimeError, match="vanish"):
         covering_check(5, 1, 0)
-    with pytest.raises(RuntimeError, match="vanish"):
-        covering_certificate(5)
 
 
 def test_cyclic_pairs():

@@ -403,7 +403,7 @@ def _merge_search_terms(n, pair_set):
     relation ratio is a Laurent monomial free of that negative power."""
     q = parse("q")
     push = geometric_to_plucker(n, frozenset()).bindings
-    terms = [t.substitute(push) for t in potentials._torus_terms(n, q)]
+    terms = [t.substitute(push) for t in potentials._torus_terms(n, q).values()]
     for i, _ in sorted(pair_set):
         b = n - i - 2
         cleared = pvar(n - i - 1, n)
@@ -441,6 +441,58 @@ def test_restricted_closed_form_matches_merge_search(n):
         cleared = [pvar(n - i - 1, n) for i, _ in pair_set]
         for t in terms:
             assert all(_exponent(t, c) >= 0 for c in cleared), (n, sorted(pair_set), t)
+
+
+def _removed_by_value(n, i, quantum):
+    def z1(j):
+        return potentials._z1(n, j, quantum)
+
+    z2 = potentials._z2
+    return [
+        z1(i + 2) / z1(i + 1),
+        z1(i + 1) / z1(i),
+        z2(i + 1) / z2(i),
+        z1(i + 1) / z2(i + 1),
+        z1(i) / z2(i),
+        z2(i) / z2(i - 1),
+    ]
+
+
+def _remove_by_value(terms, targets):
+    for target in targets:
+        terms.remove(next(t for t in terms if t == target))
+
+
+def _reference_surgeries(n, pair_set):
+    """Reference for both surgeries: each removed term is rebuilt from the
+    z-variables and found among the remaining terms by value."""
+    q, t_n = parse("q"), parse(f"T^{n}")
+
+    def p(j, k):
+        return parse(pvar(j, k))
+
+    floer = list(potentials._torus_terms(n, t_n).values())
+    push = geometric_to_plucker(n, frozenset()).bindings
+    pushed = {t: t.substitute(push) for t in potentials._torus_terms(n, q).values()}
+    homogeneous = list(pushed.values())
+    for i, _ in sorted(pair_set):
+        _remove_by_value(floer, _removed_by_value(n, i, t_n))
+        floer += potentials._inserted_terms(n, i, t_n)
+        b = n - i - 2
+        binom = p(b, b + 1) * p(b + 2, n) + p(b, n) * p(b + 1, b + 2)
+        ratio = p(b, b + 2) * p(b + 1, n) / binom
+        a, b1, c, d = (pushed[t] for t in _removed_by_value(n, i, q)[1:5])
+        _remove_by_value(homogeneous, (a, b1, c, d))
+        homogeneous += [(a + b1) * ratio, (c + d) * ratio]
+    return floer, homogeneous
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_surgery_by_key_matches_removal_by_value(n):
+    for pair_set in index_sets(n)[0]:
+        floer, homogeneous = _reference_surgeries(n, pair_set)
+        assert immersed_terms(n, pair_set) == floer, (n, sorted(pair_set))
+        assert restricted_terms(n, pair_set) == homogeneous, (n, sorted(pair_set))
 
 
 def test_restrict_chart_labels():
