@@ -287,18 +287,26 @@ def monotone_point(d: Diagram) -> dict[tuple[int, int], Fraction]:
 # -- pair sets and their diagrams ----------------------------------------
 
 
+@lru_cache(maxsize=None)
 def index_sets(n: int) -> tuple[tuple[frozenset, ...], tuple[frozenset, ...]]:
-    """Sets of disjoint consecutive pairs from {1..n-2}, plus the maximal ones."""
-    pairs = [(i, i + 1) for i in range(1, n - 2)]
+    """Sets of disjoint consecutive pairs from {1..n-2}, plus the maximal ones.
+
+    Both lists run by size, then lexicographically in the pairs' first
+    indices.  A k-set of pairwise non-adjacent first indices s_1 < ... < s_k
+    from {1..n-3} is c_t = s_t - (t - 1), a k-subset of {1..n-2-k}; the
+    shift is a bijection that keeps lexicographic order, so the sets come
+    from ``itertools.combinations`` without a scan over all subsets.
+    """
+    m = n - 3  # the number of consecutive pairs
     all_sets, maximal = [], []
-    for k in range(len(pairs) + 1):
-        for combo in itertools.combinations(pairs, k):
-            used = {x for p in combo for x in p}
-            if len(used) == 2 * k:
-                all_sets.append(frozenset(combo))
-                # maximal exactly when no pair has both of its indices unused
-                if all(i in used or j in used for i, j in pairs):
-                    maximal.append(all_sets[-1])
+    for k in range(max(m, 0) + 1):
+        for combo in itertools.combinations(range(1, m - k + 2), k):
+            firsts = [c + t for t, c in enumerate(combo)]
+            all_sets.append(frozenset((i, i + 1) for i in firsts))
+            # maximal exactly when no pair has both of its indices unused
+            used = {x for i in firsts for x in (i, i + 1)}
+            if all(i in used or i + 1 in used for i in range(1, m + 1)):
+                maximal.append(all_sets[-1])
     return tuple(all_sets), tuple(maximal)
 
 

@@ -2,11 +2,25 @@
 
 Coordinates are the 2x2 minors p_{i,j} (1 <= i < j <= n), spelled as
 variables ``p_i,j``.  Identities that should hold modulo the quadratic
-minor relations are checked by pulling everything back along the generic
-parametrization p_{i,j} = a_i b_j - a_j b_i: the parametrization is onto
-the cone of decomposable tensors, and the relation ideal is prime, so a
-rational identity holds on the cone exactly when it holds after the pull
-back.  That check is exact and needs no Groebner machinery.
+minor relations are checked in the fan cluster chart at vertex n, with
+coordinates x_k = p_{k,n} (k = 1..n-1) and f_k = p_{k,k+1} (k = 1..n-2).
+The three-term relation on (i, k, j, n) reads
+p_{i,j}/(x_i x_j) = p_{i,k}/(x_i x_k) + p_{k,j}/(x_k x_j); telescoped, it
+gives every other coordinate as a Laurent polynomial,
+
+    p_{i,j} = x_i x_j (f_i/(x_i x_{i+1}) + ... + f_{j-1}/(x_{j-1} x_j)),  j < n.
+
+Why the check is sound: the cone over Gr(2,n) is irreducible of dimension
+2n - 3, so its relation ideal is prime and its function field K has
+transcendence degree 2n - 3.  The 2n - 3 chart coordinates generate K,
+since every p_{i,j} is a rational function of them, so they are
+algebraically independent and x_k -> p_{k,n}, f_k -> p_{k,k+1} is an
+isomorphism of Q(x, f) onto K.  Its inverse is the substitution of the
+table above.  A rational expression in the p_{i,j} is defined on the cone
+exactly when its denominator does not pull back to 0, and two expressions
+agree modulo the relations exactly when they agree after the pull back.
+That check is exact and needs no Groebner machinery, and in this chart
+every term of the potential identities is a Laurent polynomial.
 
 Points live on the open piece where all cyclically consecutive
 coordinates p_{1,2}, ..., p_{n-1,n}, p_{1,n} are nonzero.
@@ -15,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -79,26 +94,48 @@ def plucker_relation(i: int, j: int, k: int, l: int, n: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _generic_minors(n: int) -> Mapping[str, RationalFunction]:
-    """p_{i,j} -> a_i b_j - a_j b_i, built once per n and shared by every
-    caller, hence read-only."""
+def _fan_chart(n: int) -> Mapping[str, RationalFunction]:
+    """p_{i,j} in the fan cluster chart at vertex n, built once per n and
+    shared by every caller, hence read-only."""
     out = {}
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        ai_bj = LaurentPoly.var(f"a{i}") * LaurentPoly.var(f"b{j}")
-        aj_bi = LaurentPoly.var(f"a{j}") * LaurentPoly.var(f"b{i}")
-        out[pvar(i, j)] = as_rational(ai_bj - aj_bi)
+    for i in range(1, n):
+        x_i = LaurentPoly.var(f"x_{i}")
+        out[pvar(i, n)] = as_rational(x_i)
+        # the telescoped three-term relation, one summand per step k -> k+1
+        total = LaurentPoly((), {})
+        for j in range(i + 1, n):
+            k = j - 1
+            total = total + LaurentPoly.monomial({f"f_{k}": 1, f"x_{k}": -1, f"x_{j}": -1})
+            out[pvar(i, j)] = as_rational(x_i * LaurentPoly.var(f"x_{j}") * total)
     return MappingProxyType(out)
 
 
-def parametrize(expr, n: int) -> RationalFunction:
-    """Pull an expression in the p-variables back to generic 2xn data.
+# names of the chart's coordinates and of the p-variables, at any n
+_CHART_NAME = re.compile(r"[xf]_\d+|p_\d+,\d+")
 
-    Every p_{i,j} becomes a_i b_j - a_j b_i; all other variables (q, T)
-    pass through untouched.
+
+def parametrize(expr, n: int) -> RationalFunction:
+    """Pull an expression in the p-variables back to the fan cluster chart.
+
+    Every p_{i,j} becomes the Laurent polynomial of the module docstring in
+    x_k = p_{k,n} and f_k = p_{k,k+1}.  These 2n - 3 coordinates are
+    algebraically independent and generate the function field of the cone
+    over Gr(2,n), whose dimension is 2n - 3, so the pull back is an
+    isomorphism of function fields: an identity holds modulo the Plucker
+    relations exactly when it holds after the pull back.
+
+    Other variables (q, T) pass through untouched.  A name of the chart's
+    form (x_k, f_k) would be captured by the pull back, and a p-variable
+    that is not a coordinate of Gr(2,n) has no pull back; both raise
+    ValueError.
     """
     f = as_rational(expr)
+    table = _fan_chart(n)
+    stray = [v for v in f.variables() if _CHART_NAME.fullmatch(v) and v not in table]
+    if stray:
+        raise ValueError(f"not a coordinate of Gr(2,{n}): {', '.join(stray)}")
     try:
-        return f.substitute(_generic_minors(n))
+        return f.substitute(table)
     except ZeroDivisionError:
         raise ValueError("expression undefined on the Grassmannian") from None
 
@@ -114,7 +151,11 @@ def sum_equal_mod_plucker(terms1, terms2, n: int) -> bool:
     Structurally equal terms on the two sides are cancelled before the
     pull back, and the survivors are combined over a single common
     denominator.  This avoids normalizing the full sums, which is much
-    larger work than the final zero test.
+    larger work than the final zero test.  Every caller in this package
+    passes terms whose pull backs are Laurent polynomials, so the common
+    denominator is a monomial, which the canonical form keeps in the
+    numerators, and nothing is multiplied out; a term with any other
+    denominator is still lifted over the common one.
     """
     count: Counter = Counter()
     for t in terms1:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .ladder import (
@@ -261,9 +262,16 @@ def rietsch_gr(n: int) -> Potential:
 
 
 @lru_cache(maxsize=None)
-def _restricted_terms(n: int, pair_set: frozenset) -> tuple[RationalFunction, ...]:
+def _pushed_torus_terms(n: int) -> Mapping[TermKey, RationalFunction]:
+    """The torus terms, with q for the quantum monomial, pushed into
+    Plucker ratios; built once per n and shared, hence read-only."""
     push = geometric_to_plucker(n, frozenset()).bindings
-    pushed = {key: t.substitute(push) for key, t in _torus_terms(n, _Q).items()}
+    return MappingProxyType({key: t.substitute(push) for key, t in _torus_terms(n, _Q).items()})
+
+
+@lru_cache(maxsize=None)
+def _restricted_terms(n: int, pair_set: frozenset) -> tuple[RationalFunction, ...]:
+    pushed = dict(_pushed_torus_terms(n))
     merged = []
     for i, _ in sorted(pair_set):
         b = n - i - 2

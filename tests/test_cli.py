@@ -202,6 +202,17 @@ def test_verify_rietsch_gr24(capsys):
     assert "floer-equals-homogeneous" in out
 
 
+@pytest.mark.deadline(20)
+def test_verify_rietsch_gr20_maximal_chart(capsys, deadline):
+    pairs = ";".join(f"{i},{i + 1}" for i in range(1, 19, 2))
+    code, out, _ = run(
+        capsys, ["verify", "rietsch", "--model", "gr", "--n", "20", "--pairs", pairs]
+    )
+    assert code == 0
+    assert "floer-equals-homogeneous" in out
+    assert "PASS" in out
+
+
 def test_verify_rietsch_og15(capsys):
     code, out, _ = run(capsys, ["verify", "rietsch", "--model", "og15"])
     assert code == 0

@@ -3,7 +3,6 @@
 import cmath
 import math
 import random
-import signal
 
 import pytest
 
@@ -106,20 +105,6 @@ def _cyclotomic(m):
         assert not any(quotient[:top])
         quotient = out
     return quotient
-
-
-@pytest.fixture
-def deadline():
-    """Turn a reduction that never terminates into a failure."""
-
-    def expire(signum, frame):
-        raise TimeoutError("the reduction did not terminate")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(30)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 9, 12, 15])

@@ -1,4 +1,5 @@
 """Tests for ladder diagrams, face classification, and pair sets."""
+import itertools
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -223,6 +224,26 @@ def test_index_sets_small():
 def test_index_sets_maximal_by_subset_definition(n):
     all_sets, maximal = index_sets(n)
     assert maximal == tuple(s for s in all_sets if not any(s < t for t in all_sets))
+
+
+def _index_sets_by_subset_scan(n):
+    """Reference: every subset of the consecutive pairs, by size, kept
+    when its pairs are disjoint."""
+    pairs = [(i, i + 1) for i in range(1, n - 2)]
+    all_sets, maximal = [], []
+    for k in range(len(pairs) + 1):
+        for combo in itertools.combinations(pairs, k):
+            used = {x for p in combo for x in p}
+            if len(used) == 2 * k:
+                all_sets.append(frozenset(combo))
+                if all(i in used or j in used for i, j in pairs):
+                    maximal.append(all_sets[-1])
+    return tuple(all_sets), tuple(maximal)
+
+
+@pytest.mark.parametrize("n", range(4, 15))
+def test_index_sets_match_the_subset_scan(n):
+    assert index_sets(n) == _index_sets_by_subset_scan(n)
 
 
 # mostly consecutive pairs near the valid range, some arbitrary ones

@@ -19,6 +19,7 @@ from lgmirror.plucker import (
     pvar,
     random_point,
 )
+from generic_minors import generic_minors
 from lgmirror.ladder import index_sets
 from lgmirror.rational import as_rational, parse
 
@@ -47,10 +48,42 @@ def test_all_relations_vanish_under_parametrize():
 
 
 def test_parametrize_single_coordinate():
-    f = parametrize(parse("p_1,2"), 4)
-    assert str(f) == "a1*b2 - a2*b1"
+    assert str(parametrize(parse("p_1,2"), 4)) == "f_1"
+    assert str(parametrize(parse("p_2,4"), 4)) == "x_2"
+    f = parametrize(parse("p_1,3"), 4)
+    assert f == parse("(x_3*f_1 + x_1*f_2)/x_2")
+    assert str(f) == "f_1*x_2^-1*x_3 + f_2*x_1*x_2^-1"
     g = parametrize(parse("p_1,3/p_2,3"), 4)
-    assert str(g) == "(a1*b3 - a3*b1)/(a2*b3 - a3*b2)"
+    assert g == parse("(x_3*f_1 + x_1*f_2)/(x_2*f_2)")
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_fan_chart_pulls_back_to_generic_minors(n):
+    # x_k = p_{k,n} and f_k = p_{k,k+1}, written as generic minors
+    minors = generic_minors(n)
+    chart = {f"x_{k}": minors[pvar(k, n)] for k in range(1, n)}
+    chart.update({f"f_{k}": minors[pvar(k, k + 1)] for k in range(1, n - 1)})
+    table = plucker._fan_chart(n)
+    assert set(table) == set(minors)
+    for name, value in table.items():
+        assert value.is_polynomial()
+        assert value.substitute(chart) == minors[name]
+
+
+def test_parametrize_rejects_names_it_would_capture():
+    # a chart coordinate is not a free variable: it would be captured
+    with pytest.raises(ValueError, match="not a coordinate"):
+        parametrize(parse("f_1"), 4)
+    with pytest.raises(ValueError, match="not a coordinate"):
+        equal_mod_plucker(parse("p_1,2"), parse("f_1"), 4)
+    # the generic minor is no longer the chart, so it stays free
+    assert not equal_mod_plucker(parse("p_1,2"), parse("a1*b2 - a2*b1"), 4)
+    # nor is a p-variable outside Gr(2,n)
+    for name in ("p_1,5", "p_3,2"):
+        with pytest.raises(ValueError, match="not a coordinate"):
+            parametrize(parse(name), 4)
+    assert parametrize(parse("p_1,5"), 5) == parse("x_1")
+    assert parametrize(parse("q*T*p_1,2"), 4) == parse("q*T*f_1")
 
 
 def test_parametrize_is_multiplicative():
@@ -275,14 +308,13 @@ def test_cyclic_pairs():
     assert cyclic_pairs(4) == ((1, 2), (2, 3), (3, 4), (1, 4))
 
 
-def test_generic_minors_are_built_once_per_n_and_read_only():
-    plucker._generic_minors.cache_clear()
-    first = plucker._generic_minors(6)
+def test_fan_chart_is_built_once_per_n_and_read_only():
+    plucker._fan_chart.cache_clear()
+    first = plucker._fan_chart(6)
     for _ in range(3):
         parametrize(parse("p_1,2*p_3,4/p_2,5"), 6)
-    info = plucker._generic_minors.cache_info()
+    info = plucker._fan_chart.cache_info()
     assert (info.misses, info.hits) == (1, 3)
-    assert plucker._generic_minors(6) is first
+    assert plucker._fan_chart(6) is first
     with pytest.raises(TypeError):
         first[pvar(1, 2)] = as_rational(0)
-

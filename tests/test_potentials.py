@@ -9,7 +9,12 @@ from lgmirror.atlas import gr_product_atlas
 from lgmirror.ladder import chart_coordinates, index_sets
 from lgmirror.novikov import novikov_expand
 from lgmirror import potentials
-from lgmirror.plucker import equal_mod_plucker, geometric_to_plucker, pvar
+from lgmirror.plucker import (
+    equal_mod_plucker,
+    geometric_to_plucker,
+    pvar,
+    sum_equal_mod_plucker,
+)
 from lgmirror.potentials import (
     Potential,
     gc_torus_potential,
@@ -29,6 +34,7 @@ from lgmirror.potentials import (
 from lgmirror.rational import as_rational, parse
 
 import gr24_hand_written
+from generic_minors import generic_sum_equal
 from gr24_hand_written import renamed
 
 
@@ -521,6 +527,35 @@ def test_restrict_chart_labels():
 )
 def test_identity_grassmannian(model, pairs):
     assert verify_rietsch_identity(model, pairs)
+
+
+def _identity_sides(n, pair_set):
+    """The two sides verify_rietsch_identity compares, in Plucker ratios."""
+    dic = geometric_to_plucker(n, pair_set)
+    floer = [t.substitute(dic.bindings) for t in immersed_terms(n, pair_set)]
+    t_n = parse(f"T^{n}")
+    target = [t.substitute({"q": t_n}) for t in restricted_terms(n, pair_set)]
+    return floer, target
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_fan_chart_and_generic_minors_agree_on_the_identity(n):
+    rietsch = potentials._rietsch_terms(n)
+    for pair_set in index_sets(n)[0]:
+        floer, target = _identity_sides(n, pair_set)
+        restricted = restricted_terms(n, pair_set)
+        for check in (sum_equal_mod_plucker, generic_sum_equal):
+            assert check(floer, target, n), (check.__name__, sorted(pair_set))
+            assert check(restricted, rietsch, n), (check.__name__, sorted(pair_set))
+
+
+@pytest.mark.parametrize("check", [sum_equal_mod_plucker, generic_sum_equal])
+@pytest.mark.parametrize("n", [6, 10, 16])
+def test_dropped_or_doubled_term_fails_on_both_routes(n, check):
+    maximal = frozenset((i, i + 1) for i in range(1, n - 1, 2))
+    floer, target = _identity_sides(n, maximal)
+    assert not check(floer, target[1:], n)
+    assert not check(floer + floer[-1:], target, n)
 
 
 def test_identity_quadric():
