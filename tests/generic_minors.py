@@ -3,9 +3,9 @@ Plucker pull back.
 
 lgmirror.plucker pulls identities back to the fan cluster chart.  This
 module pulls them back along p_{i,j} = a_i b_j - a_j b_i instead, which is
-onto the cone of decomposable tensors, and sums the lifted numerators over
-the product of the denominators that survive.  It shares no table with the
-chart, so the two routes can check each other.
+onto the cone of decomposable tensors, sums the terms that share a
+denominator, and lifts those sums over their common denominator.  It
+shares no table with the chart, so the two routes can check each other.
 """
 from collections import Counter
 from functools import lru_cache

@@ -19,9 +19,10 @@ from lgmirror.plucker import (
     pvar,
     random_point,
 )
-from generic_minors import generic_minors
 from lgmirror.ladder import index_sets
 from lgmirror.rational import as_rational, parse
+
+from generic_minors import generic_minors
 
 
 def test_relation_shape():
