@@ -3,7 +3,10 @@ set, composition, cocycle and potential-transport checks, and the gauge
 family at the node.
 
 Bindings always send target-chart coordinates to source-chart expressions,
-so a potential on the target pulls back along a transition by substitution.
+so a potential on the target pulls back along a transition by substitution,
+term by term.  Transport holds when the pulled-back terms minus the source
+chart's terms sum to zero (``rational.sum_is_zero``): shared terms cancel
+unchanged, and only the rest are lifted over a common denominator.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .potentials import (
     og_bridge,
     og_potentials,
 )
-from .rational import RationalFunction, as_rational, parse
+from .rational import RationalFunction, as_rational, parse, sum_is_zero
 from .report import Report, Verdict
 
 
@@ -199,15 +202,16 @@ def verify_cocycle(a: Atlas) -> Report:
 
 
 def verify_potential_transport(a: Atlas) -> Report:
-    """Each potential, pulled back along a transition, must equal the
-    potential already living on the source chart."""
+    """Each potential, pulled back along a transition term by term, must
+    sum to the potential already living on the source chart."""
     verdicts = []
     for t in a.transitions:
         ws = a.potentials.get(t.source)
         wt = a.potentials.get(t.target)
         if ws is None or wt is None:
             continue
-        ok = wt.expr.substitute(t.bindings).equal(ws.expr)
+        pulled = wt.substitute_terms(t.bindings)
+        ok = sum_is_zero([(w, 1) for w in pulled] + [(w, -1) for w in ws.terms])
         verdicts.append(
             Verdict(
                 f"transport {t.source}->{t.target}",
@@ -320,9 +324,7 @@ def conjugate_chart(
     potentials = dict(a.potentials)
     if chart_name in potentials:
         p = potentials[chart_name]
-        potentials[chart_name] = Potential(
-            p.expr.substitute(forward.bindings), p.chart, p.variables, p.model
-        )
+        potentials[chart_name] = replace(p, terms=p.substitute_terms(forward.bindings))
     return Atlas(f"{a.name}/regauged", a.charts, tuple(new_transitions), potentials)
 
 
@@ -355,7 +357,8 @@ def gr24_atlas(flip_sign: bool = False) -> Atlas:
     a = gr_product_atlas(4)
     if flip_sign:
         p = a.potentials["chekanov[1,2]"]
-        a.potentials["chekanov[1,2]"] = replace(p, expr=p.expr - parse("2*y1_1"))
+        terms = [-t if t == parse("y1_1") else t for t in p.terms]
+        a.potentials["chekanov[1,2]"] = replace(p, terms=terms)
     return a
 
 
@@ -418,27 +421,24 @@ def gr_product_atlas(n: int) -> Atlas:
     maximal pair set, the three chart types glued to each other and, via
     the clifford type, to the torus chart."""
     pair_sets = sorted(index_sets(n)[1], key=sorted)
-    torus_potential = gc_torus_potential(n)
+    torus = gc_torus_potential(n)
     charts = [product_charts(n, frozenset())["torus"]]
     transitions: list[Transition] = []
-    potentials = {"torus": torus_potential}
-    model = f"gr(2,{n})"
+    potentials = {"torus": torus}
     for ps in pair_sets:
         named = product_charts(n, ps)
-        charts += [named["immersed"], named["chekanov"], named["clifford"]]
-        transitions += [
-            product_transition(n, ps, pair) for pair in sorted(_SLOT_MAPS)
-        ]
-        l2_to_torus = product_transition(n, ps, ("clifford", "torus"))
-        w_l2 = torus_potential.expr.substitute(l2_to_torus.bindings)
-        l1_to_l0 = product_transition(n, ps, ("chekanov", "immersed"))
-        w_l0 = immersed_potential(n, ps)
-        w_l1 = w_l0.expr.substitute(l1_to_l0.bindings)
-        potentials[named["immersed"].name] = w_l0
-        potentials[named["chekanov"].name] = Potential(
-            w_l1, named["chekanov"].name, named["chekanov"].variables, model
-        )
-        potentials[named["clifford"].name] = Potential(
-            w_l2, named["clifford"].name, named["clifford"].variables, model
-        )
+        transitions += [product_transition(n, ps, pair) for pair in sorted(_SLOT_MAPS)]
+        immersed = immersed_potential(n, ps)
+        into_immersed = product_transition(n, ps, ("chekanov", "immersed")).bindings
+        into_torus = product_transition(n, ps, ("clifford", "torus")).bindings
+        # the other two potentials are pulled back term by term
+        pulled = {
+            "immersed": immersed.terms,
+            "chekanov": immersed.substitute_terms(into_immersed),
+            "clifford": torus.substitute_terms(into_torus),
+        }
+        for kind, w in pulled.items():
+            chart = named[kind]
+            charts.append(chart)
+            potentials[chart.name] = Potential(w, chart.name, chart.variables, torus.model)
     return Atlas(f"gr(2,{n})-tree", tuple(charts), tuple(transitions), potentials)

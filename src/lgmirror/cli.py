@@ -12,6 +12,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from .atlas import (
     gr_product_atlas,
@@ -43,7 +44,6 @@ from .plucker import covering_certificate, covering_check, geometric_to_plucker
 from .polytope import _is_tight, satisfies
 from .potentials import (
     immersed_potential,
-    immersed_terms,
     og_potentials,
     rietsch_gr,
     verify_rietsch_identity,
@@ -164,7 +164,7 @@ def run_potential(args) -> tuple[RunReport, list[str]]:
         n = args.n
         pot = immersed_potential(n, args.pairs)
         expected_terms = (3 * n - 6) - 2 * len(args.pairs)
-        count = len(immersed_terms(n, args.pairs))
+        count = len(pot.terms)
         verdicts = [
             Verdict(
                 "term-count",
@@ -445,7 +445,9 @@ def check_model(args) -> None:
     raise CliError(f"{problem}; {name} serves {', '.join(models)}")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared."""
     parser = argparse.ArgumentParser(
         prog="lgmirror",
         description="Exact toolkit for the mirror charts, potentials and "

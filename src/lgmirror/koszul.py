@@ -263,7 +263,7 @@ def gr24_koszul() -> KoszulData:
     s for an adjoined root s of s^2 + 1."""
     p = immersed_potential(4, {(1, 2)})
     return center_decompose(
-        replace(p, expr=p.expr.substitute({"T": 1})),
+        replace(p, terms=p.substitute_terms({"T": 1})),
         {"u1": 0, "v1": 0, "z1_1": parse("-s"), "z2_2": parse("s")},
         adjoined=parse("s^2 + 1").num,
     )

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,7 +45,7 @@ from .ladder import (
     slot_coordinates,
 )
 from .laurent import LaurentPoly
-from .rational import RationalFunction, as_rational, over_common_denominator
+from .rational import RationalFunction, as_rational, sum_is_zero
 
 Pair = tuple[int, int]
 
@@ -110,10 +109,6 @@ def _fan_chart(n: int) -> Mapping[str, RationalFunction]:
     return MappingProxyType(out)
 
 
-# names of the chart's coordinates and of the p-variables, at any n
-_CHART_NAME = re.compile(r"[xf]_\d+|p_\d+,\d+")
-
-
 def parametrize(expr, n: int) -> RationalFunction:
     """Pull an expression in the p-variables back to the fan cluster chart.
 
@@ -124,14 +119,15 @@ def parametrize(expr, n: int) -> RationalFunction:
     isomorphism of function fields: an identity holds modulo the Plucker
     relations exactly when it holds after the pull back.
 
-    Other variables (q, T) pass through untouched.  A name of the chart's
-    form (x_k, f_k) would be captured by the pull back, and a p-variable
-    that is not a coordinate of Gr(2,n) has no pull back; both raise
-    ValueError.
+    Only the quantum names q and T pass through untouched.  Any other name
+    that is not a coordinate of Gr(2,n) raises ValueError: a name of the
+    chart's form (x_k, f_k) would be captured by the pull back, and any
+    other free name would make the verdict one about a different function
+    field.
     """
     f = as_rational(expr)
     table = _fan_chart(n)
-    stray = [v for v in f.variables() if _CHART_NAME.fullmatch(v) and v not in table]
+    stray = [v for v in f.variables() if v not in table and v not in ("q", "T")]
     if stray:
         raise ValueError(f"not a coordinate of Gr(2,{n}): {', '.join(stray)}")
     try:
@@ -148,26 +144,14 @@ def equal_mod_plucker(e1, e2, n: int) -> bool:
 def sum_equal_mod_plucker(terms1, terms2, n: int) -> bool:
     """Equality of two term sums as functions on the minor cone.
 
-    Structurally equal terms on the two sides are cancelled before the
-    pull back, and the survivors are combined over a single common
-    denominator.  This avoids normalizing the full sums, which is much
-    larger work than the final zero test.  Every caller in this package
-    passes terms whose pull backs are Laurent polynomials, so the common
-    denominator is a monomial, which the canonical form keeps in the
-    numerators, and nothing is multiplied out; a term with any other
-    denominator is still lifted over the common one.
+    Structurally equal terms on the two sides cancel before the pull back,
+    so only the survivors are parametrized, and ``sum_is_zero`` decides
+    their signed sum.  In this package every survivor pulls back to a
+    Laurent polynomial, so nothing is multiplied out.
     """
-    count: Counter = Counter()
-    for t in terms1:
-        count[as_rational(t)] += 1
-    for t in terms2:
-        count[as_rational(t)] -= 1
-    parts = [(parametrize(t, n), m) for t, m in count.items() if m]
-    _, numerators = over_common_denominator([p for p, _ in parts])
-    total = LaurentPoly((), {})
-    for num, (_, mult) in zip(numerators, parts):
-        total = total + num.scale(mult)
-    return total.is_zero()
+    count = Counter(map(as_rational, terms1))
+    count.subtract(map(as_rational, terms2))
+    return sum_is_zero((parametrize(t, n), m) for t, m in count.items() if m)
 
 
 # -- the geometric dictionaries ------------------------------------------

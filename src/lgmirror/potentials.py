@@ -1,5 +1,10 @@
 """Superpotential constructors.
 
+A potential is its tuple of terms, one per disk class; identities between
+potentials are decided on the term lists by ``rational.sum_is_zero``.  The
+summed function ``Potential.expr`` is built on first use, only where a whole
+sum is needed: the critical-point system, the Koszul centring, the printout.
+
 The torus potential is a Laurent polynomial in the ladder variables with
 one term per key: ("row1", j) is z1_{j+1}/z1_j, ("row2", j) is
 z2_{j+1}/z2_j and ("rung", j) is z1_j/z2_j, where z1_{n-1} stands for the
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -42,7 +47,7 @@ from .ladder import (
     slot_coordinates,
 )
 from .plucker import geometric_to_plucker, pvar, sum_equal_mod_plucker
-from .rational import RationalFunction, parse
+from .rational import RationalFunction, as_rational, parse, sum_is_zero
 
 Pair = tuple[int, int]
 TermKey = tuple[str, int]  # ("row1" | "row2" | "rung", column)
@@ -53,26 +58,32 @@ _ONE = RationalFunction.constant(1)
 
 @dataclass(frozen=True)
 class Potential:
-    """A superpotential, tagged with its chart and declared variables."""
+    """A superpotential: its terms, its chart and its declared variables."""
 
-    expr: RationalFunction
+    terms: tuple[RationalFunction, ...]
     chart: str
     variables: tuple[str, ...]
     model: str
 
     def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(map(as_rational, self.terms)))
         object.__setattr__(self, "variables", tuple(self.variables))
-        allowed = set(self.variables) | {"T", "q"}
-        stray = [v for v in self.expr.variables() if v not in allowed]
+        stray = sorted(_names(self.terms) - set(self.variables) - {"T", "q"})
         if stray:
             raise ValueError(f"undeclared variables in potential: {stray}")
 
+    @cached_property
+    def expr(self) -> RationalFunction:
+        """The sum of the terms, built on first use."""
+        return sum(self.terms, RationalFunction.constant(0))
 
-def _sum(terms) -> RationalFunction:
-    total = RationalFunction.constant(0)
-    for t in terms:
-        total = total + t
-    return total
+    def substitute_terms(self, bindings) -> tuple[RationalFunction, ...]:
+        """The terms with the bindings substituted, one term at a time."""
+        return tuple(t.substitute(bindings) for t in self.terms)
+
+
+def _names(terms) -> set[str]:
+    return {v for t in terms for v in t.variables()}
 
 
 # -- torus and surgered potentials ----------------------------------------
@@ -102,16 +113,11 @@ def _torus_terms(n: int, quantum: RationalFunction) -> dict[TermKey, RationalFun
     return terms
 
 
-def torus_terms(n: int) -> list[RationalFunction]:
-    """The Laurent monomials of the torus potential, in display order."""
-    check_size(n)
-    return list(_torus_terms(n, _T**n).values())
-
-
 def gc_torus_potential(n: int) -> Potential:
-    """Disk potential of the monotone torus fiber: one term per facet."""
+    """Disk potential of the monotone torus fiber: one Laurent monomial per
+    facet, in display order."""
     chart, variables = chart_coordinates(n, frozenset(), "torus")
-    return Potential(_sum(torus_terms(n)), chart, variables, f"gr(2,{n})")
+    return Potential(_torus_terms(n, _T**n).values(), chart, variables, f"gr(2,{n})")
 
 
 def _pair_keys(i: int) -> tuple[TermKey, ...]:
@@ -135,7 +141,10 @@ def _inserted_terms(n: int, i: int, quantum) -> list[RationalFunction]:
     ]
 
 
-def _surgered_terms(n: int, pair_set, quantum) -> list[RationalFunction]:
+def immersed_terms(n: int, pair_set) -> list[RationalFunction]:
+    """Terms of the surgered potential for one admissible set of pairs."""
+    pair_set = check_pair_set(n, pair_set)
+    quantum = _T**n
     terms = _torus_terms(n, quantum)
     inserted = []
     for i, _ in sorted(pair_set):
@@ -145,16 +154,10 @@ def _surgered_terms(n: int, pair_set, quantum) -> list[RationalFunction]:
     return list(terms.values()) + inserted
 
 
-def immersed_terms(n: int, pair_set) -> list[RationalFunction]:
-    """Terms of the surgered potential for one admissible set of pairs."""
-    pair_set = check_pair_set(n, pair_set)
-    return _surgered_terms(n, pair_set, _T**n)
-
-
 def immersed_potential(n: int, pair_set) -> Potential:
     """Disk potential of the immersed Lagrangian selected by the pair set."""
     chart, variables = chart_coordinates(n, pair_set, "immersed")
-    return Potential(_sum(immersed_terms(n, pair_set)), chart, variables, f"gr(2,{n})")
+    return Potential(immersed_terms(n, pair_set), chart, variables, f"gr(2,{n})")
 
 
 # -- the quadric charts ----------------------------------------------------
@@ -174,34 +177,34 @@ def og_potentials() -> OgPotentials:
     five = "og(1,5)"
     return OgPotentials(
         immersed=Potential(
-            parse("v + v*z0 + u^2/(z0*(u*v - 1))"), "immersed", ("u", "v", "z0"), five
+            ("v", "v*z0", "u^2/(z0*(u*v - 1))"), "immersed", ("u", "v", "z0"), five
         ),
         chekanov=Potential(
-            parse("1/y1 + x1/y1 + z1/y1 + x1*z1/y1 + y1^2/(x1*z1)"),
+            ("1/y1", "x1/y1", "z1/y1", "x1*z1/y1", "y1^2/(x1*z1)"),
             "chekanov",
             ("x1", "y1", "z1"),
             five,
         ),
         clifford=Potential(
-            parse("1/y2 + z2/y2 + y2^2*(x2 + 1)^2/(x2*z2)"),
+            ("1/y2", "z2/y2", "y2^2*(x2 + 1)^2/(x2*z2)"),
             "clifford",
             ("x2", "y2", "z2"),
             five,
         ),
         toric_fiber=Potential(
-            parse("1/y1_3 + y1_3/y1_2 + (y1_2/y1_1)*(1 + y1_1)^2"),
+            ("1/y1_3", "y1_3/y1_2", "(y1_2/y1_1)*(1 + y1_1)^2"),
             "toric-fiber",
             ("y1_1", "y1_2", "y1_3"),
             five,
         ),
         rietsch=Potential(
-            parse("p1/p0 + p2^2/(p1*p2 - p0*p3) + q*p1/p3"),
+            ("p1/p0", "p2^2/(p1*p2 - p0*p3)", "q*p1/p3"),
             "plucker",
             ("p0", "p1", "p2", "p3"),
             five,
         ),
         og14=Potential(
-            parse("(y1_2/y1_1)*(1 + y1_1)^2"),
+            ("(y1_2/y1_1)*(1 + y1_1)^2",),
             "wallcrossed",
             ("y1_1", "y1_2"),
             "og(1,4)",
@@ -256,9 +259,8 @@ def rietsch_gr(n: int) -> Potential:
     """Quantum-period superpotential in homogeneous coordinates; all
     denominators are frozen variables."""
     terms = _rietsch_terms(n)
-    expr = _sum(terms)
-    variables = tuple(v for v in expr.variables() if v != "q")
-    return Potential(expr, "plucker", variables, f"gr(2,{n})")
+    variables = tuple(sorted(_names(terms) - {"q"}))
+    return Potential(terms, "plucker", variables, f"gr(2,{n})")
 
 
 @lru_cache(maxsize=None)
@@ -299,10 +301,9 @@ def rietsch_restrict(n: int, pair_set) -> Potential:
     terms = _restricted_terms(n, pair_set)
     if not _restricted_checked(n, pair_set):
         raise RuntimeError("cleared potential disagrees with the homogeneous one")
-    expr = _sum(terms)
     base = chart_coordinates(n, pair_set, "immersed")[0]
-    variables = tuple(v for v in expr.variables() if v != "q")
-    return Potential(expr, f"plucker:{base}", variables, f"gr(2,{n})")
+    variables = tuple(sorted(_names(terms) - {"q"}))
+    return Potential(terms, f"plucker:{base}", variables, f"gr(2,{n})")
 
 
 def restricted_terms(n: int, pair_set) -> list[RationalFunction]:
@@ -319,7 +320,7 @@ def valuation_adjust(p: Potential, tmap: Mapping[str, int]) -> Potential:
     bindings = {
         name: _T ** int(k) * RationalFunction.var(name) for name, k in tmap.items()
     }
-    return Potential(p.expr.substitute(bindings), p.chart, p.variables, p.model)
+    return Potential(p.substitute_terms(bindings), p.chart, p.variables, p.model)
 
 
 def staircase_tmap(n: int, pair_set=frozenset()) -> dict[str, int]:
@@ -369,6 +370,7 @@ def verify_rietsch_identity(model: str, pair_set=frozenset()) -> bool:
         )
     if kind == "og15":
         og = og_potentials()
-        floer = og.immersed.expr.substitute(og15_recovery_bindings())
-        return floer.equal(og.rietsch.expr.substitute({"q": _ONE}))
+        floer = og.immersed.substitute_terms(og15_recovery_bindings())
+        target = og.rietsch.substitute_terms({"q": _ONE})
+        return sum_is_zero([(t, 1) for t in floer] + [(t, -1) for t in target])
     raise ValueError(f"no homogeneous-coordinate identity for model {model!r}")

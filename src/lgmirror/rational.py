@@ -30,8 +30,9 @@ the pass keeps that true), so the two are coprime and the gcd would be 1.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .laurent import LaurentPoly, coeff_quotient, format_poly, tokenize
 
@@ -215,12 +216,8 @@ class RationalFunction:
     # -- the contract operations ------------------------------------------
 
     def equal(self, other) -> bool:
-        """Exact value equality, decided by cross-multiplication."""
-        other = as_rational(other)
-        if self == other:
-            return True
-        _, (left, right) = over_common_denominator((self, other))
-        return (left - right).is_zero()
+        """Exact value equality: the difference sums to zero."""
+        return sum_is_zero(((self, 1), (other, -1)))
 
     def substitute(self, bindings: Mapping[str, object]) -> "RationalFunction":
         """Simultaneously replace variables; unbound variables pass through."""
@@ -288,6 +285,21 @@ def over_common_denominator(parts: Sequence[RationalFunction]):
             if k not in lcm or lcm[k][1] < m:
                 lcm[k] = (f, m)
     return tuple(lcm.values()), (_lifted(p, lcm) for p in parts)
+
+
+def sum_is_zero(signed: Iterable[tuple[object, int]]) -> bool:
+    """Whether the sum of m*t over the (t, m) pairs is zero, exactly.
+    Structurally equal terms merge first; the survivors' numerators are
+    lifted over the LCM of their denominators and summed."""
+    count: Counter = Counter()
+    for t, m in signed:
+        count[as_rational(t)] += m
+    parts = [(t, m) for t, m in count.items() if m]
+    _, numerators = over_common_denominator([t for t, _ in parts])
+    total = LaurentPoly((), {})
+    for num, (_, m) in zip(numerators, parts):
+        total = total + (num if m == 1 else num.scale(m))
+    return total.is_zero()
 
 
 def _lifted(p: RationalFunction, lcm: dict) -> LaurentPoly:

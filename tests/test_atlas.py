@@ -27,8 +27,8 @@ from lgmirror.atlas import (
 )
 from lgmirror.ladder import index_sets
 from lgmirror.plucker import geometric_to_plucker
-from lgmirror.potentials import immersed_potential
-from lgmirror.rational import RationalFunction, parse
+from lgmirror.potentials import gc_torus_potential, immersed_potential, immersed_terms
+from lgmirror.rational import RationalFunction, over_common_denominator, parse
 
 from gr24_hand_written import renamed_transitions
 
@@ -330,3 +330,95 @@ def test_atlas_validation():
     with pytest.raises(ValueError):
         Chart("a", ("u", "u"))
     Atlas("x", (u_chart, v_chart), (ok,))
+
+
+# -- potentials as term lists, against the whole-sum route ------------------
+
+
+def _eager_sum(terms):
+    total = RationalFunction.constant(0)
+    for t in terms:
+        total = total + t
+    return total
+
+
+def _cross_multiplied_equal(f, g):
+    # the whole-sum equality test: both sides over one common denominator
+    _, (left, right) = over_common_denominator((f, g))
+    return (left - right).is_zero()
+
+
+def _whole_sum_potentials(n):
+    """Every chart potential of the gr(2,n) tree built the old way: sum the
+    terms, then substitute the whole sum."""
+    torus = _eager_sum(gc_torus_potential(n).terms)
+    out = {"torus": torus}
+    for ps in index_sets(n)[1]:
+        named = product_charts(n, ps)
+        immersed = _eager_sum(immersed_terms(n, ps))
+        into_immersed = product_transition(n, ps, ("chekanov", "immersed"))
+        into_torus = product_transition(n, ps, ("clifford", "torus"))
+        out[named["immersed"].name] = immersed
+        out[named["chekanov"].name] = immersed.substitute(into_immersed.bindings)
+        out[named["clifford"].name] = torus.substitute(into_torus.bindings)
+    return out
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_lazy_sum_matches_the_whole_sum_route(n):
+    a = gr_product_atlas(n)
+    old = _whole_sum_potentials(n)
+    assert set(a.potentials) == set(old)
+    for name, pot in a.potentials.items():
+        # structural equality: the critical-point systems read this form
+        assert pot.expr == old[name], name
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_transport_verdicts_match_the_whole_sum_route(n):
+    a = gr_product_atlas(n)
+    old = _whole_sum_potentials(n)
+    report = verify_potential_transport(a)
+    expected = [
+        (f"transport {t.source}->{t.target}",
+         _cross_multiplied_equal(old[t.target].substitute(t.bindings), old[t.source]))
+        for t in a.transitions
+    ]
+    assert [(v.name, v.passed) for v in report.verdicts] == expected
+    assert len(expected) == 8 * len(index_sets(n)[1])
+
+
+def _flip_first(terms):
+    return (-terms[0],) + terms[1:]
+
+
+def _drop_last(terms):
+    return terms[:-1]
+
+
+@pytest.mark.parametrize("n", [6, 10])
+@pytest.mark.parametrize(
+    "kind, corrupt", [("chekanov", _flip_first), ("clifford", _drop_last)]
+)
+def test_corrupted_term_fails_exactly_the_transports_of_its_chart(n, kind, corrupt):
+    a = gr_product_atlas(n)
+    ps = sorted(index_sets(n)[1], key=sorted)[-1]
+    name = product_charts(n, ps)[kind].name
+    pot = a.potentials[name]
+    a.potentials[name] = replace(pot, terms=corrupt(pot.terms))
+    failed = {v.name for v in verify_potential_transport(a).failures()}
+    touching = {
+        f"transport {t.source}->{t.target}"
+        for t in a.transitions
+        if name in (t.source, t.target)
+    }
+    assert failed == touching
+    assert len(touching) == {"chekanov": 4, "clifford": 6}[kind]
+
+
+def test_flipped_sign_negates_one_term():
+    plain = gr24_atlas().potentials["chekanov[1,2]"]
+    flipped = gr24_atlas(flip_sign=True).potentials["chekanov[1,2]"]
+    changed = [(s, t) for s, t in zip(plain.terms, flipped.terms) if s != t]
+    assert changed == [(parse("y1_1"), parse("-y1_1"))]
+    assert flipped.expr == plain.expr - parse("2*y1_1")

@@ -1,10 +1,13 @@
 """Command line behavior: exit codes, text output, JSON reports."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from lgmirror import critical
+from lgmirror import cli, critical
 from lgmirror.cli import main, parse_pairs
 
 
@@ -37,6 +40,23 @@ def test_missing_subcommand_is_an_argparse_error():
 def test_bad_pairs_flag_is_an_argparse_error():
     with pytest.raises(SystemExit):
         main(["charts", "--n", "4", "--pairs", "nope"])
+
+
+def test_parser_is_built_once_and_not_at_import(capsys):
+    cli.build_parser.cache_clear()
+    argv = ["potential", "--model", "gr", "--n", "5", "--pairs", "1,2"]
+    first = run(capsys, argv)
+    second = run(capsys, argv)
+    assert cli.build_parser.cache_info().misses == 1
+    assert first == second
+    assert first[0] == 0 and "term-count" in first[1]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = "import lgmirror.cli as c; print(c.build_parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0"
 
 
 def test_missing_n_reports_cli_error(capsys):
@@ -233,6 +253,13 @@ def test_verify_transport_product_atlas(capsys):
     code, out, _ = run(capsys, ["verify", "transport", "--model", "gr", "--n", "6"])
     assert code == 0
     assert "transport" in out
+
+
+@pytest.mark.deadline(20)
+def test_verify_transport_gr13(capsys, deadline):
+    code, out, _ = run(capsys, ["verify", "transport", "--model", "gr", "--n", "13"])
+    assert code == 0
+    assert "ok: 128/128 checks" in out
 
 
 @pytest.mark.parametrize("check", ["cocycle", "transport"])

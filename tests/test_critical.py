@@ -137,7 +137,7 @@ def test_verify_known_reports_pass(name):
 
 
 def toy(expr, *variables):
-    return Potential(parse(expr), "toy", tuple(variables), "toy")
+    return Potential([parse(expr)], "toy", tuple(variables), "toy")
 
 
 def test_monomial_denominator_roots():

@@ -18,6 +18,7 @@ from lgmirror.plucker import (
     plucker_relation,
     pvar,
     random_point,
+    sum_equal_mod_plucker,
 )
 from lgmirror.ladder import index_sets
 from lgmirror.rational import as_rational, parse
@@ -77,14 +78,25 @@ def test_parametrize_rejects_names_it_would_capture():
         parametrize(parse("f_1"), 4)
     with pytest.raises(ValueError, match="not a coordinate"):
         equal_mod_plucker(parse("p_1,2"), parse("f_1"), 4)
-    # the generic minor is no longer the chart, so it stays free
-    assert not equal_mod_plucker(parse("p_1,2"), parse("a1*b2 - a2*b1"), 4)
+    # nor is any other free name, the generic minor's entries included
+    with pytest.raises(ValueError, match="not a coordinate"):
+        equal_mod_plucker(parse("p_1,2"), parse("a1*b2 - a2*b1"), 4)
     # nor is a p-variable outside Gr(2,n)
     for name in ("p_1,5", "p_3,2"):
         with pytest.raises(ValueError, match="not a coordinate"):
             parametrize(parse(name), 4)
     assert parametrize(parse("p_1,5"), 5) == parse("x_1")
     assert parametrize(parse("q*T*p_1,2"), 4) == parse("q*T*f_1")
+
+
+def test_parametrize_passes_only_the_quantum_names():
+    # a holonomy left unbound by a chart dictionary is not a Plucker function
+    for text in ("z1_2*p_1,2", "u1", "p_1,2 + y"):
+        with pytest.raises(ValueError, match="not a coordinate of Gr"):
+            parametrize(parse(text), 4)
+    with pytest.raises(ValueError, match="z1_2"):
+        sum_equal_mod_plucker([parse("z1_2*p_1,2")], [parse("p_1,2")], 4)
+    assert parametrize(parse("q/T^4 + p_2,4"), 4) == parse("q/T^4 + x_2")
 
 
 def test_parametrize_is_multiplicative():

@@ -27,7 +27,6 @@ from lgmirror.potentials import (
     rietsch_gr,
     rietsch_restrict,
     staircase_tmap,
-    torus_terms,
     valuation_adjust,
     verify_rietsch_identity,
 )
@@ -40,6 +39,10 @@ from gr24_hand_written import renamed
 
 def multiset(terms):
     return Counter(as_rational(t) for t in terms)
+
+
+def torus_terms(n):
+    return list(gc_torus_potential(n).terms)
 
 
 def msum(terms):
@@ -222,7 +225,7 @@ def test_smoothing_bridge_matches_torus():
     # the second smoothing sits inside the torus chart: rescaling its
     # coordinates by their T-depths turns one potential into the other
     clifford = Potential(
-        parse(gr24_hand_written.POTENTIALS["clifford"]),
+        [parse(gr24_hand_written.POTENTIALS["clifford"])],
         "clifford",
         ("x2", "y2", "z2", "w2"),
         "gr(2,4)",
@@ -632,9 +635,10 @@ def test_valuation_adjust_roundtrip():
 
 def test_potential_rejects_stray_variables():
     with pytest.raises(ValueError):
-        Potential(parse("a + b"), "chart", ("a",), "model")
+        Potential([parse("a"), parse("b")], "chart", ("a",), "model")
 
 
 def test_potential_coerces_variable_list():
-    p = Potential(parse("a"), "chart", ["a"], "model")
+    p = Potential([parse("a")], "chart", ["a"], "model")
     assert p.variables == ("a",)
+    assert p.terms == (parse("a"),)
