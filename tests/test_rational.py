@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lgmirror.laurent import LaurentPoly
-from lgmirror.rational import RationalFunction, _is_irreducible, as_rational, parse, poly_gcd
+from lgmirror.rational import (
+    RationalFunction,
+    _is_irreducible,
+    as_rational,
+    parse,
+    poly_gcd,
+    sum_is_zero,
+)
 
 
 def test_partial_fraction_identity():
@@ -212,3 +219,15 @@ def test_constant_arithmetic_matches_fractions(a, b, d):
     y = RationalFunction.constant(b)
     assert (x + y).equal(RationalFunction.constant(Fraction(a, d) + b))
     assert (x * y).equal(RationalFunction.constant(Fraction(a, d) * b))
+
+
+def test_sum_is_zero_on_signed_term_lists():
+    assert sum_is_zero([])
+    assert sum_is_zero([(parse("x/y"), 2), ("x/y", -1), (parse("x/y"), -1)])
+    # the zero test needs the lift: no two terms are structurally equal
+    partial_fractions = [("1/(x - 1)", 1), ("1/(x + 1)", 1), ("2*x/(x^2 - 1)", -1)]
+    assert sum_is_zero(partial_fractions)
+    assert not sum_is_zero(partial_fractions[:2])
+    assert not sum_is_zero([("x", 2), ("x", -1)])
+    assert not sum_is_zero([("1/(x - 1)", 1), ("1/(x - 1)", 1), ("2/(x - 1)", 1)])
+    assert sum_is_zero([("1/(x - 1)", 2), ("2/(x - 1)", -1)])
