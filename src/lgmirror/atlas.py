@@ -2,23 +2,33 @@
 set, composition, cocycle and potential-transport checks, and the gauge
 family at the node.
 
-Bindings always send target-chart coordinates to source-chart expressions,
-so a potential on the target pulls back along a transition by substitution,
-term by term.  Transport holds when the pulled-back terms minus the source
-chart's terms sum to zero (``rational.sum_is_zero``): shared terms cancel
+A transition binds only the target coordinates it changes, each to a
+source-chart expression.  Every other target coordinate is the source
+coordinate of the same name: ``RationalFunction.substitute`` passes unbound
+names through, so a product transition is just its slot maps at the selected
+slots and leaves the torus factor alone.  A potential on the target pulls
+back along a transition by substitution, term by term.  Transport holds when
+the pulled-back terms minus the source chart's terms sum to zero
+(``rational.sum_is_zero``): terms the transition leaves alone cancel
 unchanged, and only the rest are lifted over a common denominator.
+
+The wall crossings at one node are one table of slot maps, ``_SLOT_MAPS``.
+It is parsed once per process, on first use, into shared read-only
+transitions; the local model, the quadric and every product chart of
+gr(2,n) instantiate it through ``_wall_crossing``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
+from types import MappingProxyType
 from typing import Mapping
 
 from .ladder import (
     CHART_KINDS,
     chart_coordinates,
     check_pair_set,
-    holonomies,
     index_sets,
     slot_coordinates,
 )
@@ -53,28 +63,35 @@ class Transition:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "bindings", {k: as_rational(v) for k, v in self.bindings.items()}
+            self,
+            "bindings",
+            MappingProxyType({k: as_rational(v) for k, v in self.bindings.items()}),
         )
         object.__setattr__(
             self, "constraints", tuple(as_rational(c) for c in self.constraints)
         )
 
-
-def identity_transition(chart: Chart) -> Transition:
-    return Transition(
-        chart.name,
-        chart.name,
-        {v: RationalFunction.var(v) for v in chart.variables},
-    )
+    def image(self, name: str) -> RationalFunction:
+        """Target coordinate ``name`` as a source expression; an unbound
+        coordinate is the source coordinate of the same name."""
+        bound = self.bindings.get(name)
+        return RationalFunction.var(name) if bound is None else bound
 
 
-def compose(t1: Transition, t2: Transition) -> Transition:
-    """The transition following t1 by t2; t1 must land where t2 starts."""
+def compose(t1: Transition, t2: Transition, variables: tuple[str, ...]) -> Transition:
+    """The transition following t1 by t2; t1 must land where t2 starts.
+    ``variables`` are the coordinates of t2's target chart, and the result
+    binds those that either transition moves, so no coordinate of the middle
+    chart is left behind."""
     if t1.target != t2.source:
         raise ValueError(
             f"cannot compose {t1.source}->{t1.target} with {t2.source}->{t2.target}"
         )
-    bindings = {name: expr.substitute(t1.bindings) for name, expr in t2.bindings.items()}
+    bindings = {
+        name: t2.image(name).substitute(t1.bindings)
+        for name in variables
+        if name in t2.bindings or name in t1.bindings
+    }
     constraints = list(t1.constraints)
     seen = {str(c) for c in constraints}
     for c in t2.constraints:
@@ -85,13 +102,6 @@ def compose(t1: Transition, t2: Transition) -> Transition:
             seen.add(str(pulled))
             constraints.append(pulled)
     return Transition(t1.source, t2.target, bindings, tuple(constraints))
-
-
-def extend_identity(t: Transition, extra: tuple[str, ...]) -> Transition:
-    bindings = dict(t.bindings)
-    for v in extra:
-        bindings[v] = RationalFunction.var(v)
-    return Transition(t.source, t.target, bindings, t.constraints)
 
 
 @dataclass
@@ -118,20 +128,24 @@ class Atlas:
                 raise ValueError(f"duplicate transition {t.source}->{t.target}")
             edges.add((t.source, t.target))
             target_vars = set(by_name[t.target].variables)
-            if set(t.bindings) != target_vars:
-                raise ValueError(
-                    f"bindings of {t.source}->{t.target} do not cover the target chart"
-                )
             source_vars = set(by_name[t.source].variables)
+            stray = sorted(set(t.bindings) - target_vars)
+            if stray:
+                raise ValueError(f"{t.source}->{t.target} binds {stray} off the target chart")
+            # an unbound target coordinate passes through from the source
+            missing = sorted(target_vars - set(t.bindings) - source_vars)
+            if missing:
+                raise ValueError(f"{t.source}->{t.target} leaves {missing} unbound")
             for name, expr in t.bindings.items():
-                stray = set(expr.variables()) - source_vars
+                stray = sorted(set(expr.variables()) - source_vars)
                 if stray:
-                    raise ValueError(
-                        f"binding {name} of {t.source}->{t.target} uses {sorted(stray)}"
-                    )
-        for chart_name in self.potentials:
-            if chart_name not in by_name:
+                    raise ValueError(f"binding {name} of {t.source}->{t.target} uses {stray}")
+        for chart_name, potential in self.potentials.items():
+            chart = by_name.get(chart_name)
+            if chart is None:
                 raise ValueError(f"potential attached to unknown chart {chart_name!r}")
+            if (potential.chart, potential.variables) != (chart.name, chart.variables):
+                raise ValueError(f"potential on {chart_name!r} does not live on that chart")
         self._by_name = by_name
         self._edges = {(t.source, t.target): t for t in self.transitions}
         if names:
@@ -163,12 +177,9 @@ def verify_cocycle(a: Atlas) -> Report:
     verdicts = []
     for (s, t), forward in sorted(a._edges.items()):
         if s < t and (t, s) in a._edges:
-            loop = compose(forward, a._edges[(t, s)])
-            bad = [
-                v
-                for v in a.chart(s).variables
-                if not loop.bindings[v].equal(RationalFunction.var(v))
-            ]
+            variables = a.chart(s).variables
+            loop = compose(forward, a._edges[(t, s)], variables)
+            bad = [v for v in variables if not loop.image(v).equal(RationalFunction.var(v))]
             verdicts.append(
                 Verdict(
                     f"roundtrip {s}<->{t}",
@@ -183,12 +194,9 @@ def verify_cocycle(a: Atlas) -> Report:
             direct = a._edges.get((s1, end))
             if direct is None:
                 continue
-            comp = compose(t1, t2)
-            bad = [
-                v
-                for v in sorted(direct.bindings)
-                if not comp.bindings[v].equal(direct.bindings[v])
-            ]
+            variables = a.chart(end).variables
+            comp = compose(t1, t2, variables)
+            bad = [v for v in sorted(variables) if not comp.image(v).equal(direct.image(v))]
             verdicts.append(
                 Verdict(
                     f"triangle {s1}->{mid}->{end}",
@@ -246,49 +254,34 @@ _SLOT_MAPS = {
 _NODE_EDGES = tuple(_SLOT_MAPS)[:6]
 
 
-def _slot_map(source: str, target: str) -> Transition:
-    bindings, guards = _SLOT_MAPS[(source, target)]
-    return Transition(
-        source,
-        target,
-        {name: parse(expr) for name, expr in bindings.items()},
-        tuple(parse(g) for g in guards),
-    )
+@cache
+def _slot_maps() -> dict[tuple[str, str], Transition]:
+    """``_SLOT_MAPS`` parsed into transitions, once per process."""
+    return {
+        (s, t): Transition(
+            s, t, {k: parse(e) for k, e in bindings.items()}, tuple(map(parse, guards))
+        )
+        for (s, t), (bindings, guards) in _SLOT_MAPS.items()
+    }
 
 
-def _renamed(
-    t: Transition, source_names: Mapping[str, str], target_names: Mapping[str, str]
+def _wall_crossing(
+    edge: tuple[str, str], source: str, target: str, slots, moved=()
 ) -> Transition:
-    return Transition(
-        t.source,
-        t.target,
-        {target_names.get(k, k): e.rename(source_names) for k, e in t.bindings.items()},
-        tuple(c.rename(source_names) for c in t.constraints),
-    )
-
-
-def local_transitions() -> list[Transition]:
-    """The three canonical maps among the node chart and its smoothings."""
-    return [_slot_map(*edge) for edge in _NODE_EDGES[0::2]]
-
-
-def _local_inverses() -> list[Transition]:
-    return [_slot_map(*edge) for edge in _NODE_EDGES[1::2]]
-
-
-def _node_transitions(holonomies: tuple[str, ...]) -> tuple[Transition, ...]:
-    """The six node wall crossings of a local atlas, each map followed by its
-    inverse.  The holonomy coordinates ride along unchanged; each chart
-    suffixes them with its index (0 immersed, 1 chekanov, 2 clifford)."""
-    index = {"immersed": "0", "chekanov": "1", "clifford": "2"}
-
-    def named(chart: str) -> dict[str, str]:
-        return {h: h + index[chart] for h in holonomies}
-
-    return tuple(
-        _renamed(extend_identity(_slot_map(s, t), holonomies), named(s), named(t))
-        for s, t in _NODE_EDGES
-    )
+    """The slot map of ``edge`` at every slot at once, from chart ``source``
+    to chart ``target``.  Each slot is a renaming of the one-slot
+    coordinates; the empty renaming shares the parsed map.  Each pair
+    (new, old) of ``moved`` binds a target coordinate that only changes
+    name."""
+    slot = _slot_maps()[edge]
+    bindings: dict[str, RationalFunction] = {}
+    guards: list[RationalFunction] = []
+    for names in slots:
+        for k, e in slot.bindings.items():
+            bindings[names.get(k, k)] = e.rename(names) if names else e
+        guards += [c.rename(names) if names else c for c in slot.constraints]
+    bindings.update((new, RationalFunction.var(old)) for new, old in moved)
+    return Transition(source, target, bindings, tuple(guards))
 
 
 def gauge_automorphism(k: int) -> Transition:
@@ -302,32 +295,6 @@ def gauge_automorphism(k: int) -> Transition:
     return Transition("immersed", "immersed", bindings, (scale,) if k else ())
 
 
-def conjugate_chart(
-    a: Atlas, chart_name: str, forward: Transition, backward: Transition
-) -> Atlas:
-    """Reparametrize one chart by an invertible self-map.
-
-    ``forward`` writes the old coordinates in terms of the new ones (so the
-    chart's potential pulls back through it); ``backward`` is its inverse.
-    """
-    for t in (forward, backward):
-        if t.source != chart_name or t.target != chart_name:
-            raise ValueError("self-map does not live on the named chart")
-    new_transitions = []
-    for t in a.transitions:
-        if t.source == chart_name:
-            new_transitions.append(compose(forward, t))
-        elif t.target == chart_name:
-            new_transitions.append(compose(t, backward))
-        else:
-            new_transitions.append(t)
-    potentials = dict(a.potentials)
-    if chart_name in potentials:
-        p = potentials[chart_name]
-        potentials[chart_name] = replace(p, terms=p.substitute_terms(forward.bindings))
-    return Atlas(f"{a.name}/regauged", a.charts, tuple(new_transitions), potentials)
-
-
 def local_model_atlas(perturb_cocycle: bool = False) -> Atlas:
     """Two-variable charts around the node; no potentials attached.
 
@@ -339,11 +306,12 @@ def local_model_atlas(perturb_cocycle: bool = False) -> Atlas:
         Chart("chekanov", ("x1", "y1")),
         Chart("clifford", ("x2", "y2")),
     )
-    transitions = local_transitions() + _local_inverses()
+    transitions = [_wall_crossing(edge, *edge, [{}]) for edge in _NODE_EDGES]
     if perturb_cocycle:
-        t = transitions[2]
+        k = _NODE_EDGES.index(("clifford", "chekanov"))
+        t = transitions[k]
         bindings = dict(t.bindings, y1=t.bindings["y1"] * parse("1 + x2"))
-        transitions[2] = Transition(t.source, t.target, bindings, t.constraints)
+        transitions[k] = replace(t, bindings=bindings)
     return Atlas("local-model", charts, tuple(transitions))
 
 
@@ -368,9 +336,13 @@ def og15_atlas() -> Atlas:
     og = og_potentials()
     potentials = {p.chart: p for p in (og.immersed, og.chekanov, og.clifford, og.toric_fiber)}
     charts = tuple(Chart(p.chart, p.variables) for p in potentials.values())
-    bridge = og_bridge()
-    transitions = _node_transitions(("z",)) + (
-        Transition("toric-fiber", "clifford", dict(bridge)),
+    # each chart suffixes the holonomy z with its index: 0 immersed,
+    # 1 chekanov, 2 clifford; a node wall crossing renames it
+    z = {"immersed": "z0", "chekanov": "z1", "clifford": "z2"}
+    transitions = tuple(
+        _wall_crossing((s, t), s, t, [{}], [(z[t], z[s])]) for s, t in _NODE_EDGES
+    ) + (
+        Transition("toric-fiber", "clifford", og_bridge()),
         Transition(
             "clifford",
             "toric-fiber",
@@ -389,31 +361,24 @@ def product_charts(n: int, pair_set) -> dict:
 
 
 def product_transition(n: int, pair_set, pair) -> Transition:
-    """Wall crossing between two of the chart types over one pair set,
-    acting on each selected slot at once and fixing the shared holonomies.
+    """Wall crossing between two of the chart types over one pair set: the
+    slot map at each selected slot at once.  The holonomies the two charts
+    share pass through unbound.
 
     ``pair`` is (source kind, target kind); the slot maps invert by
     back-substitution, so both directions are available.
     """
     pair_set = check_pair_set(n, pair_set)
-    source_kind, target_kind = pair
+    edge = tuple(pair)
     if not pair_set:
-        if source_kind != "torus" or target_kind != "torus":
+        if edge != ("torus", "torus"):
             raise ValueError("only the torus chart exists over the empty pair set")
-        return identity_transition(product_charts(n, pair_set)["torus"])
-    if (source_kind, target_kind) not in _SLOT_MAPS:
+        return Transition("torus", "torus", {})
+    if edge not in _SLOT_MAPS:
         raise ValueError(f"unsupported chart pair: {pair!r}")
-    bindings: dict[str, RationalFunction] = {}
-    constraints: list[RationalFunction] = []
-    for i, _ in sorted(pair_set):
-        names = slot_coordinates(i)
-        slot = _renamed(_slot_map(source_kind, target_kind), names, names)
-        bindings.update(slot.bindings)
-        constraints += slot.constraints
-    source = chart_coordinates(n, pair_set, source_kind)[0]
-    target = chart_coordinates(n, pair_set, target_kind)[0]
-    t = Transition(source, target, bindings, tuple(constraints))
-    return extend_identity(t, holonomies(n, pair_set))
+    source, target = (chart_coordinates(n, pair_set, kind)[0] for kind in edge)
+    slots = [slot_coordinates(i) for i, _ in sorted(pair_set)]
+    return _wall_crossing(edge, source, target, slots)
 
 
 def gr_product_atlas(n: int) -> Atlas:
@@ -427,15 +392,14 @@ def gr_product_atlas(n: int) -> Atlas:
     potentials = {"torus": torus}
     for ps in pair_sets:
         named = product_charts(n, ps)
-        transitions += [product_transition(n, ps, pair) for pair in sorted(_SLOT_MAPS)]
+        crossings = {edge: product_transition(n, ps, edge) for edge in sorted(_SLOT_MAPS)}
+        transitions += crossings.values()
         immersed = immersed_potential(n, ps)
-        into_immersed = product_transition(n, ps, ("chekanov", "immersed")).bindings
-        into_torus = product_transition(n, ps, ("clifford", "torus")).bindings
         # the other two potentials are pulled back term by term
         pulled = {
             "immersed": immersed.terms,
-            "chekanov": immersed.substitute_terms(into_immersed),
-            "clifford": torus.substitute_terms(into_torus),
+            "chekanov": immersed.substitute_terms(crossings["chekanov", "immersed"].bindings),
+            "clifford": torus.substitute_terms(crossings["clifford", "torus"].bindings),
         }
         for kind, w in pulled.items():
             chart = named[kind]

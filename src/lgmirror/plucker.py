@@ -210,6 +210,31 @@ def geometric_to_plucker(n: int, pair_set: frozenset) -> ChartDictionary:
 # -- points ---------------------------------------------------------------
 
 
+class _Minors(Mapping):
+    """The 2x2 minors p_{i,j}, i < j, of two coordinate rows, each computed
+    on first read; iterating computes them all."""
+
+    def __init__(self, top, bottom):
+        self.top, self.bottom = tuple(top), tuple(bottom)
+        self._known: dict[Pair, object] = {}
+
+    def __getitem__(self, pair: Pair):
+        got = self._known.get(pair)
+        if got is None:
+            i, j = pair
+            if not 1 <= i < j <= len(self.top):
+                raise KeyError(pair)
+            a, b = self.top, self.bottom
+            got = self._known[pair] = a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1]
+        return got
+
+    def __iter__(self):
+        return itertools.combinations(range(1, len(self.top) + 1), 2)
+
+    def __len__(self) -> int:
+        return len(self.top) * (len(self.top) - 1) // 2
+
+
 @dataclass(frozen=True)
 class GrassmannPoint:
     """A plane through the origin, recorded by its minors.
@@ -219,7 +244,7 @@ class GrassmannPoint:
     """
 
     n: int
-    values: dict[Pair, object] = field(compare=False)
+    values: _Minors = field(compare=False)
 
     NUMERIC_TOL = 1e-10
 
@@ -227,16 +252,14 @@ class GrassmannPoint:
     def from_vectors(cls, n, top, bottom) -> "GrassmannPoint":
         if len(top) != n or len(bottom) != n:
             raise ValueError("need two coordinate rows of length n")
-        vals = {}
-        for i, j in itertools.combinations(range(1, n + 1), 2):
-            vals[(i, j)] = top[i - 1] * bottom[j - 1] - top[j - 1] * bottom[i - 1]
-        pt = cls(n, vals)
+        pt = cls(n, _Minors(top, bottom))
         if not pt.in_open_part():
             raise ValueError("point lies on the forbidden divisor")
         return pt
 
     def is_exact(self) -> bool:
-        return all(isinstance(v, (Fraction, int)) for v in self.values.values())
+        # the minors are exact exactly when both rows are
+        return all(isinstance(v, (Fraction, int)) for v in self.values.top + self.values.bottom)
 
     def scale(self) -> float:
         return max(abs(complex(v)) for v in self.values.values())

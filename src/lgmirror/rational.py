@@ -220,8 +220,11 @@ class RationalFunction:
         return sum_is_zero(((self, 1), (other, -1)))
 
     def substitute(self, bindings: Mapping[str, object]) -> "RationalFunction":
-        """Simultaneously replace variables; unbound variables pass through."""
+        """Simultaneously replace variables; unbound variables pass through,
+        and a function with no bound variable comes back as itself."""
         vals = {name: as_rational(v) for name, v in bindings.items()}
+        if vals.keys().isdisjoint(self.variables()):
+            return self
         out = _substitute_poly(self.num, vals)
         for f, m in self.factors:
             out = out / _substitute_poly(f, vals) ** m

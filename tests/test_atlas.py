@@ -1,33 +1,38 @@
 """Chart gluing: transitions, atlases, cocycle and transport checks."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
+from lgmirror import atlas as atlas_module
 from lgmirror.atlas import (
     Atlas,
     Chart,
     Transition,
+    _SLOT_MAPS,
     compose,
-    conjugate_chart,
-    extend_identity,
     gauge_automorphism,
     gr24_atlas,
     gr_product_atlas,
-    identity_transition,
     local_model_atlas,
-    local_transitions,
-    _local_inverses,
-    _renamed,
     og15_atlas,
     product_charts,
     product_transition,
     verify_cocycle,
     verify_potential_transport,
 )
-from lgmirror.ladder import index_sets
+from lgmirror.ladder import index_sets, slot_coordinates
 from lgmirror.plucker import geometric_to_plucker
-from lgmirror.potentials import gc_torus_potential, immersed_potential, immersed_terms
+from lgmirror.potentials import (
+    Potential,
+    gc_torus_potential,
+    immersed_potential,
+    immersed_terms,
+)
 from lgmirror.rational import RationalFunction, over_common_denominator, parse
 
 from gr24_hand_written import renamed_transitions
@@ -38,11 +43,33 @@ def tree6():
     return gr_product_atlas(6)
 
 
+@lru_cache(maxsize=None)
+def _tree(n):
+    # shared by the tests that only read the atlas
+    return gr_product_atlas(n)
+
+
+def _canonical_maps():
+    """The three canonical maps among the node chart and its smoothings."""
+    a = local_model_atlas()
+    return [a.transition(*edge) for edge in _SLOT_MAPS if edge[0] == "immersed"] + [
+        a.transition("clifford", "chekanov")
+    ]
+
+
+def _inverse_maps():
+    a = local_model_atlas()
+    return [a.transition(t.target, t.source) for t in _canonical_maps()]
+
+
+_NODE_VARIABLES = {"immersed": ("u", "v"), "chekanov": ("x1", "y1"), "clifford": ("x2", "y2")}
+
+
 # -- the node wall crossings ----------------------------------------------
 
 
 def test_local_transitions_canonical():
-    t01, t02, t21 = local_transitions()
+    t01, t02, t21 = _canonical_maps()
     assert (t01.source, t01.target) == ("immersed", "chekanov")
     assert t01.bindings["x1"].equal(parse("u*v - 1"))
     assert t01.bindings["y1"].equal(parse("u"))
@@ -53,36 +80,41 @@ def test_local_transitions_canonical():
 
 def test_degenerate_slice_hits_minus_one():
     # collapsing the second node coordinate pins the first chart coordinate
-    t01 = local_transitions()[0]
+    t01 = _canonical_maps()[0]
     assert t01.bindings["x1"].substitute({"v": 0}).equal(parse("-1"))
 
 
 def test_uv_is_a_shared_function():
-    i20 = _local_inverses()[1]
+    i20 = _inverse_maps()[1]
     pulled = parse("u*v").substitute(i20.bindings)
     assert pulled.equal(parse("1 + x2"))
 
 
 def test_compose_with_identity():
-    t01 = local_transitions()[0]
-    chart = Chart("immersed", ("u", "v"))
-    left = compose(identity_transition(chart), t01)
+    t01 = _canonical_maps()[0]
+    # the identity binds nothing: every coordinate passes through
+    identity = Transition("immersed", "immersed", {})
+    left = compose(identity, t01, _NODE_VARIABLES["chekanov"])
+    assert set(left.bindings) == set(t01.bindings)
     assert all(left.bindings[k].equal(v) for k, v in t01.bindings.items())
 
 
 def test_compose_rejects_mismatched_charts():
-    t01, t02, _ = local_transitions()
+    t01, t02, _ = _canonical_maps()
     with pytest.raises(ValueError):
-        compose(t01, t02)
+        compose(t01, t02, _NODE_VARIABLES["clifford"])
 
 
 def test_composed_wall_crossing_matches_declared():
-    t01, t02, t21 = local_transitions()
-    i10, i20, i12 = _local_inverses()
-    via_node = compose(i10, t02)
+    t01, t02, t21 = _canonical_maps()
+    i10, i20, i12 = _inverse_maps()
+    via_node = compose(i10, t02, _NODE_VARIABLES["clifford"])
     assert (via_node.source, via_node.target) == ("chekanov", "clifford")
+    # no coordinate of the middle chart is left in the composite
+    assert set(via_node.bindings) == set(i12.bindings)
     assert all(via_node.bindings[k].equal(v) for k, v in i12.bindings.items())
-    other_way = compose(i20, t01)
+    other_way = compose(i20, t01, _NODE_VARIABLES["chekanov"])
+    assert set(other_way.bindings) == set(t21.bindings)
     assert all(other_way.bindings[k].equal(v) for k, v in t21.bindings.items())
 
 
@@ -161,17 +193,20 @@ _HAND_WRITTEN_OG15 = [
 )
 def test_generated_transitions_match_hand_written(atlas, hand_written):
     # the torus chart of gr(2,4) was never written out by hand
+    a = atlas()
     transitions = {
         (t.source, t.target): t
-        for t in atlas().transitions
+        for t in a.transitions
         if "torus" not in (t.source, t.target)
     }
     assert sorted(transitions) == sorted((s, t) for s, t, _, _ in hand_written)
     for source, target, bindings, guards in hand_written:
         t = transitions[(source, target)]
-        assert set(t.bindings) == set(bindings)
-        for name, text in bindings.items():
-            assert t.bindings[name].equal(parse(text)), (t.source, t.target, name)
+        # every target coordinate, an unbound one read as the source
+        # coordinate of the same name, on both sides
+        for name in a.chart(target).variables:
+            expected = parse(bindings.get(name, name))
+            assert t.image(name).equal(expected), (t.source, t.target, name)
         assert len(t.constraints) == len(guards)
         for c, text in zip(t.constraints, guards):
             assert c.equal(parse(text))
@@ -223,10 +258,13 @@ def test_product_transition_bindings_n4():
 
 def test_product_transition_shares_holonomies():
     t = product_transition(6, {(2, 3)}, ("immersed", "chekanov"))
-    for z in ("z1_1", "z1_2", "z1_4", "z2_1", "z2_3", "z2_4"):
-        assert t.bindings[z].equal(RationalFunction.var(z))
-    assert t.bindings["x2_1"].equal(parse("u2*v2 - 1"))
-    assert t.bindings["y2_1"].equal(parse("u2"))
+    expected = {"x2_1": "u2*v2 - 1", "y2_1": "u2"}
+    target = product_charts(6, {(2, 3)})["chekanov"].variables
+    assert set(target) == set(expected) | {"z1_1", "z1_2", "z1_4", "z2_1", "z2_3", "z2_4"}
+    # every target coordinate, an unbound one read as the source
+    # coordinate of the same name
+    for name in target:
+        assert t.image(name).equal(parse(expected.get(name, name))), name
 
 
 def test_product_transition_double_pair_acts_on_both_slots():
@@ -238,7 +276,9 @@ def test_product_transition_double_pair_acts_on_both_slots():
 def test_product_transition_empty_set_is_identity():
     t = product_transition(5, frozenset(), ("torus", "torus"))
     assert t.source == t.target == "torus"
-    assert all(expr.equal(RationalFunction.var(name)) for name, expr in t.bindings.items())
+    variables = product_charts(5, frozenset())["torus"].variables
+    assert all(t.image(name).equal(RationalFunction.var(name)) for name in variables)
+    assert not t.bindings
 
 
 def test_product_transition_rejects_bad_input():
@@ -283,17 +323,48 @@ def test_gauge_preserves_uv(k):
 
 @pytest.mark.parametrize("k", [-3, -1, 2, 3])
 def test_gauge_inverse_composition(k):
-    loop = compose(gauge_automorphism(k), gauge_automorphism(-k))
+    loop = compose(gauge_automorphism(k), gauge_automorphism(-k), ("u", "v"))
     assert loop.bindings["u"].equal(parse("u"))
     assert loop.bindings["v"].equal(parse("v"))
 
 
+def conjugate_chart(
+    a: Atlas, chart_name: str, forward: Transition, backward: Transition
+) -> Atlas:
+    """Reparametrize one chart by an invertible self-map.
+
+    ``forward`` writes the old coordinates in terms of the new ones (so the
+    chart's potential pulls back through it); ``backward`` is its inverse.
+    """
+    for t in (forward, backward):
+        if t.source != chart_name or t.target != chart_name:
+            raise ValueError("self-map does not live on the named chart")
+    new_transitions = []
+    for t in a.transitions:
+        variables = a.chart(t.target).variables
+        if t.source == chart_name:
+            new_transitions.append(compose(forward, t, variables))
+        elif t.target == chart_name:
+            new_transitions.append(compose(t, backward, variables))
+        else:
+            new_transitions.append(t)
+    potentials = dict(a.potentials)
+    if chart_name in potentials:
+        p = potentials[chart_name]
+        potentials[chart_name] = replace(p, terms=p.substitute_terms(forward.bindings))
+    return Atlas(f"{a.name}/regauged", a.charts, tuple(new_transitions), potentials)
+
+
 def _on_gr24_node_chart(t: Transition) -> Transition:
-    """A self-map of the local node chart, moved to immersed[1,2] of gr(2,4)
-    and extended by the identity on its holonomies."""
+    """A self-map of the local node chart, moved to immersed[1,2] of gr(2,4);
+    its holonomies pass through."""
     names = {"u": "u1", "v": "v1"}
-    moved = replace(_renamed(t, names, names), source="immersed[1,2]", target="immersed[1,2]")
-    return extend_identity(moved, ("z1_1", "z2_2"))
+    return Transition(
+        "immersed[1,2]",
+        "immersed[1,2]",
+        {names[k]: e.rename(names) for k, e in t.bindings.items()},
+        tuple(c.rename(names) for c in t.constraints),
+    )
 
 
 @pytest.mark.parametrize("k", [-2, 1, 3])
@@ -330,6 +401,121 @@ def test_atlas_validation():
     with pytest.raises(ValueError):
         Chart("a", ("u", "u"))
     Atlas("x", (u_chart, v_chart), (ok,))
+
+
+def test_atlas_validation_with_pass_through():
+    a_chart = Chart("a", ("u", "z"))
+    b_chart = Chart("b", ("v", "z"))
+    # z is a coordinate of both charts, so it passes through unbound
+    Atlas("x", (a_chart, b_chart), (Transition("a", "b", {"v": parse("u")}),))
+    with pytest.raises(ValueError, match="off the target chart"):
+        Atlas("x", (a_chart, b_chart), (Transition("a", "b", {"v": parse("u"), "u": parse("z")}),))
+    with pytest.raises(ValueError, match="unbound"):
+        Atlas("x", (a_chart, b_chart), (Transition("a", "b", {"z": parse("u")}),))
+    with pytest.raises(ValueError, match="uses"):
+        Atlas("x", (a_chart, b_chart), (Transition("a", "b", {"v": parse("v")}),))
+
+
+def test_atlas_rejects_a_potential_off_its_chart():
+    u_chart = Chart("a", ("u",))
+    v_chart = Chart("b", ("v",))
+    edge = (Transition("a", "b", {"v": parse("u")}),)
+    Atlas("x", (u_chart, v_chart), edge, {"a": Potential(("u",), "a", ("u",), "m")})
+    with pytest.raises(ValueError, match="does not live on that chart"):
+        Atlas("x", (u_chart, v_chart), edge, {"a": Potential(("w",), "b", ("w",), "m")})
+    with pytest.raises(ValueError, match="does not live on that chart"):
+        Atlas("x", (u_chart, v_chart), edge, {"a": Potential(("v",), "b", ("v",), "m")})
+    with pytest.raises(ValueError, match="does not live on that chart"):
+        Atlas("x", (u_chart, v_chart), edge, {"a": Potential(("u",), "a", ("u", "w"), "m")})
+
+
+# -- transitions bind only what they change ---------------------------------
+
+# the target coordinates a wall crossing moves at one slot, by target kind:
+# the kind's slot coordinates, or on the torus the two traded holonomies
+_MOVED = {"immersed": ("u", "v"), "chekanov": ("x1", "y1"), "clifford": ("x2", "y2"),
+          "torus": ("zb", "wa")}
+
+
+_ATLASES = {
+    **{f"gr(2,{n})": (lambda n=n: _tree(n)) for n in range(4, 11)},
+    "og15": og15_atlas,
+    "local": local_model_atlas,
+}
+
+
+@pytest.mark.parametrize("model", list(_ATLASES))
+def test_no_binding_maps_a_name_to_itself(model):
+    for t in _ATLASES[model]().transitions:
+        for name, expr in t.bindings.items():
+            assert not expr.equal(RationalFunction.var(name)), (t.source, t.target, name)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_product_transitions_bind_only_their_slot_coordinates(n):
+    a = _tree(n)
+    for ps in index_sets(n)[1]:
+        named = product_charts(n, ps)
+        for source, target in _SLOT_MAPS:
+            t = a.transition(named[source].name, named[target].name)
+            moved = {slot_coordinates(i)[k] for i, _ in ps for k in _MOVED[target]}
+            assert set(t.bindings) == moved, (t.source, t.target)
+    assert len(a.transitions) == 8 * len(index_sets(n)[1])
+
+
+def test_two_builds_parse_the_slot_maps_once(monkeypatch):
+    parsed = []
+    real = atlas_module.parse
+    monkeypatch.setattr(atlas_module, "parse", lambda text: parsed.append(text) or real(text))
+    atlas_module._slot_maps.cache_clear()
+    first, second = gr_product_atlas(8), gr_product_atlas(8)
+    table = [e for bindings, guards in _SLOT_MAPS.values() for e in (*bindings.values(), *guards)]
+    assert sorted(parsed) == sorted(table)
+    assert atlas_module._slot_maps.cache_info().misses == 1
+    assert [t.bindings for t in first.transitions] == [t.bindings for t in second.transitions]
+
+
+def test_slot_maps_are_not_parsed_at_import():
+    src = os.path.dirname(os.path.dirname(atlas_module.__file__))
+    probe = "import lgmirror.cli, lgmirror.atlas as a; print(a._slot_maps.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0"
+
+
+def test_parsed_slot_maps_are_read_only():
+    t = local_model_atlas().transition("immersed", "chekanov")
+    with pytest.raises(TypeError):
+        t.bindings["x1"] = parse("u")
+
+
+def _uses(verdict: str, edge: tuple[str, str]) -> bool:
+    """Whether a cocycle verdict composes or compares along ``edge``."""
+    kind, path = verdict.split(" ", 1)
+    if kind == "roundtrip":
+        s, t = path.split("<->")
+        return edge in {(s, t), (t, s)}
+    s, mid, end = path.split("->")
+    return edge in {(s, mid), (mid, end), (s, end)}
+
+
+@pytest.mark.parametrize("n", [6, 10])
+@pytest.mark.parametrize("edge, moved", [(("chekanov", "immersed"), "u"), (("clifford", "torus"), "zb")])
+def test_altered_slot_binding_fails_exactly_the_cocycle_verdicts_of_its_transition(n, edge, moved):
+    a = _tree(n)
+    ps = sorted(index_sets(n)[1], key=sorted)[-1]
+    named = product_charts(n, ps)
+    key = (named[edge[0]].name, named[edge[1]].name)
+    t = a.transition(*key)
+    name = slot_coordinates(max(ps)[0])[moved]
+    altered = replace(t, bindings=dict(t.bindings, **{name: t.bindings[name] * 2}))
+    transitions = [altered if (u.source, u.target) == key else u for u in a.transitions]
+    report = verify_cocycle(Atlas(a.name, a.charts, transitions, a.potentials))
+    touching = {v.name for v in report.verdicts if _uses(v.name, key)}
+    assert {v.name for v in report.failures()} == touching
+    assert len(touching) == {"chekanov": 4, "clifford": 1}[edge[0]]
 
 
 # -- potentials as term lists, against the whole-sum route ------------------

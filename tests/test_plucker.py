@@ -175,6 +175,26 @@ def test_random_point_exact_and_deterministic():
     assert random_point(5, 43).values != pt.values
 
 
+@pytest.mark.parametrize("n", [5, 7, 12, 20])
+def test_membership_reads_only_the_minors_it_needs(n):
+    pt = random_point(n, 42)
+    for m in index_sets(n)[1]:
+        chart_membership(pt, m)
+    # the n cyclic minors and p_{k,n} for 2 <= k <= n-2
+    assert len(pt.values._known) == 2 * n - 3
+    top, bottom = pt.values.top, pt.values.bottom
+    eager = {
+        (i, j): top[i - 1] * bottom[j - 1] - top[j - 1] * bottom[i - 1]
+        for i, j in itertools.combinations(range(1, n + 1), 2)
+    }
+    assert dict(pt.values) == eager
+    assert len(pt.values) == len(eager)
+    with pytest.raises(KeyError):
+        pt.values[(2, 1)]
+    with pytest.raises(KeyError):
+        pt.values[(1, n + 1)]
+
+
 @pytest.mark.parametrize("n,on_torus", [(4, 4), (5, 10), (6, 6), (7, 21), (8, 16)])
 def test_vandermonde_points_in_charts(n, on_torus):
     # rows (zeta_a^(k-1)) and (zeta_b^(k-1)) over the roots of zeta^n = -1;
