@@ -32,7 +32,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -210,41 +210,18 @@ def geometric_to_plucker(n: int, pair_set: frozenset) -> ChartDictionary:
 # -- points ---------------------------------------------------------------
 
 
-class _Minors(Mapping):
-    """The 2x2 minors p_{i,j}, i < j, of two coordinate rows, each computed
-    on first read; iterating computes them all."""
-
-    def __init__(self, top, bottom):
-        self.top, self.bottom = tuple(top), tuple(bottom)
-        self._known: dict[Pair, object] = {}
-
-    def __getitem__(self, pair: Pair):
-        got = self._known.get(pair)
-        if got is None:
-            i, j = pair
-            if not 1 <= i < j <= len(self.top):
-                raise KeyError(pair)
-            a, b = self.top, self.bottom
-            got = self._known[pair] = a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1]
-        return got
-
-    def __iter__(self):
-        return itertools.combinations(range(1, len(self.top) + 1), 2)
-
-    def __len__(self) -> int:
-        return len(self.top) * (len(self.top) - 1) // 2
-
-
 @dataclass(frozen=True)
 class GrassmannPoint:
-    """A plane through the origin, recorded by its minors.
+    """A plane through the origin, spanned by two coordinate rows and
+    recorded by their minors, each computed when read.
 
     Exact points carry Fractions and satisfy the relations identically;
     numeric points carry complex values, checked to double precision.
     """
 
     n: int
-    values: _Minors = field(compare=False)
+    top: tuple = field(compare=False)
+    bottom: tuple = field(compare=False)
 
     NUMERIC_TOL = 1e-10
 
@@ -252,23 +229,32 @@ class GrassmannPoint:
     def from_vectors(cls, n, top, bottom) -> "GrassmannPoint":
         if len(top) != n or len(bottom) != n:
             raise ValueError("need two coordinate rows of length n")
-        pt = cls(n, _Minors(top, bottom))
+        pt = cls(n, tuple(top), tuple(bottom))
         if not pt.in_open_part():
             raise ValueError("point lies on the forbidden divisor")
         return pt
 
+    def minor(self, i: int, j: int):
+        a, b = self.top, self.bottom
+        return a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1]
+
+    @cached_property
+    def values(self) -> dict[Pair, object]:
+        """Every minor p_{i,j}, i < j, built on first use."""
+        return {p: self.minor(*p) for p in itertools.combinations(range(1, self.n + 1), 2)}
+
     def is_exact(self) -> bool:
         # the minors are exact exactly when both rows are
-        return all(isinstance(v, (Fraction, int)) for v in self.values.top + self.values.bottom)
+        return all(isinstance(v, (Fraction, int)) for v in self.top + self.bottom)
 
     def scale(self) -> float:
         return max(abs(complex(v)) for v in self.values.values())
 
     def in_open_part(self) -> bool:
         if self.is_exact():
-            return all(self.values[p] != 0 for p in cyclic_pairs(self.n))
+            return all(self.minor(*p) != 0 for p in cyclic_pairs(self.n))
         tol = self.NUMERIC_TOL * max(self.scale(), 1.0)
-        return all(abs(complex(self.values[p])) > tol for p in cyclic_pairs(self.n))
+        return all(abs(complex(self.minor(*p))) > tol for p in cyclic_pairs(self.n))
 
     def relation_defects(self):
         for quad in itertools.combinations(range(1, self.n + 1), 4):
@@ -332,7 +318,7 @@ def chart_membership(pt: GrassmannPoint, pair_set: frozenset) -> bool:
             return abs(complex(v)) > tol
 
     return all(
-        nonzero(pt.values[(n - i - 1, n)])
+        nonzero(pt.minor(n - i - 1, n))
         for i in range(1, n - 2)
         if i not in chosen
     )
@@ -381,7 +367,7 @@ def covering_check(n: int, num_samples: int, seed: int) -> CoveringReport:
     for k in range(2, n - 1):
         pt = _degenerate_point(n, {k})
         checked += 1
-        if pt.values[(k, n)] != 0:
+        if pt.minor(k, n) != 0:
             raise RuntimeError(f"engineered point does not vanish at p_{k},{n}")
         if not any(chart_membership(pt, m) for m in maximal):
             degenerate_failures.append(pt.as_dict())

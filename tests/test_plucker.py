@@ -176,23 +176,26 @@ def test_random_point_exact_and_deterministic():
 
 
 @pytest.mark.parametrize("n", [5, 7, 12, 20])
-def test_membership_reads_only_the_minors_it_needs(n):
+def test_membership_reads_minors_without_building_them_all(n):
     pt = random_point(n, 42)
-    for m in index_sets(n)[1]:
-        chart_membership(pt, m)
-    # the n cyclic minors and p_{k,n} for 2 <= k <= n-2
-    assert len(pt.values._known) == 2 * n - 3
-    top, bottom = pt.values.top, pt.values.bottom
+    assert any(chart_membership(pt, m) for m in index_sets(n)[1])
+    assert "values" not in vars(pt)
+    top, bottom = pt.top, pt.bottom
     eager = {
         (i, j): top[i - 1] * bottom[j - 1] - top[j - 1] * bottom[i - 1]
         for i, j in itertools.combinations(range(1, n + 1), 2)
     }
-    assert dict(pt.values) == eager
-    assert len(pt.values) == len(eager)
-    with pytest.raises(KeyError):
-        pt.values[(2, 1)]
-    with pytest.raises(KeyError):
-        pt.values[(1, n + 1)]
+    assert pt.values == eager
+    assert all(pt.minor(i, j) == v for (i, j), v in eager.items())
+
+
+def test_covering_check_builds_no_full_minor_table(monkeypatch):
+    points = []
+    real = plucker.random_point
+    monkeypatch.setattr(plucker, "random_point", lambda n, seed: points.append(real(n, seed)) or points[-1])
+    assert covering_check(12, 50, 42).ok
+    assert len(points) == 50
+    assert not any("values" in vars(pt) for pt in points)
 
 
 @pytest.mark.parametrize("n,on_torus", [(4, 4), (5, 10), (6, 6), (7, 21), (8, 16)])
