@@ -392,7 +392,11 @@ def gr_product_atlas(n: int) -> Atlas:
     potentials = {"torus": torus}
     for ps in pair_sets:
         named = product_charts(n, ps)
-        crossings = {edge: product_transition(n, ps, edge) for edge in sorted(_SLOT_MAPS)}
+        slots = [slot_coordinates(i) for i, _ in sorted(ps)]
+        crossings = {
+            (s, t): _wall_crossing((s, t), named[s].name, named[t].name, slots)
+            for s, t in sorted(_SLOT_MAPS)
+        }
         transitions += crossings.values()
         immersed = immersed_potential(n, ps)
         # the other two potentials are pulled back term by term

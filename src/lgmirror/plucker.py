@@ -210,18 +210,19 @@ def geometric_to_plucker(n: int, pair_set: frozenset) -> ChartDictionary:
 # -- points ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrassmannPoint:
     """A plane through the origin, spanned by two coordinate rows and
     recorded by their minors, each computed when read.
 
     Exact points carry Fractions and satisfy the relations identically;
     numeric points carry complex values, checked to double precision.
+    Two points are equal when they are the same plane, however spanned.
     """
 
     n: int
-    top: tuple = field(compare=False)
-    bottom: tuple = field(compare=False)
+    top: tuple
+    bottom: tuple
 
     NUMERIC_TOL = 1e-10
 
@@ -237,6 +238,23 @@ class GrassmannPoint:
     def minor(self, i: int, j: int):
         a, b = self.top, self.bottom
         return a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1]
+
+    def _plane(self) -> tuple:
+        """The minors divided by the first nonzero one: the same for every
+        pair of rows spanning the plane."""
+        minors = [self.minor(*p) for p in itertools.combinations(range(1, self.n + 1), 2)]
+        lead = next((m for m in minors if m != 0), 1)
+        if self.is_exact():
+            lead = Fraction(lead)
+        return tuple(m / lead for m in minors)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GrassmannPoint):
+            return NotImplemented
+        return self.n == other.n and self._plane() == other._plane()
+
+    def __hash__(self) -> int:
+        return hash((self.n, self._plane()))
 
     @cached_property
     def values(self) -> dict[Pair, object]:

@@ -3,18 +3,34 @@
 A polytope is given by inequalities ``coeffs . x + const >= 0`` with
 Fraction data.  Vertices come from solving square tight subsystems, faces
 from intersecting facet vertex sets.  Everything is exact; no floating
-point enters.  Intended for small instances (a dozen inequalities or so),
-where brute force over square constraint subsets is perfectly adequate.
+point enters.
+
+The elimination runs on Python ints, fraction-free (Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", 1968).
+Two scale invariances make that possible without changing any answer:
+
+* an inequality times a positive number is the same halfspace with the
+  same tight set, so each is scaled once to an integer row by the LCM of
+  its denominators;
+* the affine rank of a point list does not change when every point is
+  scaled by one number, so face dimensions are ranks of the vertices
+  scaled once to a common denominator.
+
+A candidate vertex is an integer vector over one positive denominator; it
+becomes a Fraction tuple only when returned.  The vertex search still runs
+over all square constraint subsets, so keep the instance small.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 Point = tuple[Fraction, ...]
 Inequality = tuple[tuple[Fraction, ...], Fraction]
+IntRow = tuple[tuple[int, ...], int]
 
 __all__ = [
     "Face",
@@ -26,22 +42,85 @@ __all__ = [
 ]
 
 
-def _solve_square(rows: list[list[Fraction]]) -> Point | None:
-    """Solve a d x d system given as rows [a_1..a_d, b]; None if singular."""
+def _integer_rows(ineqs: Sequence[Inequality]) -> list[IntRow]:
+    """Each inequality times the positive LCM of its denominators."""
+    out = []
+    for coeffs, const in ineqs:
+        scale = lcm(const.denominator, *(c.denominator for c in coeffs))
+        out.append(
+            (
+                tuple(c.numerator * (scale // c.denominator) for c in coeffs),
+                const.numerator * (scale // const.denominator),
+            )
+        )
+    return out
+
+
+def _integer_points(points: Sequence[Point]) -> tuple[int, list[list[int]]]:
+    """The positive LCM D of all the points' denominators, and the points
+    times D."""
+    den = lcm(*(x.denominator for p in points for x in p))
+    return den, [[x.numerator * (den // x.denominator) for x in p] for p in points]
+
+
+def _solve_square(rows: Sequence[list[int]]) -> tuple[tuple[int, ...], int] | None:
+    """Solve a d x d integer system given as rows [a_1..a_d, b].
+
+    Fraction-free Gauss-Jordan: after the last step every diagonal entry is
+    the determinant and the right-hand column holds the Cramer numerators,
+    so x is their quotient.  Returns x = N / D in lowest terms with D > 0,
+    or None if singular.
+    """
     d = len(rows)
     m = [row[:] for row in rows]
+    prev = 1
     for col in range(d):
-        piv = next((r for r in range(col, d) if m[r][col] != 0), None)
+        piv = next((r for r in range(col, d) if m[r][col]), None)
         if piv is None:
             return None
         m[col], m[piv] = m[piv], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
+        pr = m[col]
+        p = pr[col]
         for r in range(d):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(m[r][d] for r in range(d))
+            if r == col:
+                continue
+            row = m[r]
+            f = row[col]
+            # every entry is a minor of the input, so the division is exact
+            if f:
+                m[r] = [(p * x - f * y) // prev for x, y in zip(row, pr)]
+            elif p != prev:
+                m[r] = [p * x // prev for x in row]
+        prev = p
+    g = gcd(prev, *(m[r][d] for r in range(d)))
+    if prev < 0:
+        g = -g
+    return tuple(m[r][d] // g for r in range(d)), prev // g
+
+
+def _rank(vecs: list[list[int]]) -> int:
+    """Rank of integer row vectors by fraction-free elimination; a column
+    with no pivot left is skipped."""
+    rows = list(vecs)
+    rank = 0
+    prev = 1
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pr = rows[rank]
+        p = pr[col]
+        rank += 1
+        for r in range(rank, len(rows)):
+            row = rows[r]
+            f = row[col]
+            if f:
+                rows[r] = [(p * x - f * y) // prev for x, y in zip(row, pr)]
+            elif p != prev:
+                rows[r] = [p * x // prev for x in row]
+        prev = p
+    return rank
 
 
 def satisfies(point: Point, ineq: Inequality) -> bool:
@@ -58,47 +137,34 @@ def enumerate_vertices(ineqs: Sequence[Inequality]) -> tuple[Point, ...]:
     """All vertices of the polytope {x : a.x + b >= 0 for each (a, b)}.
 
     Assumes the polytope is bounded.  Runs over all d-subsets of the
-    constraints, so keep the instance small.
+    constraints, so keep the instance small.  A solution N / D, in lowest
+    terms, is tested as a.N + b.D >= 0 and deduplicated in that form.
     """
     if not ineqs:
         return ()
-    d = len(ineqs[0][0])
-    seen: set[Point] = set()
-    for subset in itertools.combinations(range(len(ineqs)), d):
-        rows = [list(ineqs[i][0]) + [-ineqs[i][1]] for i in subset]
-        sol = _solve_square(rows)
+    rows = _integer_rows(ineqs)
+    d = len(rows[0][0])
+    seen: set[tuple[tuple[int, ...], int]] = set()
+    for subset in itertools.combinations([[*a, -b] for a, b in rows], d):
+        sol = _solve_square(subset)
         if sol is None or sol in seen:
             continue
-        if all(satisfies(sol, q) for q in ineqs):
+        nums, den = sol
+        if all(sum(c * x for c, x in zip(a, nums)) + b * den >= 0 for a, b in rows):
             seen.add(sol)
-    return tuple(sorted(seen))
+    return tuple(sorted(tuple(Fraction(x, den) for x in nums) for nums, den in seen))
 
 
 def affine_rank(points: Sequence[Point]) -> int:
     """Dimension of the affine hull; -1 for no points, 0 for a single point."""
     if not points:
         return -1
+    return _affine_rank(_integer_points(points)[1])
+
+
+def _affine_rank(points: Sequence[list[int]]) -> int:
     base = points[0]
-    vecs = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    rank = 0
-    cols = len(base)
-    row_used = [False] * len(vecs)
-    for col in range(cols):
-        piv = next(
-            (r for r in range(len(vecs)) if not row_used[r] and vecs[r][col] != 0),
-            None,
-        )
-        if piv is None:
-            continue
-        row_used[piv] = True
-        rank += 1
-        pv = vecs[piv]
-        inv = Fraction(1) / pv[col]
-        for r in range(len(vecs)):
-            if r != piv and not row_used[r] and vecs[r][col] != 0:
-                f = vecs[r][col] * inv
-                vecs[r] = [x - f * y for x, y in zip(vecs[r], pv)]
-    return rank
+    return _rank([[x - b for x, b in zip(p, base)] for p in points[1:]])
 
 
 @dataclass(frozen=True)
@@ -110,27 +176,27 @@ class Face:
     dim: int
 
 
-def _active_masks(ineqs: Sequence[Inequality], vertices: Sequence[Point]) -> list[int]:
+def _tight_masks(
+    ineqs: Sequence[Inequality], vertices: Sequence[Point]
+) -> tuple[list[list[int]], list[int]]:
+    """The vertices scaled to integers over one denominator D, and for each
+    inequality the mask of the vertices where it is tight."""
+    den, points = _integer_points(vertices)
     masks = []
-    for q in ineqs:
+    for a, b in _integer_rows(ineqs):
         m = 0
-        for vid, p in enumerate(vertices):
-            if _is_tight(p, q):
+        for vid, p in enumerate(points):
+            if sum(c * x for c, x in zip(a, p)) + b * den == 0:
                 m |= 1 << vid
         masks.append(m)
-    return masks
+    return points, masks
 
 
-def _mask_face(
-    mask: int,
-    ineqs: Sequence[Inequality],
-    vertices: Sequence[Point],
-    masks: list[int],
-) -> Face:
-    ids = frozenset(i for i in range(len(vertices)) if mask >> i & 1)
+def _mask_face(mask: int, points: Sequence[list[int]], masks: list[int]) -> Face:
+    ids = [i for i in range(len(points)) if mask >> i & 1]
     tight = frozenset(i for i, m in enumerate(masks) if m & mask == mask)
-    dim = affine_rank([vertices[i] for i in sorted(ids)])
-    return Face(ids, tight, dim)
+    dim = _affine_rank([points[i] for i in ids]) if ids else -1
+    return Face(frozenset(ids), tight, dim)
 
 
 def enumerate_faces(
@@ -145,11 +211,11 @@ def enumerate_faces(
     """
     if vertices is None:
         vertices = enumerate_vertices(ineqs)
-    masks = _active_masks(ineqs, vertices)
+    points, masks = _tight_masks(ineqs, vertices)
     found = {(1 << len(vertices)) - 1}
     for f in masks:
         found |= {f & m for m in found} - {0}
-    faces = [_mask_face(m, ineqs, vertices, masks) for m in found]
+    faces = [_mask_face(m, points, masks) for m in found]
     faces.sort(key=lambda f: (f.dim, sorted(f.vertex_ids)))
     return tuple(faces)
 
@@ -160,8 +226,8 @@ def face_from_tight(
     tight_indices: Sequence[int],
 ) -> Face:
     """The face on which the given constraints all hold with equality."""
-    masks = _active_masks(ineqs, vertices)
+    points, masks = _tight_masks(ineqs, vertices)
     m = (1 << len(vertices)) - 1
     for i in tight_indices:
         m &= masks[i]
-    return _mask_face(m, ineqs, vertices, masks)
+    return _mask_face(m, points, masks)

@@ -463,6 +463,22 @@ def test_product_transitions_bind_only_their_slot_coordinates(n):
     assert len(a.transitions) == 8 * len(index_sets(n)[1])
 
 
+@pytest.mark.parametrize("n", [4, 7, 10])
+def test_atlas_build_names_each_chart_once(n, monkeypatch):
+    calls = []
+    real = atlas_module.chart_coordinates
+    monkeypatch.setattr(atlas_module, "chart_coordinates", lambda *a: calls.append(a) or real(*a))
+    a = gr_product_atlas(n)
+    maximal = index_sets(n)[1]
+    # product_charts names the four kinds over each maximal pair set and the empty one
+    assert len(calls) == 4 * (len(maximal) + 1)
+    for ps in maximal:
+        named = product_charts(n, ps)
+        for source, target in _SLOT_MAPS:
+            t = a.transition(named[source].name, named[target].name)
+            assert t == product_transition(n, ps, (source, target))
+
+
 def test_two_builds_parse_the_slot_maps_once(monkeypatch):
     parsed = []
     real = atlas_module.parse

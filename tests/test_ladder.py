@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lgmirror.ladder import (
     Diagram,
     admissible_diagrams,
+    admissible_masks,
     chart_subdivision,
     check_pair_set,
     classify_face,
@@ -84,7 +85,7 @@ def test_full_ladder_dimension():
         assert Diagram(n, _full(n)).dimension == 2 * (n - 2)
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_diagrams_match_polytope_faces(n):
     diagrams = admissible_diagrams(n)
     _, ineqs, _ = moment_inequalities(n)
@@ -120,6 +121,11 @@ def test_diagram_inclusion_is_face_inclusion():
 )
 def test_admissible_diagram_counts(n, count):
     assert len(admissible_diagrams(n)) == count
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_admissible_masks_are_the_diagram_masks(n):
+    assert admissible_masks(n) == {d.mask for d in admissible_diagrams(n)}
 
 
 def test_every_enumerated_diagram_is_a_path_union():

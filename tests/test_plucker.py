@@ -189,6 +189,20 @@ def test_membership_reads_minors_without_building_them_all(n):
     assert all(pt.minor(i, j) == v for (i, j), v in eager.items())
 
 
+def test_points_are_equal_exactly_when_they_span_one_plane():
+    a, b = random_point(5, 42), random_point(5, 43)
+    assert a != b
+    assert len({a, b}) == 2
+    # (2 top + bottom/3, top - bottom) spans the plane of (top, bottom)
+    top = [2 * x + y / 3 for x, y in zip(a.top, a.bottom)]
+    bottom = [x - y for x, y in zip(a.top, a.bottom)]
+    c = GrassmannPoint.from_vectors(5, top, bottom)
+    assert c.top != a.top and c.bottom != a.bottom
+    assert c == a
+    assert hash(c) == hash(a)
+    assert c != random_point(6, 42)
+
+
 def test_covering_check_builds_no_full_minor_table(monkeypatch):
     points = []
     real = plucker.random_point

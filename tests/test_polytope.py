@@ -1,11 +1,16 @@
 """Tests for the exact H-polytope face machinery."""
 import itertools
+import random
 from fractions import Fraction
+from functools import cache
+from math import lcm
 
 import pytest
 
+import fraction_polytope as ref
 from lgmirror.ladder import moment_inequalities
 from lgmirror.polytope import (
+    _solve_square,
     affine_rank,
     enumerate_faces,
     enumerate_vertices,
@@ -118,3 +123,144 @@ def _faces_by_subset_scan(qs, verts):
 def test_faces_equal_the_subset_scan(qs):
     verts = enumerate_vertices(qs)
     assert enumerate_faces(qs, verts) == _faces_by_subset_scan(qs, verts)
+
+
+# -- the integer kernels against the Fraction reference ----------------------
+
+
+def _rational(rng, zero_share=0.3):
+    if rng.random() < zero_share:
+        return F(0)
+    return F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+
+
+def _integer_system(rows):
+    # each row times the LCM of its denominators: the same solution set
+    return [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in rows]
+
+
+def _as_fractions(sol):
+    return None if sol is None else tuple(F(x, sol[1]) for x in sol[0])
+
+
+def _combinations(rng, basis, count):
+    # ``count`` random rational combinations of the basis rows
+    out = []
+    for _ in range(count):
+        coef = [_rational(rng, 0.2) for _ in basis]
+        out.append([sum((c * b[j] for c, b in zip(coef, basis)), F(0)) for j in range(len(basis[0]))])
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_solve_square_matches_the_fraction_reference(d):
+    rng = random.Random(d)
+    solved = 0
+    for _ in range(300):
+        rows = [[_rational(rng) for _ in range(d + 1)] for _ in range(d)]
+        want = ref.solve_square(rows)
+        assert _as_fractions(_solve_square(_integer_system(rows))) == want
+        solved += want is not None and any(x.denominator > 1 for x in want)
+    assert solved > 100  # mostly regular systems with non-integer solutions
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_solve_square_rejects_singular_systems(d):
+    rng = random.Random(100 + d)
+    for _ in range(100):
+        # the coefficient rows span fewer than d dimensions; b is arbitrary
+        coeffs = _combinations(rng, [[_rational(rng) for _ in range(d)] for _ in range(rng.randint(1, d - 1))], d)
+        rows = [row + [_rational(rng)] for row in coeffs]
+        assert ref.solve_square(rows) is None
+        assert _solve_square(_integer_system(rows)) is None
+
+
+def _affine_family(rng, dim, rank, count, skip):
+    """``count`` points of a random affine space of dimension at most
+    ``rank``; the directions vanish in the coordinates of ``skip``."""
+    base = [_rational(rng) for _ in range(dim)]
+    dirs = [[F(0) if j in skip else _rational(rng) for j in range(dim)] for _ in range(rank)]
+    return [
+        tuple(b + v for b, v in zip(base, step))
+        for step in _combinations(rng, dirs, count)
+    ] if rank else [tuple(base)] * count
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_affine_rank_matches_the_fraction_reference(dim):
+    rng = random.Random(200 + dim)
+    for _ in range(150):
+        rank = rng.randint(0, dim)
+        skip = set(rng.sample(range(dim), rng.randint(0, dim - rank)))
+        points = _affine_family(rng, dim, rank, rng.randint(1, 8), skip)
+        points += rng.sample(points, rng.randint(0, len(points)))  # repeats
+        rng.shuffle(points)
+        assert affine_rank(points) == ref.affine_rank(points) <= rank
+
+
+def test_affine_rank_skips_a_column_with_no_pivot_left():
+    # after the first pivot both columns 1 and 2 are zero in the rest
+    points = [(F(0), F(0), F(0), F(0)), (F(1, 2), F(1), F(2), F(0)),
+              (F(1), F(2), F(4), F(1, 3)), (F(3, 2), F(3), F(6), F(1))]
+    assert affine_rank(points) == ref.affine_rank(points) == 2
+
+
+def _random_polytope(rng, d, cuts):
+    """A box with fractional sides cut by random rational halfspaces that
+    keep the origin."""
+    qs = []
+    for i in range(d):
+        e = [F(0)] * d
+        e[i] = F(1)
+        qs.append((tuple(e), F(rng.randint(1, 9), rng.randint(1, 4))))
+        e[i] = F(-rng.randint(1, 3), rng.randint(1, 5))
+        qs.append((tuple(e), F(rng.randint(1, 9), rng.randint(1, 4))))
+    for _ in range(cuts):
+        qs.append((tuple(_rational(rng) for _ in range(d)), F(rng.randint(1, 9), rng.randint(1, 6))))
+    rng.shuffle(qs)
+    return qs
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_polytopes_match_the_fraction_reference(seed):
+    rng = random.Random(300 + seed)
+    qs = _random_polytope(rng, 2 + seed % 3, 1 + seed % 4)
+    verts = enumerate_vertices(qs)
+    assert verts == ref.enumerate_vertices(qs)
+    assert any(x.denominator > 1 for v in verts for x in v)
+    assert enumerate_faces(qs, verts) == ref.enumerate_faces(qs, verts)
+
+
+def _redundant_cube():
+    cube = _unit_cube()
+    return cube + [
+        (tuple(F(2, 3) * c for c in cube[0][0]), F(0)),  # a scaled copy of x0 >= 0
+        _ineq([1, 1, 1], 5),  # never tight
+        _ineq([1, 1, 1], 0),  # tight only at the origin
+        (tuple(F(1, 5) * c for c in cube[3][0]), F(1, 5)),  # a scaled copy of x1 <= 1
+    ]
+
+
+@cache
+def _reference(name):
+    qs = _POLYTOPES[name]()
+    verts = ref.enumerate_vertices(qs)
+    return qs, verts, ref.enumerate_faces(qs, verts)
+
+
+_POLYTOPES = {
+    "cube": _unit_cube,
+    "simplex": _simplex,
+    "redundant_cube": _redundant_cube,
+    **{f"ladder{n}": (lambda n=n: moment_inequalities(n)[1]) for n in range(4, 8)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POLYTOPES))
+def test_enumeration_matches_the_fraction_reference(name):
+    qs, want_verts, want_faces = _reference(name)
+    verts = enumerate_vertices(qs)
+    assert verts == want_verts
+    assert all(isinstance(x, Fraction) for v in verts for x in v)
+    assert enumerate_faces(qs, verts) == want_faces
+    assert enumerate_faces(qs) == want_faces
