@@ -67,9 +67,9 @@ def _solve_square(rows: Sequence[list[int]]) -> tuple[tuple[int, ...], int] | No
     """Solve a d x d integer system given as rows [a_1..a_d, b].
 
     Fraction-free Gauss-Jordan: after the last step every diagonal entry is
-    the determinant and the right-hand column holds the Cramer numerators,
-    so x is their quotient.  Returns x = N / D in lowest terms with D > 0,
-    or None if singular.
+    the determinant of the row-swapped system and the right-hand column
+    holds its Cramer numerators, so x is their quotient.  Returns x = N / D
+    in lowest terms with D > 0, or None if singular.
     """
     d = len(rows)
     m = [row[:] for row in rows]
@@ -115,6 +115,7 @@ def _rank(vecs: list[list[int]]) -> int:
         for r in range(rank, len(rows)):
             row = rows[r]
             f = row[col]
+            # exact for the same reason as in _solve_square
             if f:
                 rows[r] = [(p * x - f * y) // prev for x, y in zip(row, pr)]
             elif p != prev:

@@ -467,7 +467,9 @@ def test_product_transitions_bind_only_their_slot_coordinates(n):
 def test_atlas_build_names_each_chart_once(n, monkeypatch):
     calls = []
     real = atlas_module.chart_coordinates
-    monkeypatch.setattr(atlas_module, "chart_coordinates", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(
+        atlas_module, "chart_coordinates", lambda *a: calls.append(a) or real(*a)
+    )
     a = gr_product_atlas(n)
     maximal = index_sets(n)[1]
     # product_charts names the four kinds over each maximal pair set and the empty one

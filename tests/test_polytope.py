@@ -148,7 +148,7 @@ def _combinations(rng, basis, count):
     out = []
     for _ in range(count):
         coef = [_rational(rng, 0.2) for _ in basis]
-        out.append([sum((c * b[j] for c, b in zip(coef, basis)), F(0)) for j in range(len(basis[0]))])
+        out.append([sum((c * x for c, x in zip(coef, col)), F(0)) for col in zip(*basis)])
     return out
 
 
@@ -169,8 +169,8 @@ def test_solve_square_rejects_singular_systems(d):
     rng = random.Random(100 + d)
     for _ in range(100):
         # the coefficient rows span fewer than d dimensions; b is arbitrary
-        coeffs = _combinations(rng, [[_rational(rng) for _ in range(d)] for _ in range(rng.randint(1, d - 1))], d)
-        rows = [row + [_rational(rng)] for row in coeffs]
+        basis = [[_rational(rng) for _ in range(d)] for _ in range(rng.randint(1, d - 1))]
+        rows = [row + [_rational(rng)] for row in _combinations(rng, basis, d)]
         assert ref.solve_square(rows) is None
         assert _solve_square(_integer_system(rows)) is None
 
@@ -180,10 +180,9 @@ def _affine_family(rng, dim, rank, count, skip):
     ``rank``; the directions vanish in the coordinates of ``skip``."""
     base = [_rational(rng) for _ in range(dim)]
     dirs = [[F(0) if j in skip else _rational(rng) for j in range(dim)] for _ in range(rank)]
-    return [
-        tuple(b + v for b, v in zip(base, step))
-        for step in _combinations(rng, dirs, count)
-    ] if rank else [tuple(base)] * count
+    if not rank:
+        return [tuple(base)] * count
+    return [tuple(b + v for b, v in zip(base, step)) for step in _combinations(rng, dirs, count)]
 
 
 @pytest.mark.parametrize("dim", range(1, 7))
@@ -216,7 +215,8 @@ def _random_polytope(rng, d, cuts):
         e[i] = F(-rng.randint(1, 3), rng.randint(1, 5))
         qs.append((tuple(e), F(rng.randint(1, 9), rng.randint(1, 4))))
     for _ in range(cuts):
-        qs.append((tuple(_rational(rng) for _ in range(d)), F(rng.randint(1, 9), rng.randint(1, 6))))
+        normal = tuple(_rational(rng) for _ in range(d))
+        qs.append((normal, F(rng.randint(1, 9), rng.randint(1, 6))))
     rng.shuffle(qs)
     return qs
 
@@ -237,7 +237,7 @@ def _redundant_cube():
         (tuple(F(2, 3) * c for c in cube[0][0]), F(0)),  # a scaled copy of x0 >= 0
         _ineq([1, 1, 1], 5),  # never tight
         _ineq([1, 1, 1], 0),  # tight only at the origin
-        (tuple(F(1, 5) * c for c in cube[3][0]), F(1, 5)),  # a scaled copy of x1 <= 1
+        (tuple(F(1, 5) * c for c in cube[3][0]), F(1, 5)),  # a scaled x1 <= 1
     ]
 
 
