@@ -376,9 +376,15 @@ def product_transition(n: int, pair_set, pair) -> Transition:
         return Transition("torus", "torus", {})
     if edge not in _SLOT_MAPS:
         raise ValueError(f"unsupported chart pair: {pair!r}")
-    source, target = (chart_coordinates(n, pair_set, kind)[0] for kind in edge)
+    return _product_crossing(product_charts(n, pair_set), pair_set, edge)
+
+
+def _product_crossing(named: dict, pair_set, edge) -> Transition:
+    """The wall crossing ``edge`` between two of the ``named`` chart types
+    over one nonempty pair set."""
     slots = [slot_coordinates(i) for i, _ in sorted(pair_set)]
-    return _wall_crossing(edge, source, target, slots)
+    s, t = edge
+    return _wall_crossing(edge, named[s].name, named[t].name, slots)
 
 
 def gr_product_atlas(n: int) -> Atlas:
@@ -392,11 +398,7 @@ def gr_product_atlas(n: int) -> Atlas:
     potentials = {"torus": torus}
     for ps in pair_sets:
         named = product_charts(n, ps)
-        slots = [slot_coordinates(i) for i, _ in sorted(ps)]
-        crossings = {
-            (s, t): _wall_crossing((s, t), named[s].name, named[t].name, slots)
-            for s, t in sorted(_SLOT_MAPS)
-        }
+        crossings = {edge: _product_crossing(named, ps, edge) for edge in sorted(_SLOT_MAPS)}
         transitions += crossings.values()
         immersed = immersed_potential(n, ps)
         # the other two potentials are pulled back term by term

@@ -30,7 +30,7 @@ from .critical import (
 )
 from .koszul import gr24_koszul, koszul_square_check, og15_koszul
 from .ladder import (
-    admissible_masks,
+    admissible_diagrams,
     classify_face,
     diagram_from_pairs,
     index_sets,
@@ -84,7 +84,7 @@ def _fraction(text: str) -> Fraction:
 def run_faces(args) -> tuple[RunReport, list[str]]:
     n = args.n
     t0 = time.perf_counter()
-    count = len(admissible_masks(n))
+    count = len(admissible_diagrams(n))
     # the Lagrangian faces are the pair-set diagrams (proof: diagram_from_pairs)
     lagrangian = [diagram_from_pairs(n, s) for s in index_sets(n)[0]]
     t1 = time.perf_counter()

@@ -242,7 +242,7 @@ class GrassmannPoint:
     def _plane(self) -> tuple:
         """The minors divided by the first nonzero one: the same for every
         pair of rows spanning the plane."""
-        minors = [self.minor(*p) for p in itertools.combinations(range(1, self.n + 1), 2)]
+        minors = self.values.values()
         lead = next((m for m in minors if m != 0), 1)
         if self.is_exact():
             lead = Fraction(lead)

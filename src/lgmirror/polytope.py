@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Point = tuple[Fraction, ...]
 Inequality = tuple[tuple[Fraction, ...], Fraction]
@@ -63,6 +63,25 @@ def _integer_points(points: Sequence[Point]) -> tuple[int, list[list[int]]]:
     return den, [[x.numerator * (den // x.denominator) for x in p] for p in points]
 
 
+def _eliminate(
+    m: list[list[int]], pivot: int, col: int, targets: Iterable[int], prev: int
+) -> int:
+    """One fraction-free step: clear column ``col`` of the rows ``targets``
+    against row ``pivot`` and divide by the previous pivot ``prev``.
+    Returns the new pivot."""
+    pr = m[pivot]
+    p = pr[col]
+    for r in targets:
+        row = m[r]
+        f = row[col]
+        # every entry is a minor of the input, so the division is exact
+        if f:
+            m[r] = [(p * x - f * y) // prev for x, y in zip(row, pr)]
+        elif p != prev:
+            m[r] = [p * x // prev for x in row]
+    return p
+
+
 def _solve_square(rows: Sequence[list[int]]) -> tuple[tuple[int, ...], int] | None:
     """Solve a d x d integer system given as rows [a_1..a_d, b].
 
@@ -79,19 +98,7 @@ def _solve_square(rows: Sequence[list[int]]) -> tuple[tuple[int, ...], int] | No
         if piv is None:
             return None
         m[col], m[piv] = m[piv], m[col]
-        pr = m[col]
-        p = pr[col]
-        for r in range(d):
-            if r == col:
-                continue
-            row = m[r]
-            f = row[col]
-            # every entry is a minor of the input, so the division is exact
-            if f:
-                m[r] = [(p * x - f * y) // prev for x, y in zip(row, pr)]
-            elif p != prev:
-                m[r] = [p * x // prev for x in row]
-        prev = p
+        prev = _eliminate(m, col, col, itertools.chain(range(col), range(col + 1, d)), prev)
     g = gcd(prev, *(m[r][d] for r in range(d)))
     if prev < 0:
         g = -g
@@ -109,18 +116,8 @@ def _rank(vecs: list[list[int]]) -> int:
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        p = pr[col]
+        prev = _eliminate(rows, rank, col, range(rank + 1, len(rows)), prev)
         rank += 1
-        for r in range(rank, len(rows)):
-            row = rows[r]
-            f = row[col]
-            # exact for the same reason as in _solve_square
-            if f:
-                rows[r] = [(p * x - f * y) // prev for x, y in zip(row, pr)]
-            elif p != prev:
-                rows[r] = [p * x // prev for x in row]
-        prev = p
     return rank
 
 

@@ -156,19 +156,6 @@ def test_faces_small_census(capsys):
     assert "S^3 x S^1" in out
 
 
-def test_faces_census_counts_without_building_diagrams(capsys, monkeypatch):
-    from lgmirror import ladder
-
-    def refuse(n):
-        raise AssertionError("the census needs only the count")
-
-    monkeypatch.setattr(ladder, "admissible_diagrams", refuse)
-    monkeypatch.setattr(cli, "admissible_diagrams", refuse, raising=False)
-    code, out, _ = run(capsys, ["faces", "--n", "8"])
-    assert code == 0
-    assert "29823 faces, 13 Lagrangian" in out
-
-
 def test_charts_prints_bindings(capsys):
     code, out, _ = run(capsys, ["charts", "--n", "4", "--pairs", "1,2"])
     assert code == 0

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from lgmirror.ladder import (
     Diagram,
     admissible_diagrams,
-    admissible_masks,
     chart_subdivision,
     check_pair_set,
     classify_face,
@@ -121,11 +120,6 @@ def test_diagram_inclusion_is_face_inclusion():
 )
 def test_admissible_diagram_counts(n, count):
     assert len(admissible_diagrams(n)) == count
-
-
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
-def test_admissible_masks_are_the_diagram_masks(n):
-    assert admissible_masks(n) == {d.mask for d in admissible_diagrams(n)}
 
 
 def test_every_enumerated_diagram_is_a_path_union():
