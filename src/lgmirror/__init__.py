@@ -29,7 +29,6 @@ from .potentials import (
     gc_torus_potential,
     immersed_potential,
     rietsch_gr,
-    rietsch_restrict,
     verify_rietsch_identity,
 )
 from .rational import RationalFunction, as_rational, parse, poly_gcd
@@ -66,7 +65,6 @@ __all__ = [
     "gc_torus_potential",
     "immersed_potential",
     "rietsch_gr",
-    "rietsch_restrict",
     "verify_rietsch_identity",
     "Report",
     "RunReport",

@@ -28,7 +28,6 @@ from typing import Mapping
 from .ladder import (
     CHART_KINDS,
     chart_coordinates,
-    check_pair_set,
     index_sets,
     slot_coordinates,
 )
@@ -59,16 +58,12 @@ class Transition:
     source: str
     target: str
     bindings: Mapping[str, RationalFunction]
-    constraints: tuple[RationalFunction, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(
             self,
             "bindings",
             MappingProxyType({k: as_rational(v) for k, v in self.bindings.items()}),
-        )
-        object.__setattr__(
-            self, "constraints", tuple(as_rational(c) for c in self.constraints)
         )
 
     def image(self, name: str) -> RationalFunction:
@@ -92,16 +87,7 @@ def compose(t1: Transition, t2: Transition, variables: tuple[str, ...]) -> Trans
         for name in variables
         if name in t2.bindings or name in t1.bindings
     }
-    constraints = list(t1.constraints)
-    seen = {str(c) for c in constraints}
-    for c in t2.constraints:
-        # nonvanishing survives pullback through its numerator; t1 already
-        # guards the denominators introduced by the substitution
-        pulled = RationalFunction.from_poly(c.substitute(t1.bindings).num)
-        if str(pulled) not in seen:
-            seen.add(str(pulled))
-            constraints.append(pulled)
-    return Transition(t1.source, t2.target, bindings, tuple(constraints))
+    return Transition(t1.source, t2.target, bindings)
 
 
 @dataclass
@@ -236,20 +222,20 @@ def verify_potential_transport(a: Atlas) -> Report:
 
 # The wall crossings at one node, in slot coordinates: (u, v) on the immersed
 # chart, (x1, y1) on chekanov and (x2, y2) on clifford.  Each entry binds the
-# target coordinates to source expressions and lists its guards, the source
-# functions that must not vanish.  Entries come in pairs, a map and then its
-# inverse.  The first three pairs are the node wall crossings; the last pair
-# glues the clifford chart of one slot to the torus chart, whose holonomies
-# around the slot are za, zb on row 1 and wa, wb on row 2.
+# target coordinates it moves to source expressions.  Entries come in pairs,
+# a map and then its inverse.  The first three pairs are the node wall
+# crossings; the last pair glues the clifford chart of one slot to the torus
+# chart, whose holonomies around the slot are za, zb on row 1 and wa, wb on
+# row 2.
 _SLOT_MAPS = {
-    ("immersed", "chekanov"): ({"x1": "u*v - 1", "y1": "u"}, ("u*v - 1",)),
-    ("chekanov", "immersed"): ({"u": "y1", "v": "(x1 + 1)/y1"}, ("y1",)),
-    ("immersed", "clifford"): ({"x2": "u*v - 1", "y2": "1/v"}, ("u*v - 1", "v")),
-    ("clifford", "immersed"): ({"u": "(1 + x2)*y2", "v": "1/y2"}, ("y2",)),
-    ("clifford", "chekanov"): ({"x1": "x2", "y1": "y2*(1 + x2)"}, ("x2 + 1",)),
-    ("chekanov", "clifford"): ({"x2": "x1", "y2": "y1/(1 + x1)"}, ("x1 + 1",)),
-    ("torus", "clifford"): ({"x2": "zb*wa/(za*wb)", "y2": "wb/wa"}, ()),
-    ("clifford", "torus"): ({"zb": "x2*y2*za", "wa": "wb/y2"}, ("y2",)),
+    ("immersed", "chekanov"): {"x1": "u*v - 1", "y1": "u"},
+    ("chekanov", "immersed"): {"u": "y1", "v": "(x1 + 1)/y1"},
+    ("immersed", "clifford"): {"x2": "u*v - 1", "y2": "1/v"},
+    ("clifford", "immersed"): {"u": "(1 + x2)*y2", "v": "1/y2"},
+    ("clifford", "chekanov"): {"x1": "x2", "y1": "y2*(1 + x2)"},
+    ("chekanov", "clifford"): {"x2": "x1", "y2": "y1/(1 + x1)"},
+    ("torus", "clifford"): {"x2": "zb*wa/(za*wb)", "y2": "wb/wa"},
+    ("clifford", "torus"): {"zb": "x2*y2*za", "wa": "wb/y2"},
 }
 _NODE_EDGES = tuple(_SLOT_MAPS)[:6]
 
@@ -258,10 +244,8 @@ _NODE_EDGES = tuple(_SLOT_MAPS)[:6]
 def _slot_maps() -> dict[tuple[str, str], Transition]:
     """``_SLOT_MAPS`` parsed into transitions, once per process."""
     return {
-        (s, t): Transition(
-            s, t, {k: parse(e) for k, e in bindings.items()}, tuple(map(parse, guards))
-        )
-        for (s, t), (bindings, guards) in _SLOT_MAPS.items()
+        (s, t): Transition(s, t, {k: parse(e) for k, e in bindings.items()})
+        for (s, t), bindings in _SLOT_MAPS.items()
     }
 
 
@@ -275,13 +259,11 @@ def _wall_crossing(
     name."""
     slot = _slot_maps()[edge]
     bindings: dict[str, RationalFunction] = {}
-    guards: list[RationalFunction] = []
     for names in slots:
         for k, e in slot.bindings.items():
             bindings[names.get(k, k)] = e.rename(names) if names else e
-        guards += [c.rename(names) if names else c for c in slot.constraints]
     bindings.update((new, RationalFunction.var(old)) for new, old in moved)
-    return Transition(source, target, bindings, tuple(guards))
+    return Transition(source, target, bindings)
 
 
 def gauge_automorphism(k: int) -> Transition:
@@ -292,7 +274,7 @@ def gauge_automorphism(k: int) -> Transition:
         "u": scale**k * RationalFunction.var("u"),
         "v": scale**-k * RationalFunction.var("v"),
     }
-    return Transition("immersed", "immersed", bindings, (scale,) if k else ())
+    return Transition("immersed", "immersed", bindings)
 
 
 def local_model_atlas(perturb_cocycle: bool = False) -> Atlas:
@@ -360,33 +342,6 @@ def product_charts(n: int, pair_set) -> dict:
     return {kind: Chart(*chart_coordinates(n, pair_set, kind)) for kind in CHART_KINDS}
 
 
-def product_transition(n: int, pair_set, pair) -> Transition:
-    """Wall crossing between two of the chart types over one pair set: the
-    slot map at each selected slot at once.  The holonomies the two charts
-    share pass through unbound.
-
-    ``pair`` is (source kind, target kind); the slot maps invert by
-    back-substitution, so both directions are available.
-    """
-    pair_set = check_pair_set(n, pair_set)
-    edge = tuple(pair)
-    if not pair_set:
-        if edge != ("torus", "torus"):
-            raise ValueError("only the torus chart exists over the empty pair set")
-        return Transition("torus", "torus", {})
-    if edge not in _SLOT_MAPS:
-        raise ValueError(f"unsupported chart pair: {pair!r}")
-    return _product_crossing(product_charts(n, pair_set), pair_set, edge)
-
-
-def _product_crossing(named: dict, pair_set, edge) -> Transition:
-    """The wall crossing ``edge`` between two of the ``named`` chart types
-    over one nonempty pair set."""
-    slots = [slot_coordinates(i) for i, _ in sorted(pair_set)]
-    s, t = edge
-    return _wall_crossing(edge, named[s].name, named[t].name, slots)
-
-
 def gr_product_atlas(n: int) -> Atlas:
     """The tree of charts through the shared monotone torus: for every
     maximal pair set, the three chart types glued to each other and, via
@@ -398,7 +353,11 @@ def gr_product_atlas(n: int) -> Atlas:
     potentials = {"torus": torus}
     for ps in pair_sets:
         named = product_charts(n, ps)
-        crossings = {edge: _product_crossing(named, ps, edge) for edge in sorted(_SLOT_MAPS)}
+        slots = [slot_coordinates(i) for i, _ in sorted(ps)]
+        crossings = {
+            (s, t): _wall_crossing((s, t), named[s].name, named[t].name, slots)
+            for s, t in sorted(_SLOT_MAPS)
+        }
         transitions += crossings.values()
         immersed = immersed_potential(n, ps)
         # the other two potentials are pulled back term by term

@@ -469,16 +469,6 @@ def _project_normalized(coords, projection, order):
     return vec / vec[pivot]
 
 
-def chart_critical_points(model: str, cfg: SolveConfig = SolveConfig()) -> dict:
-    """Solve every chart of the model's atlas separately, at unit quantum
-    parameter; returns chart name -> point list."""
-    charts, _ = _model_charts(model)
-    return {
-        name: solve_potential(potential, bindings, cfg)
-        for name, potential, bindings, _ in charts
-    }
-
-
 def atlas_critical_points(
     model: str, cfg: SolveConfig = SolveConfig(), atlas=None
 ) -> list[CriticalPoint]:

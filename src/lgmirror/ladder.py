@@ -19,7 +19,7 @@ import itertools
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .polytope import Inequality
 
@@ -34,7 +34,6 @@ __all__ = [
     "admissible_diagrams",
     "bounded_regions",
     "chart_coordinates",
-    "chart_subdivision",
     "check_pair_set",
     "check_size",
     "classify_face",
@@ -144,13 +143,9 @@ class Diagram:
         """The edge set, decoded from the mask."""
         return frozenset(e for k, e in enumerate(ladder_edges(self.n)) if self.mask >> k & 1)
 
-    @property
+    @cached_property
     def regions(self) -> tuple[frozenset[Box], ...]:
-        cached = self.__dict__.get("_regions")
-        if cached is None:
-            cached = bounded_regions(self.n, self.mask)
-            self.__dict__["_regions"] = cached
-        return cached
+        return bounded_regions(self.n, self.mask)
 
     @property
     def dimension(self) -> int:
@@ -334,23 +329,6 @@ def diagram_from_pairs(n: int, pair_set: frozenset) -> Diagram:
         for e in (((0, i), mid), (mid, (2, i)), ((1, i - 1), mid), (mid, (1, i + 1))):
             mask &= ~bits[e]
     return Diagram(n, mask)
-
-
-def chart_subdivision(n: int, pair_set: frozenset) -> tuple[tuple[int, ...], ...]:
-    """Cells of the n-gon subdivision attached to a pair set.
-
-    Starts from the fan off vertex n; each pair (i, i+1) erases one fan
-    edge and fuses two triangles into the quadrilateral
-    (n, n-i, n-i-1, n-i-2).
-    """
-    pair_set = check_pair_set(n, pair_set)
-    cells: dict[int, tuple[int, ...]] = {k: (k, k + 1, n) for k in range(1, n - 1)}
-    for i, _ in sorted(pair_set):
-        lo = n - i - 2
-        del cells[lo]
-        del cells[lo + 1]
-        cells[lo] = (n, n - i, n - i - 1, n - i - 2)
-    return tuple(cells[k] for k in sorted(cells))
 
 
 # -- chart coordinates over a pair set -----------------------------------

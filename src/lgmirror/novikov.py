@@ -48,50 +48,6 @@ class NovikovSeries:
                 return c
         return LaurentPoly((), {})
 
-    def min_valuation(self) -> Fraction | None:
-        return self.terms[0][0] if self.terms else None
-
-    def truncate(self, order) -> "NovikovSeries":
-        order = Fraction(order)
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return NovikovSeries(tuple((e, c) for e, c in self.terms if e < order), order)
-
-    def __mul__(self, other: "NovikovSeries") -> "NovikovSeries":
-        if not isinstance(other, NovikovSeries):
-            return NotImplemented
-        w1 = self.min_valuation()
-        w2 = other.min_valuation()
-        if w1 is None or w2 is None:
-            order = min(self.order + (w2 or 0), other.order + (w1 or 0))
-            return NovikovSeries((), order)
-        order = min(self.order + w2, other.order + w1)
-        bucket: dict[Fraction, LaurentPoly] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                if e >= order:
-                    continue
-                prod = c1 * c2
-                if e in bucket:
-                    bucket[e] = bucket[e] + prod
-                else:
-                    bucket[e] = prod
-        terms = tuple((e, bucket[e]) for e in sorted(bucket) if not bucket[e].is_zero())
-        return NovikovSeries(terms, order)
-
-    def __add__(self, other: "NovikovSeries") -> "NovikovSeries":
-        if not isinstance(other, NovikovSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        bucket: dict[Fraction, LaurentPoly] = {}
-        for e, c in self.terms + other.terms:
-            if e >= order:
-                continue
-            bucket[e] = bucket[e] + c if e in bucket else c
-        terms = tuple((e, bucket[e]) for e in sorted(bucket) if not bucket[e].is_zero())
-        return NovikovSeries(terms, order)
-
     def __str__(self) -> str:
         if not self.terms:
             return f"O(T^{self.order})"

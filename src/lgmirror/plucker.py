@@ -274,18 +274,6 @@ class GrassmannPoint:
         tol = self.NUMERIC_TOL * max(self.scale(), 1.0)
         return all(abs(complex(self.minor(*p))) > tol for p in cyclic_pairs(self.n))
 
-    def relation_defects(self):
-        for quad in itertools.combinations(range(1, self.n + 1), 4):
-            i, j, k, l = quad
-            v = self.values
-            yield quad, v[(i, j)] * v[(k, l)] - v[(i, k)] * v[(j, l)] + v[(i, l)] * v[(j, k)]
-
-    def satisfies_relations(self) -> bool:
-        if self.is_exact():
-            return all(d == 0 for _, d in self.relation_defects())
-        tol = self.NUMERIC_TOL * max(self.scale(), 1.0) ** 2
-        return all(abs(complex(d)) <= tol for _, d in self.relation_defects())
-
     def as_dict(self) -> dict:
         def enc(v):
             if isinstance(v, (Fraction, int)):

@@ -294,41 +294,13 @@ def _restricted_checked(n: int, pair_set: frozenset) -> bool:
     )
 
 
-def rietsch_restrict(n: int, pair_set) -> Potential:
-    """Torus-chart form of the homogeneous potential, with the coordinates
-    the selected chart allows to vanish cleared out of all denominators."""
-    pair_set = check_pair_set(n, pair_set)
-    terms = _restricted_terms(n, pair_set)
-    if not _restricted_checked(n, pair_set):
-        raise RuntimeError("cleared potential disagrees with the homogeneous one")
-    base = chart_coordinates(n, pair_set, "immersed")[0]
-    variables = tuple(sorted(_names(terms) - {"q"}))
-    return Potential(terms, f"plucker:{base}", variables, f"gr(2,{n})")
-
-
 def restricted_terms(n: int, pair_set) -> list[RationalFunction]:
     """Terms of the cleared homogeneous potential, as Laurent monomials."""
     pair_set = check_pair_set(n, pair_set)
     return list(_restricted_terms(n, pair_set))
 
 
-# -- valuation dressing and the headline identity -------------------------
-
-
-def valuation_adjust(p: Potential, tmap: Mapping[str, int]) -> Potential:
-    """Rescale each listed variable by the stated power of T; exact."""
-    bindings = {
-        name: _T ** int(k) * RationalFunction.var(name) for name, k in tmap.items()
-    }
-    return Potential(p.substitute_terms(bindings), p.chart, p.variables, p.model)
-
-
-def staircase_tmap(n: int, pair_set=frozenset()) -> dict[str, int]:
-    """The dressing that gives every potential term T-valuation one: row-1
-    depth grows along the column, each u carries one unit, each v gives one
-    back."""
-    dic = geometric_to_plucker(n, pair_set)
-    return {name: -k for name, k in dic.tpowers.items()}
+# -- the headline identity -------------------------------------------------
 
 
 def parse_model(model: str) -> tuple[str, int]:

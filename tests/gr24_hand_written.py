@@ -28,20 +28,14 @@ POTENTIALS = {
     "clifford": "1/(x2*y2*z2) + y2 + x2*y2 + x2*y2*z2/w2 + y2*z2/w2 + w2/y2",
 }
 
-# the six node wall crossings: (source, target, bindings, guards)
+# the six node wall crossings: (source, target, bindings)
 TRANSITIONS = [
-    ("immersed", "chekanov",
-     {"x1": "u*v - 1", "y1": "u", "z1": "z0", "w1": "w0"}, ["u*v - 1"]),
-    ("chekanov", "immersed",
-     {"u": "y1", "v": "(x1 + 1)/y1", "z0": "z1", "w0": "w1"}, ["y1"]),
-    ("immersed", "clifford",
-     {"x2": "u*v - 1", "y2": "1/v", "z2": "z0", "w2": "w0"}, ["u*v - 1", "v"]),
-    ("clifford", "immersed",
-     {"u": "(1 + x2)*y2", "v": "1/y2", "z0": "z2", "w0": "w2"}, ["y2"]),
-    ("clifford", "chekanov",
-     {"x1": "x2", "y1": "y2*(1 + x2)", "z1": "z2", "w1": "w2"}, ["x2 + 1"]),
-    ("chekanov", "clifford",
-     {"x2": "x1", "y2": "y1/(1 + x1)", "z2": "z1", "w2": "w1"}, ["x1 + 1"]),
+    ("immersed", "chekanov", {"x1": "u*v - 1", "y1": "u", "z1": "z0", "w1": "w0"}),
+    ("chekanov", "immersed", {"u": "y1", "v": "(x1 + 1)/y1", "z0": "z1", "w0": "w1"}),
+    ("immersed", "clifford", {"x2": "u*v - 1", "y2": "1/v", "z2": "z0", "w2": "w0"}),
+    ("clifford", "immersed", {"u": "(1 + x2)*y2", "v": "1/y2", "z0": "z2", "w0": "w2"}),
+    ("clifford", "chekanov", {"x1": "x2", "y1": "y2*(1 + x2)", "z1": "z2", "w1": "w2"}),
+    ("chekanov", "clifford", {"x2": "x1", "y2": "y1/(1 + x1)", "z2": "z1", "w2": "w1"}),
 ]
 
 
@@ -58,7 +52,6 @@ def renamed_transitions():
             CHART_NAMES[s],
             CHART_NAMES[t],
             {RENAMING[k]: str(renamed(e)) for k, e in bindings.items()},
-            [str(renamed(g)) for g in guards],
         )
-        for s, t, bindings, guards in TRANSITIONS
+        for s, t, bindings in TRANSITIONS
     ]

@@ -21,7 +21,6 @@ from lgmirror.atlas import (
     local_model_atlas,
     og15_atlas,
     product_charts,
-    product_transition,
     verify_cocycle,
     verify_potential_transport,
 )
@@ -75,7 +74,6 @@ def test_local_transitions_canonical():
     assert t01.bindings["y1"].equal(parse("u"))
     assert t02.bindings["y2"].equal(parse("1/v"))
     assert t21.bindings["y1"].equal(parse("y2*(1 + x2)"))
-    assert any(c.equal(parse("u*v - 1")) for c in t01.constraints)
 
 
 def test_degenerate_slice_hits_minus_one():
@@ -176,14 +174,14 @@ def test_og15_atlas_passes_both_suites():
 # by hand, binding by binding; the atlases now generate them from one table
 # of slot maps.  The gr(2,4) ones live in gr24_hand_written.
 _HAND_WRITTEN_OG15 = [
-    ("immersed", "chekanov", {"x1": "u*v - 1", "y1": "u", "z1": "z0"}, ["u*v - 1"]),
-    ("chekanov", "immersed", {"u": "y1", "v": "(x1 + 1)/y1", "z0": "z1"}, ["y1"]),
-    ("immersed", "clifford", {"x2": "u*v - 1", "y2": "1/v", "z2": "z0"}, ["u*v - 1", "v"]),
-    ("clifford", "immersed", {"u": "(1 + x2)*y2", "v": "1/y2", "z0": "z2"}, ["y2"]),
-    ("clifford", "chekanov", {"x1": "x2", "y1": "y2*(1 + x2)", "z1": "z2"}, ["x2 + 1"]),
-    ("chekanov", "clifford", {"x2": "x1", "y2": "y1/(1 + x1)", "z2": "z1"}, ["x1 + 1"]),
-    ("toric-fiber", "clifford", {"x2": "y1_1", "y2": "y1_3", "z2": "y1_3^2/y1_2"}, []),
-    ("clifford", "toric-fiber", {"y1_1": "x2", "y1_2": "y2^2/z2", "y1_3": "y2"}, []),
+    ("immersed", "chekanov", {"x1": "u*v - 1", "y1": "u", "z1": "z0"}),
+    ("chekanov", "immersed", {"u": "y1", "v": "(x1 + 1)/y1", "z0": "z1"}),
+    ("immersed", "clifford", {"x2": "u*v - 1", "y2": "1/v", "z2": "z0"}),
+    ("clifford", "immersed", {"u": "(1 + x2)*y2", "v": "1/y2", "z0": "z2"}),
+    ("clifford", "chekanov", {"x1": "x2", "y1": "y2*(1 + x2)", "z1": "z2"}),
+    ("chekanov", "clifford", {"x2": "x1", "y2": "y1/(1 + x1)", "z2": "z1"}),
+    ("toric-fiber", "clifford", {"x2": "y1_1", "y2": "y1_3", "z2": "y1_3^2/y1_2"}),
+    ("clifford", "toric-fiber", {"y1_1": "x2", "y1_2": "y2^2/z2", "y1_3": "y2"}),
 ]
 
 
@@ -199,17 +197,14 @@ def test_generated_transitions_match_hand_written(atlas, hand_written):
         for t in a.transitions
         if "torus" not in (t.source, t.target)
     }
-    assert sorted(transitions) == sorted((s, t) for s, t, _, _ in hand_written)
-    for source, target, bindings, guards in hand_written:
+    assert sorted(transitions) == sorted((s, t) for s, t, _ in hand_written)
+    for source, target, bindings in hand_written:
         t = transitions[(source, target)]
         # every target coordinate, an unbound one read as the source
         # coordinate of the same name, on both sides
         for name in a.chart(target).variables:
             expected = parse(bindings.get(name, name))
             assert t.image(name).equal(expected), (t.source, t.target, name)
-        assert len(t.constraints) == len(guards)
-        for c, text in zip(t.constraints, guards):
-            assert c.equal(parse(text))
 
 
 def test_tree_atlas_charts(tree6):
@@ -248,16 +243,17 @@ def test_tree_atlas_surgered_potential_is_load_bearing(tree6):
 
 
 def test_product_transition_bindings_n4():
-    t = product_transition(4, {(1, 2)}, ("torus", "clifford"))
+    a = _tree(4)
+    t = a.transition("torus", "clifford[1,2]")
     assert t.bindings["x1_2"].equal(parse("z1_2*z2_1/(z1_1*z2_2)"))
     assert t.bindings["y1_2"].equal(parse("z2_2/z2_1"))
-    back = product_transition(4, {(1, 2)}, ("clifford", "torus"))
+    back = a.transition("clifford[1,2]", "torus")
     assert back.bindings["z1_2"].equal(parse("x1_2*y1_2*z1_1"))
     assert back.bindings["z2_1"].equal(parse("z2_2/y1_2"))
 
 
-def test_product_transition_shares_holonomies():
-    t = product_transition(6, {(2, 3)}, ("immersed", "chekanov"))
+def test_product_transition_shares_holonomies(tree6):
+    t = tree6.transition("immersed[2,3]", "chekanov[2,3]")
     expected = {"x2_1": "u2*v2 - 1", "y2_1": "u2"}
     target = product_charts(6, {(2, 3)})["chekanov"].variables
     assert set(target) == set(expected) | {"z1_1", "z1_2", "z1_4", "z2_1", "z2_3", "z2_4"}
@@ -267,25 +263,10 @@ def test_product_transition_shares_holonomies():
         assert t.image(name).equal(parse(expected.get(name, name))), name
 
 
-def test_product_transition_double_pair_acts_on_both_slots():
-    t = product_transition(6, {(1, 2), (3, 4)}, ("clifford", "chekanov"))
+def test_product_transition_double_pair_acts_on_both_slots(tree6):
+    t = tree6.transition("clifford[1,2;3,4]", "chekanov[1,2;3,4]")
     assert t.bindings["y1_1"].equal(parse("y1_2*(1 + x1_2)"))
     assert t.bindings["y3_1"].equal(parse("y3_2*(1 + x3_2)"))
-
-
-def test_product_transition_empty_set_is_identity():
-    t = product_transition(5, frozenset(), ("torus", "torus"))
-    assert t.source == t.target == "torus"
-    variables = product_charts(5, frozenset())["torus"].variables
-    assert all(t.image(name).equal(RationalFunction.var(name)) for name in variables)
-    assert not t.bindings
-
-
-def test_product_transition_rejects_bad_input():
-    with pytest.raises(ValueError):
-        product_transition(6, {(2, 3)}, ("torus", "chekanov"))
-    with pytest.raises(ValueError):
-        product_transition(6, {(1, 2), (2, 3)}, ("immersed", "chekanov"))
 
 
 @pytest.mark.parametrize("n", range(4, 10))
@@ -363,7 +344,6 @@ def _on_gr24_node_chart(t: Transition) -> Transition:
         "immersed[1,2]",
         "immersed[1,2]",
         {names[k]: e.rename(names) for k, e in t.bindings.items()},
-        tuple(c.rename(names) for c in t.constraints),
     )
 
 
@@ -476,9 +456,14 @@ def test_atlas_build_names_each_chart_once(n, monkeypatch):
     assert len(calls) == 4 * (len(maximal) + 1)
     for ps in maximal:
         named = product_charts(n, ps)
-        for source, target in _SLOT_MAPS:
-            t = a.transition(named[source].name, named[target].name)
-            assert t == product_transition(n, ps, (source, target))
+        slots = [slot_coordinates(i) for i, _ in ps]
+        for edge, one_slot in _SLOT_MAPS.items():
+            # the slot map of the edge, renamed at every selected slot
+            expected = {
+                names[k]: parse(e).rename(names) for names in slots for k, e in one_slot.items()
+            }
+            t = a.transition(named[edge[0]].name, named[edge[1]].name)
+            assert t == Transition(t.source, t.target, expected)
 
 
 def test_two_builds_parse_the_slot_maps_once(monkeypatch):
@@ -487,7 +472,7 @@ def test_two_builds_parse_the_slot_maps_once(monkeypatch):
     monkeypatch.setattr(atlas_module, "parse", lambda text: parsed.append(text) or real(text))
     atlas_module._slot_maps.cache_clear()
     first, second = gr_product_atlas(8), gr_product_atlas(8)
-    table = [e for bindings, guards in _SLOT_MAPS.values() for e in (*bindings.values(), *guards)]
+    table = [e for bindings in _SLOT_MAPS.values() for e in bindings.values()]
     assert sorted(parsed) == sorted(table)
     assert atlas_module._slot_maps.cache_info().misses == 1
     assert [t.bindings for t in first.transitions] == [t.bindings for t in second.transitions]
@@ -560,8 +545,8 @@ def _whole_sum_potentials(n):
     for ps in index_sets(n)[1]:
         named = product_charts(n, ps)
         immersed = _eager_sum(immersed_terms(n, ps))
-        into_immersed = product_transition(n, ps, ("chekanov", "immersed"))
-        into_torus = product_transition(n, ps, ("clifford", "torus"))
+        into_immersed = _tree(n).transition(named["chekanov"].name, named["immersed"].name)
+        into_torus = _tree(n).transition(named["clifford"].name, "torus")
         out[named["immersed"].name] = immersed
         out[named["chekanov"].name] = immersed.substitute(into_immersed.bindings)
         out[named["clifford"].name] = torus.substitute(into_torus.bindings)

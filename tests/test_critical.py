@@ -9,8 +9,8 @@ import pytest
 from lgmirror.critical import (
     CriticalPoint,
     SolveConfig,
+    _model_charts,
     atlas_critical_points,
-    chart_critical_points,
     critical_system,
     gr24_closed_points,
     gr24_expected_values,
@@ -24,14 +24,23 @@ from lgmirror.potentials import Potential, gc_torus_potential, immersed_potentia
 from lgmirror.rational import parse
 
 
+def _per_chart(model):
+    """Every chart of the model's atlas solved on its own: chart name -> points."""
+    charts, _ = _model_charts(model)
+    return {
+        name: solve_potential(potential, bindings)
+        for name, potential, bindings, _ in charts
+    }
+
+
 @pytest.fixture(scope="module")
 def gr24_per_chart():
-    return chart_critical_points("gr24")
+    return _per_chart("gr24")
 
 
 @pytest.fixture(scope="module")
 def og15_per_chart():
-    return chart_critical_points("og15")
+    return _per_chart("og15")
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from lgmirror.ladder import (
     Diagram,
     admissible_diagrams,
-    chart_subdivision,
     check_pair_set,
     classify_face,
     diagram_from_pairs,
@@ -82,6 +81,17 @@ def test_single_path_is_zero_dimensional():
 def test_full_ladder_dimension():
     for n in (4, 5, 6):
         assert Diagram(n, _full(n)).dimension == 2 * (n - 2)
+
+
+def test_regions_are_cached_outside_equality_and_hash():
+    d = Diagram(6, _full(6))
+    regions = d.regions
+    assert d.regions is regions
+    fresh = Diagram(6, _full(6))
+    assert "regions" not in vars(fresh)
+    assert d == fresh and hash(d) == hash(fresh)
+    assert len({d, fresh}) == 1
+    assert fresh.regions == regions
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -277,34 +287,6 @@ def test_check_pair_set_rejects_non_integer_indices(pair_set):
 def test_check_pair_set_rejects_small_n(n):
     with pytest.raises(ValueError, match="n >= 4"):
         check_pair_set(n, frozenset())
-
-
-def test_chart_subdivision_examples():
-    cells = chart_subdivision(5, frozenset({(1, 2)}))
-    assert set(cells) == {(1, 2, 5), (5, 4, 3, 2)}
-    fan = chart_subdivision(4, frozenset())
-    assert set(fan) == {(1, 2, 4), (2, 3, 4)}
-    two_quads = chart_subdivision(6, frozenset({(1, 2), (3, 4)}))
-    assert set(two_quads) == {(6, 5, 4, 3), (6, 3, 2, 1)}
-
-
-def test_chart_subdivision_cell_counts():
-    for n in (4, 5, 6, 7):
-        all_sets, _ = index_sets(n)
-        for s in all_sets:
-            cells = chart_subdivision(n, s)
-            quads = [c for c in cells if len(c) == 4]
-            tris = [c for c in cells if len(c) == 3]
-            assert len(quads) == len(s)
-            assert len(tris) == n - 2 - 2 * len(s)
-            assert len(cells) == (n - 2) - len(s)
-
-
-def test_chart_subdivision_rejects_bad_pair_set():
-    with pytest.raises(ValueError):
-        chart_subdivision(6, frozenset({(1, 2), (2, 3)}))
-    with pytest.raises(ValueError):
-        chart_subdivision(4, frozenset({(2, 3)}))
 
 
 def test_moment_inequality_count_and_boundedness():

@@ -5,7 +5,7 @@ import pytest
 
 from lgmirror.laurent import LaurentPoly
 from lgmirror.novikov import NovikovSeries, novikov_expand
-from lgmirror.rational import parse
+from lgmirror.rational import as_rational, parse
 
 
 def test_geometric_expansion_of_immersed_term():
@@ -42,27 +42,27 @@ def test_fractional_weights():
 
 
 def test_product_respects_truncation():
+    # v(u^2 + z0)/((uv - 1) z0) = -v(u^2/z0 + 1) sum_k (uv)^k, and (uv)^k has
+    # valuation 2k: the terms -u^k v^(k+1) and -u^(k+2) v^(k+1)/z0 land at
+    # T^(2k+1) and T^(2k+3)
     weights = {"u": 1, "v": 1, "z0": 0}
-    a = parse("v/((u*v-1)*z0)")
-    b = parse("u^2 + z0")
-    sa = novikov_expand(a, weights, 8)
-    sb = novikov_expand(b, weights, 8)
-    direct = novikov_expand(a * b, weights, 8)
-    prod = sa * sb
-    common = min(prod.order, direct.order)
-    assert prod.truncate(common).terms == direct.truncate(common).terms
+    s = novikov_expand(parse("v/((u*v-1)*z0)") * parse("u^2 + z0"), weights, 8)
+    assert s.order == 8
+    assert s.exponents() == (1, 3, 5, 7)
+    assert as_rational(s.coefficient(1)).equal(parse("-v"))
+    for k in range(1, 4):
+        expected = parse(f"-u^{k}*v^{k + 1} - u^{k + 1}*v^{k}/z0")
+        assert as_rational(s.coefficient(2 * k + 1)).equal(expected), k
 
 
 def test_product_with_negative_valuations():
+    # u * v/(1 - uv) = sum_{k>=1} (uv)^k, and uv has valuation -1 + 2 = 1
     weights = {"u": -1, "v": 2}
-    a = parse("u")
-    b = parse("v/(1 - u*v)")
-    sa = novikov_expand(a, weights, 5)
-    sb = novikov_expand(b, weights, 5)
-    direct = novikov_expand(a * b, weights, 5)
-    prod = sa * sb
-    common = min(prod.order, direct.order)
-    assert prod.truncate(common).terms == direct.truncate(common).terms
+    s = novikov_expand(parse("u") * parse("v/(1 - u*v)"), weights, 5)
+    assert s.order == 5
+    assert s.exponents() == (1, 2, 3, 4)
+    for k in range(1, 5):
+        assert as_rational(s.coefficient(k)).equal(parse(f"u^{k}*v^{k}")), k
 
 
 def test_series_constructor_guards():
@@ -73,10 +73,3 @@ def test_series_constructor_guards():
         NovikovSeries(((Fraction(7), one),), Fraction(5))
     with pytest.raises(ValueError):
         NovikovSeries(((Fraction(1), LaurentPoly((), {})),), Fraction(5))
-
-
-def test_truncate_cannot_extend():
-    s = novikov_expand(parse("u"), {"u": 1}, 3)
-    with pytest.raises(ValueError):
-        s.truncate(4)
-    assert s.truncate(1).terms == ()
