@@ -15,7 +15,9 @@ unchanged, and only the rest are lifted over a common denominator.
 The wall crossings at one node are one table of slot maps, ``_SLOT_MAPS``.
 It is parsed once per process, on first use, into shared read-only
 transitions; the local model, the quadric and every product chart of
-gr(2,n) instantiate it through ``_wall_crossing``.
+gr(2,n) instantiate it through ``_wall_crossing``.  A gr(2,n) build renames
+each slot map to each slot once and shares it among the pair sets holding
+the slot.
 """
 
 from __future__ import annotations
@@ -249,19 +251,18 @@ def _slot_maps() -> dict[tuple[str, str], Transition]:
     }
 
 
-def _wall_crossing(
-    edge: tuple[str, str], source: str, target: str, slots, moved=()
-) -> Transition:
-    """The slot map of ``edge`` at every slot at once, from chart ``source``
-    to chart ``target``.  Each slot is a renaming of the one-slot
-    coordinates; the empty renaming shares the parsed map.  Each pair
-    (new, old) of ``moved`` binds a target coordinate that only changes
-    name."""
-    slot = _slot_maps()[edge]
+def _renamed(edge: tuple[str, str], names: dict[str, str]) -> dict[str, RationalFunction]:
+    """The slot map of ``edge`` in the coordinates of one slot."""
+    return {names[k]: e.rename(names) for k, e in _slot_maps()[edge].bindings.items()}
+
+
+def _wall_crossing(source: str, target: str, slot_maps, moved=()) -> Transition:
+    """One edge's slot maps, one per slot, as a single transition from
+    chart ``source`` to chart ``target``.  Each pair (new, old) of
+    ``moved`` binds a target coordinate that only changes name."""
     bindings: dict[str, RationalFunction] = {}
-    for names in slots:
-        for k, e in slot.bindings.items():
-            bindings[names.get(k, k)] = e.rename(names) if names else e
+    for one_slot in slot_maps:
+        bindings.update(one_slot)
     bindings.update((new, RationalFunction.var(old)) for new, old in moved)
     return Transition(source, target, bindings)
 
@@ -288,7 +289,7 @@ def local_model_atlas(perturb_cocycle: bool = False) -> Atlas:
         Chart("chekanov", ("x1", "y1")),
         Chart("clifford", ("x2", "y2")),
     )
-    transitions = [_wall_crossing(edge, *edge, [{}]) for edge in _NODE_EDGES]
+    transitions = [_wall_crossing(*edge, [_slot_maps()[edge].bindings]) for edge in _NODE_EDGES]
     if perturb_cocycle:
         k = _NODE_EDGES.index(("clifford", "chekanov"))
         t = transitions[k]
@@ -322,7 +323,8 @@ def og15_atlas() -> Atlas:
     # 1 chekanov, 2 clifford; a node wall crossing renames it
     z = {"immersed": "z0", "chekanov": "z1", "clifford": "z2"}
     transitions = tuple(
-        _wall_crossing((s, t), s, t, [{}], [(z[t], z[s])]) for s, t in _NODE_EDGES
+        _wall_crossing(s, t, [_slot_maps()[s, t].bindings], [(z[t], z[s])])
+        for s, t in _NODE_EDGES
     ) + (
         Transition("toric-fiber", "clifford", og_bridge()),
         Transition(
@@ -351,11 +353,17 @@ def gr_product_atlas(n: int) -> Atlas:
     charts = [product_charts(n, frozenset())["torus"]]
     transitions: list[Transition] = []
     potentials = {"torus": torus}
+    # each edge's slot map renamed to each slot, once per build
+    slots = sorted({i for ps in pair_sets for i, _ in ps})
+    renamed = {
+        (edge, i): _renamed(edge, slot_coordinates(i)) for edge in _SLOT_MAPS for i in slots
+    }
     for ps in pair_sets:
         named = product_charts(n, ps)
-        slots = [slot_coordinates(i) for i, _ in sorted(ps)]
         crossings = {
-            (s, t): _wall_crossing((s, t), named[s].name, named[t].name, slots)
+            (s, t): _wall_crossing(
+                named[s].name, named[t].name, [renamed[(s, t), i] for i, _ in sorted(ps)]
+            )
             for s, t in sorted(_SLOT_MAPS)
         }
         transitions += crossings.values()

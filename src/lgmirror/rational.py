@@ -27,6 +27,19 @@ The pass skips every factor of the form a*v + b, with v a variable, a a
 monomial and b free of v.  Such a factor is irreducible, and trial division
 has already shown that it does not divide the numerator (a cancellation in
 the pass keeps that true), so the two are coprime and the gcd would be 1.
+
+Substitution normalizes once per polynomial.  Each bound value is raised
+to each power it needs once per call.  A term c*x^e becomes the numerator
+c * prod power.num over the multiset sum of the powers' factors, left
+unnormalized; every term is lifted over the LCM of those multisets
+(over_common_denominator), the numerators are summed, and one make
+normalizes the total.  A denominator factor f^m of the substituted
+function folds into the same make: G_f.den^m joins the numerator and
+(G_f.num, m) the factors.  The result is value-equal to substituting term
+by term through normalized sums and products.  That its canonical form is
+identical too is checked against that route, kept in
+tests/term_by_term_substitution.py, not proven: the gcd pass has budgets,
+and it sees different inputs on the two routes.
 """
 from __future__ import annotations
 
@@ -210,6 +223,8 @@ class RationalFunction:
             return RationalFunction.constant(1)
         if n < 0:
             return self.inverse() ** (-n)
+        if n == 1:
+            return self
         num = self.num ** n
         return RationalFunction.make(num, tuple((f, m * n) for f, m in self.factors))
 
@@ -226,9 +241,17 @@ class RationalFunction:
         if vals.keys().isdisjoint(self.variables()):
             return self
         out = _substitute_poly(self.num, vals)
+        if not self.factors:
+            return out
+        # with f -> G_f, N / prod f^m = N.num * prod G_f.den^m over
+        # N.den * prod G_f.num^m, normalized by one make
+        num, factors = out.num, list(out.factors)
         for f, m in self.factors:
-            out = out / _substitute_poly(f, vals) ** m
-        return out
+            g = _substitute_poly(f, vals)
+            if g.factors:
+                num = num * g.den**m
+            factors.append((g.num, m))
+        return RationalFunction.make(num, factors)
 
     def partial(self, name: str) -> "RationalFunction":
         """Exact partial derivative."""
@@ -374,14 +397,25 @@ def _substitute_poly(p: LaurentPoly, vals: Mapping[str, "RationalFunction"]) -> 
             power_cache[(name, k)] = got
         return got
 
-    total = RationalFunction.constant(0)
+    # each term is c * prod power.num over the multiset sum of the powers'
+    # factors, left unnormalized; the terms are summed over their LCM
+    terms = []
     for e, c in p.terms.items():
-        term = RationalFunction.constant(c)
+        num = LaurentPoly.constant(c)
+        factors: dict = {}
         for name, k in zip(p.vars, e):
             if k:
-                term = term * power(name, k)
-        total = total + term
-    return total
+                got = power(name, k)
+                num = num * got.num
+                for f, m in got.factors:
+                    key = f.key()
+                    factors[key] = (f, factors[key][1] + m if key in factors else m)
+        terms.append(RationalFunction(num, tuple(factors.values())))
+    lcm, numerators = over_common_denominator(terms)
+    total = LaurentPoly((), {})
+    for num in numerators:
+        total = total + num
+    return RationalFunction.make(total, lcm)
 
 
 def as_rational(x) -> RationalFunction:

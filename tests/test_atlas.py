@@ -478,6 +478,17 @@ def test_two_builds_parse_the_slot_maps_once(monkeypatch):
     assert [t.bindings for t in first.transitions] == [t.bindings for t in second.transitions]
 
 
+def test_atlas_build_renames_each_slot_map_once(monkeypatch):
+    renamed = []
+    real = RationalFunction.rename
+    monkeypatch.setattr(
+        RationalFunction, "rename", lambda self, names: renamed.append(names) or real(self, names)
+    )
+    gr_product_atlas(13)
+    # 8 edges at 10 slots, each slot map binding two coordinates
+    assert len(renamed) <= 8 * 10 * 2
+
+
 def test_slot_maps_are_not_parsed_at_import():
     src = os.path.dirname(os.path.dirname(atlas_module.__file__))
     probe = "import lgmirror.cli, lgmirror.atlas as a; print(a._slot_maps.cache_info().currsize)"
