@@ -20,6 +20,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .polytope import Inequality
 
@@ -41,7 +42,6 @@ __all__ = [
     "holonomies",
     "holonomy",
     "index_sets",
-    "is_admissible",
     "ladder_edges",
     "moment_inequalities",
     "monotone_point",
@@ -122,15 +122,6 @@ def positive_paths(n: int) -> tuple[int, ...]:
 
     walk((0, 0), 0)
     return tuple(out)
-
-
-def is_admissible(n: int, mask: int) -> bool:
-    """True when the edge mask is precisely a union of positive paths."""
-    union = 0
-    for p in positive_paths(n):
-        if p & mask == p:
-            union |= p
-    return bool(mask) and union == mask
 
 
 @dataclass(frozen=True)
@@ -387,6 +378,7 @@ def chart_coordinates(n: int, pair_set, kind: str) -> tuple[str, tuple[str, ...]
 # -- the pinned inequalities ---------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def moment_inequalities(n: int):
     """Inequalities of the ambient polytope, each pinned to a grid edge.
 
@@ -394,7 +386,8 @@ def moment_inequalities(n: int):
     a (row, column) pair, ineqs[k] is exact affine data, and pinned maps a
     grid edge to the index of its inequality.  Coordinates are ordered
     row 1 then row 2, columns 1..n-2.  The two boundary values are fixed
-    constants: top neighbour n-2, bottom neighbour -2.
+    constants: top neighbour n-2, bottom neighbour -2.  Built once per n and
+    shared by every caller, hence read-only: two tuples and a mapping proxy.
     """
     labels = [(1, j) for j in range(1, n - 1)] + [(2, j) for j in range(1, n - 1)]
     pos = {lab: k for k, lab in enumerate(labels)}
@@ -424,7 +417,7 @@ def moment_inequalities(n: int):
     for j in range(1, n - 1):  # interlacing, pinned to middle rail segments
         add(form({(1, j): 1, (2, j): -1}), ((1, j - 1), (1, j)))
     add(form({(2, 1): 1}, 2), ((2, 0), (2, 1)))  # floor, pinned to first bottom rail segment
-    return labels, ineqs, pinned
+    return tuple(labels), tuple(ineqs), MappingProxyType(pinned)
 
 
 def tight_edge_indices(d: Diagram) -> frozenset[int]:

@@ -40,8 +40,10 @@ from .ladder import (
     chart_coordinates,
     check_pair_set,
     check_size,
+    diagram_from_pairs,
     holonomy,
     index_sets,
+    monotone_point,
     slot_coordinates,
 )
 from .laurent import LaurentPoly
@@ -60,7 +62,6 @@ __all__ = [
     "equal_mod_plucker",
     "geometric_to_plucker",
     "parametrize",
-    "plucker_relation",
     "pvar",
     "random_point",
     "sum_equal_mod_plucker",
@@ -76,17 +77,6 @@ def pvar(i: int, j: int) -> str:
 def cyclic_pairs(n: int) -> tuple[Pair, ...]:
     """The index pairs whose coordinates are required nonzero."""
     return tuple((j, j + 1) for j in range(1, n)) + ((1, n),)
-
-
-def plucker_relation(i: int, j: int, k: int, l: int, n: int) -> LaurentPoly:
-    """The three-term quadric on the chosen index quadruple."""
-    if not 1 <= i < j < k < l <= n:
-        raise ValueError(f"need 1 <= i < j < k < l <= n, got {(i, j, k, l)} with n={n}")
-
-    def m(a: Pair, b: Pair) -> LaurentPoly:
-        return LaurentPoly.var(pvar(*a)) * LaurentPoly.var(pvar(*b))
-
-    return m((i, j), (k, l)) - m((i, k), (j, l)) + m((i, l), (j, k))
 
 
 # -- identity checking ----------------------------------------------------
@@ -186,15 +176,17 @@ def geometric_to_plucker(n: int, pair_set: frozenset) -> ChartDictionary:
 
     Torus directions keep z-variables; each chosen pair (i, i+1) trades
     two of them for the immersed pair u_i, v_i.  Valuation factors follow
-    the staircase: row-1 column j sits at depth j+1, row-2 column j at
-    depth j, each u at 1, each v at -1.
+    the staircase: the holonomy at (row, j) sits at depth y + 2, y its
+    coordinate at ``monotone_point`` of the pair set's diagram (on the kept
+    ones j+1 on row 1 and j on row 2); each u at 1, each v at -1.
     """
     pair_set = check_pair_set(n, pair_set)
+    point = monotone_point(diagram_from_pairs(n, pair_set))
     # (numerator pair, denominator pair, T-power) of every name a chart may use
     ratios: dict[str, tuple[Pair, Pair, int]] = {}
     for j in range(1, n - 1):
-        ratios[holonomy(1, j)] = ((n - j - 1, n - j), (n - j, n), -(j + 1))
-        ratios[holonomy(2, j)] = ((n - j - 1, n), (n - 1, n), -j)
+        ratios[holonomy(1, j)] = ((n - j - 1, n - j), (n - j, n), -int(point[1, j] + 2))
+        ratios[holonomy(2, j)] = ((n - j - 1, n), (n - 1, n), -int(point[2, j] + 2))
     for i, _ in pair_set:
         slot = slot_coordinates(i)
         ratios[slot["u"]] = ((n - i - 2, n - i), (n - i - 1, n - i), -1)

@@ -5,30 +5,31 @@ potentials are decided on the term lists by ``rational.sum_is_zero``.  The
 summed function ``Potential.expr`` is built on first use, only where a whole
 sum is needed: the critical-point system, the Koszul centring, the printout.
 
-The torus potential is a Laurent polynomial in the ladder variables with
-one term per key: ("row1", j) is z1_{j+1}/z1_j, ("row2", j) is
-z2_{j+1}/z2_j and ("rung", j) is z1_j/z2_j, where z1_{n-1} stands for the
-quantum monomial and z2_0 for 1.  Each admissible set of pairs surgers it:
-per pair (i, i+1) the six terms keyed row1 i+1 and i, row2 i, rung i+1
-and i, and row2 i-1 leave, and four in the immersed variables u_i, v_i
-enter.  Disjoint pairs have disjoint keys, so every removal is a deletion
-by key.
+The torus potential has one Laurent monomial per facet (c, b) of the
+moment polytope ``ladder.moment_inequalities(n)``, in facet order: the
+holonomies z{row}_j to the powers c, times T^(b - 2 sum(c)), the facet's
+constant once every coordinate is shifted by +2.  That power is n on the
+top facet and 0 on the rest.  Each admissible set of pairs surgers it: the
+pair (i, i+1) trades the holonomies z1_{i+1} and z2_i for the immersed
+u_i and v_i, so the six facets whose normal involves either leave, and
+four terms in u_i, v_i enter.  Disjoint pairs trade disjoint holonomies.
 
 The homogeneous-coordinate side, with q in place of T^n, surgers the torus
-potential pushed into Plucker ratios.  Per pair four terms leave, the
-middle four keys of the same six: a = z1_{i+1}/z1_i (row1 i),
-b' = z2_{i+1}/z2_i (row2 i), c = z1_{i+1}/z2_{i+1} (rung i+1) and
-d = z1_i/z2_i (rung i).  Two enter, (a + b') r and (c + d) r, where with
-b = n - i - 2
+potential pushed into Plucker ratios.  Per pair four facets leave: the
+tight set of the pair's face, pinned to the four centre edges of its
+diagram.  The two pinned to rungs are a = z1_{i+1}/z1_i and
+b' = z2_{i+1}/z2_i, the two pinned to middle-rail segments
+c = z1_{i+1}/z2_{i+1} and d = z1_i/z2_i.  Two terms enter, (a + b') r and
+(c + d) r, where with b = n - i - 2
 
     r = p_{b,b+2} p_{b+1,n} / (p_{b,b+1} p_{b+2,n} + p_{b,n} p_{b+1,b+2})
 
 is 1 by the three-term relation on (b, b+1, b+2, n).  Both products are
 Laurent monomials free of negative powers of p_{b+1,n}, the coordinate the
 pair's chart lets vanish.  The result is still checked against Rietsch's
-potential, written out on its own and sharing no code with the surgery
-table, so a wrong table entry cannot pass.  The two sides agree modulo the
-quadratic coordinate relations with q identified with T^n.
+potential, written out on its own and sharing no code with the surgery,
+so a wrong facet cannot pass.  The two sides agree modulo the quadratic
+coordinate relations with q identified with T^n.
 """
 
 from __future__ import annotations
@@ -36,21 +37,21 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .ladder import (
     chart_coordinates,
     check_pair_set,
     check_size,
+    diagram_from_pairs,
     holonomy,
+    moment_inequalities,
     slot_coordinates,
+    tight_edge_indices,
 )
+from .laurent import LaurentPoly
 from .plucker import geometric_to_plucker, pvar, sum_equal_mod_plucker
 from .rational import RationalFunction, as_rational, parse, sum_is_zero
-
-Pair = tuple[int, int]
-TermKey = tuple[str, int]  # ("row1" | "row2" | "rung", column)
 
 _T = RationalFunction.var("T")
 _Q = RationalFunction.var("q")
@@ -89,10 +90,36 @@ def _names(terms) -> set[str]:
 # -- torus and surgered potentials ----------------------------------------
 
 
-def _z1(n: int, j: int, quantum: RationalFunction) -> RationalFunction:
+@lru_cache(maxsize=None)
+def _facet_terms(n: int, quantum: str) -> tuple[RationalFunction, ...]:
+    """One Laurent monomial per facet of ``moment_inequalities(n)``, in
+    facet order, with the quantum monomial written T^n (``quantum`` "T")
+    or q (``quantum`` "q"); built once per (n, quantum) and shared."""
+    labels, ineqs, _ = moment_inequalities(n)
+    terms = []
+    for c, b in ineqs:
+        # the facet's constant once every coordinate is shifted by +2
+        power = b - 2 * sum(c)
+        if power not in (0, n):
+            raise ValueError(f"facet of gr(2,{n}) at T-power {power}, not 0 or {n}")
+        exps = {holonomy(*lab): int(k) for lab, k in zip(labels, c) if k}
+        if power:
+            exps[quantum] = n if quantum == "T" else 1
+        terms.append(RationalFunction.from_poly(LaurentPoly.monomial(exps)))
+    return tuple(terms)
+
+
+def gc_torus_potential(n: int) -> Potential:
+    """Disk potential of the monotone torus fiber: one Laurent monomial per
+    facet of the moment polytope, in facet order."""
+    chart, variables = chart_coordinates(n, frozenset(), "torus")
+    return Potential(_facet_terms(n, "T"), chart, variables, f"gr(2,{n})")
+
+
+def _z1(n: int, j: int) -> RationalFunction:
     # the slot one past the top row is, by convention, the quantum monomial
     if j == n - 1:
-        return quantum
+        return _T**n
     return RationalFunction.var(holonomy(1, j))
 
 
@@ -103,55 +130,27 @@ def _z2(j: int) -> RationalFunction:
     return RationalFunction.var(holonomy(2, j))
 
 
-def _torus_terms(n: int, quantum: RationalFunction) -> dict[TermKey, RationalFunction]:
-    terms = {("row2", 0): _z2(1), ("row1", n - 2): quantum / _z1(n, n - 2, quantum)}
-    for j in range(1, n - 2):
-        terms["row1", j] = _z1(n, j + 1, quantum) / _z1(n, j, quantum)
-        terms["row2", j] = _z2(j + 1) / _z2(j)
-    for j in range(1, n - 1):
-        terms["rung", j] = _z1(n, j, quantum) / _z2(j)
-    return terms
-
-
-def gc_torus_potential(n: int) -> Potential:
-    """Disk potential of the monotone torus fiber: one Laurent monomial per
-    facet, in display order."""
-    chart, variables = chart_coordinates(n, frozenset(), "torus")
-    return Potential(_torus_terms(n, _T**n).values(), chart, variables, f"gr(2,{n})")
-
-
-def _pair_keys(i: int) -> tuple[TermKey, ...]:
-    """The six torus terms the pair (i, i+1) removes; the middle four are
-    the ones the homogeneous side merges."""
-    return (
-        ("row1", i + 1), ("row1", i), ("row2", i),
-        ("rung", i + 1), ("rung", i), ("row2", i - 1),
-    )
-
-
-def _inserted_terms(n: int, i: int, quantum) -> list[RationalFunction]:
+def _inserted_terms(n: int, i: int) -> list[RationalFunction]:
+    """The four disk classes in u_i, v_i that the pair (i, i+1) adds."""
     slot = slot_coordinates(i)
     u = RationalFunction.var(slot["u"])
     v = RationalFunction.var(slot["v"])
     return [
         u,
-        u * _z1(n, i, quantum) / _z2(i + 1),
+        u * _z1(n, i) / _z2(i + 1),
         v * _z2(i + 1) / _z2(i - 1),
-        v * _z1(n, i + 2, quantum) / ((u * v - 1) * _z1(n, i, quantum)),
+        v * _z1(n, i + 2) / ((u * v - 1) * _z1(n, i)),
     ]
 
 
 def immersed_terms(n: int, pair_set) -> list[RationalFunction]:
-    """Terms of the surgered potential for one admissible set of pairs."""
+    """Terms of the surgered potential for one admissible set of pairs: the
+    facets whose normal involves no traded holonomy, then the inserted
+    terms pair by pair."""
     pair_set = check_pair_set(n, pair_set)
-    quantum = _T**n
-    terms = _torus_terms(n, quantum)
-    inserted = []
-    for i, _ in sorted(pair_set):
-        for key in _pair_keys(i):
-            del terms[key]
-        inserted += _inserted_terms(n, i, quantum)
-    return list(terms.values()) + inserted
+    traded = {slot_coordinates(i)[k] for i, _ in pair_set for k in ("zb", "wa")}
+    kept = [t for t in _facet_terms(n, "T") if traded.isdisjoint(t.variables())]
+    return kept + [t for i, _ in sorted(pair_set) for t in _inserted_terms(n, i)]
 
 
 def immersed_potential(n: int, pair_set) -> Potential:
@@ -264,27 +263,42 @@ def rietsch_gr(n: int) -> Potential:
 
 
 @lru_cache(maxsize=None)
-def _pushed_torus_terms(n: int) -> Mapping[TermKey, RationalFunction]:
+def _pushed_torus_terms(n: int) -> tuple[RationalFunction, ...]:
     """The torus terms, with q for the quantum monomial, pushed into
-    Plucker ratios; built once per n and shared, hence read-only."""
+    Plucker ratios; indexed by facet, built once per n and shared."""
     push = geometric_to_plucker(n, frozenset()).bindings
-    return MappingProxyType({key: t.substitute(push) for key, t in _torus_terms(n, _Q).items()})
+    return tuple(t.substitute(push) for t in _facet_terms(n, "q"))
+
+
+def _merged_facets(n: int, i: int) -> tuple[list[int], list[int]]:
+    """The tight set of the face of the pair (i, i+1), pinned to the four
+    centre edges of its diagram: the facets pinned to rungs (a, b') and
+    those pinned to middle-rail segments (d, c)."""
+    _, _, pinned = moment_inequalities(n)
+    tight = tight_edge_indices(diagram_from_pairs(n, {(i, i + 1)}))
+    # a rung joins two vertices of one column, a rail segment two columns
+    rungs = [k for (u, v), k in pinned.items() if k in tight and u[1] == v[1]]
+    rails = [k for (u, v), k in pinned.items() if k in tight and u[1] != v[1]]
+    return rungs, rails
 
 
 @lru_cache(maxsize=None)
 def _restricted_terms(n: int, pair_set: frozenset) -> tuple[RationalFunction, ...]:
-    pushed = dict(_pushed_torus_terms(n))
-    merged = []
+    pushed = _pushed_torus_terms(n)
+    merged, gone = [], set()
     for i, _ in sorted(pair_set):
         b = n - i - 2
         # the three-term relation on (b, b+1, b+2, n) as a ratio equal to 1;
-        # it clears p_{b+1,n} from the denominators of a + b1 and c + d
+        # it clears p_{b+1,n} from the denominators of a + b' and c + d
         ratio = _p(b, b + 2) * _p(b + 1, n) / (
             _p(b, b + 1) * _p(b + 2, n) + _p(b, n) * _p(b + 1, b + 2)
         )
-        a, b1, c, d = (pushed.pop(key) for key in _pair_keys(i)[1:5])
+        rungs, rails = _merged_facets(n, i)
+        gone.update(rungs + rails)
+        (a, b1), (d, c) = ([pushed[k] for k in facets] for facets in (rungs, rails))
         merged += [(a + b1) * ratio, (c + d) * ratio]
-    return tuple(pushed.values()) + tuple(merged)
+    kept = tuple(t for k, t in enumerate(pushed) if k not in gone)
+    return kept + tuple(merged)
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from lgmirror import cli, critical
+from lgmirror import cli, critical, ladder, potentials
 from lgmirror.cli import main, parse_pairs
 
 
@@ -236,6 +236,67 @@ def test_verify_rietsch_gr20_maximal_chart(capsys, deadline):
 def test_verify_rietsch_og15(capsys):
     code, out, _ = run(capsys, ["verify", "rietsch", "--model", "og15"])
     assert code == 0
+
+
+def _clear_facet_caches():
+    for cached in (
+        potentials._facet_terms,
+        potentials._pushed_torus_terms,
+        potentials._restricted_terms,
+        potentials._restricted_checked,
+    ):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def corrupt_facet(monkeypatch):
+    """Replace one facet of the gr(2,6) moment polytope, everywhere it is read."""
+    original = ladder.moment_inequalities
+
+    def corrupt(k, facet):
+        labels, ineqs, pinned = original(6)
+        bad = ineqs[:k] + (facet(*ineqs[k]),) + ineqs[k + 1:]
+
+        def patched(n):
+            return (labels, bad, pinned) if n == 6 else original(n)
+
+        for module in (ladder, cli, potentials):
+            monkeypatch.setattr(module, "moment_inequalities", patched)
+        _clear_facet_caches()
+
+    yield corrupt
+    _clear_facet_caches()
+
+
+def _floor_up(c, b):
+    return c, b + 1
+
+
+def _top_down(c, b):
+    return c, b - 1
+
+
+def _negated(c, b):
+    return tuple(-x for x in c), -b
+
+
+# facet 3 is the top facet -x_{1,4} + 4, facet 11 the floor x_{2,1} + 2
+@pytest.mark.parametrize(
+    "k, facet, faces_see_it",
+    [(11, _floor_up, False), (3, _top_down, True)]
+    + [(k, _negated, True) for k in (0, 3, 4, 7, 8, 11)],
+)
+def test_a_corrupted_facet_fails_the_verdicts(capsys, corrupt_facet, k, facet, faces_see_it):
+    corrupt_facet(k, facet)
+    pairs = ["--pairs", "1,2;3,4"]
+    code, out, err = run(capsys, ["verify", "rietsch", "--model", "gr", "--n", "6"] + pairs)
+    assert code != 0
+    assert "FAIL  floer-equals-homogeneous" in out or "T-power" in err
+    # the floor is tight on no Lagrangian face, so the monotone verdicts,
+    # which check containment and the tight walls, do not see it move up
+    if faces_see_it:
+        code, out, _ = run(capsys, ["faces", "--n", "6"])
+        assert code != 0 and "FAIL  monotone[" in out
 
 
 def test_verify_cocycle_local_model(capsys):

@@ -14,7 +14,6 @@ from lgmirror.ladder import (
     classify_face,
     diagram_from_pairs,
     index_sets,
-    is_admissible,
     ladder_edges,
     moment_inequalities,
     monotone_point,
@@ -28,6 +27,15 @@ from lgmirror.polytope import (
     satisfies,
 )
 from lgmirror.potentials import immersed_potential
+
+
+def is_admissible(n: int, mask: int) -> bool:
+    """True when the edge mask is precisely a union of positive paths."""
+    union = 0
+    for p in positive_paths(n):
+        if p & mask == p:
+            union |= p
+    return bool(mask) and union == mask
 
 
 def _full(n: int) -> int:

@@ -15,15 +15,26 @@ from lgmirror.plucker import (
     equal_mod_plucker,
     geometric_to_plucker,
     parametrize,
-    plucker_relation,
     pvar,
     random_point,
     sum_equal_mod_plucker,
 )
 from lgmirror.ladder import index_sets
+from lgmirror.laurent import LaurentPoly
 from lgmirror.rational import as_rational, parse
 
 from generic_minors import generic_minors
+
+
+def plucker_relation(i, j, k, l, n):
+    """The three-term quadric on the chosen index quadruple."""
+    if not 1 <= i < j < k < l <= n:
+        raise ValueError(f"need 1 <= i < j < k < l <= n, got {(i, j, k, l)} with n={n}")
+
+    def m(a, b):
+        return LaurentPoly.var(pvar(*a)) * LaurentPoly.var(pvar(*b))
+
+    return m((i, j), (k, l)) - m((i, k), (j, l)) + m((i, l), (j, k))
 
 
 def test_relation_shape():

@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 from lgmirror.atlas import gr_product_atlas
-from lgmirror.ladder import chart_coordinates, index_sets
+from lgmirror.ladder import (
+    chart_coordinates,
+    diagram_from_pairs,
+    holonomies,
+    holonomy,
+    index_sets,
+    tight_edge_indices,
+)
 from lgmirror.novikov import novikov_expand
 from lgmirror import potentials
 from lgmirror.plucker import (
@@ -30,6 +37,7 @@ from lgmirror.potentials import (
 from lgmirror.rational import RationalFunction, as_rational, parse
 
 import gr24_hand_written
+import torus_by_hand
 from generic_minors import generic_sum_equal
 from gr24_hand_written import renamed
 
@@ -73,26 +81,55 @@ def test_torus_term_count(n):
 
 
 def test_torus_display_order_n4():
-    expected = ["z2_1", "T^4/z1_2", "z1_2/z1_1", "z2_2/z2_1", "z1_1/z2_1", "z1_2/z2_2"]
+    # facet order: row-1 steps, row-2 steps, rungs, floor
+    expected = ["z1_2/z1_1", "T^4/z1_2", "z2_2/z2_1", "z1_1/z2_1", "z1_2/z2_2", "z2_1"]
     assert torus_terms(4) == [parse(s) for s in expected]
 
 
 def test_torus_display_order_n6():
     expected = [
-        "z2_1",
-        "T^6/z1_4",
         "z1_2/z1_1",
-        "z2_2/z2_1",
         "z1_3/z1_2",
-        "z2_3/z2_2",
         "z1_4/z1_3",
+        "T^6/z1_4",
+        "z2_2/z2_1",
+        "z2_3/z2_2",
         "z2_4/z2_3",
         "z1_1/z2_1",
         "z1_2/z2_2",
         "z1_3/z2_3",
         "z1_4/z2_4",
+        "z2_1",
     ]
     assert torus_terms(6) == [parse(s) for s in expected]
+
+
+@pytest.mark.parametrize("n", range(4, 31))
+def test_facet_monomials_match_the_hand_table(n):
+    # the hand table lists its keys in facet order, so the lists agree
+    # term by term, and so as multisets
+    for quantum, name in ((parse(f"T^{n}"), "T"), (parse("q"), "q")):
+        by_hand = list(torus_by_hand.torus_terms(n, quantum).values())
+        assert list(potentials._facet_terms(n, name)) == by_hand
+    assert torus_terms(n) == list(potentials._facet_terms(n, "T"))
+
+
+@pytest.mark.parametrize("n", range(4, 31))
+def test_pair_facets_are_the_hand_keys(n):
+    by_hand = torus_by_hand.torus_terms(n, parse(f"T^{n}"))
+    keys = list(by_hand)
+    for i in range(1, n - 2):
+        six = torus_by_hand.pair_keys(i)
+        # the surgery keeps exactly the facets off the six keys, in order
+        kept = immersed_terms(n, {(i, i + 1)})[:-4]
+        assert kept == [t for key, t in by_hand.items() if key not in six]
+        # the merged facets are the middle four keys: the tight set of the
+        # pair's face, rungs (a, b') apart from middle-rail segments (c, d)
+        face = diagram_from_pairs(n, {(i, i + 1)})
+        assert tight_edge_indices(face) == {keys.index(key) for key in six[1:5]}
+        rungs, rails = potentials._merged_facets(n, i)
+        assert {keys[k] for k in rungs} == {six[1], six[2]}
+        assert {keys[k] for k in rails} == {six[3], six[4]}
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -415,7 +452,7 @@ def _merge_search_terms(n, pair_set):
     relation ratio is a Laurent monomial free of that negative power."""
     q = parse("q")
     push = geometric_to_plucker(n, frozenset()).bindings
-    terms = [t.substitute(push) for t in potentials._torus_terms(n, q).values()]
+    terms = [t.substitute(push) for t in torus_by_hand.torus_terms(n, q).values()]
     for i, _ in sorted(pair_set):
         b = n - i - 2
         cleared = pvar(n - i - 1, n)
@@ -455,21 +492,6 @@ def test_restricted_closed_form_matches_merge_search(n):
             assert all(_exponent(t, c) >= 0 for c in cleared), (n, sorted(pair_set), t)
 
 
-def _removed_by_value(n, i, quantum):
-    def z1(j):
-        return potentials._z1(n, j, quantum)
-
-    z2 = potentials._z2
-    return [
-        z1(i + 2) / z1(i + 1),
-        z1(i + 1) / z1(i),
-        z2(i + 1) / z2(i),
-        z1(i + 1) / z2(i + 1),
-        z1(i) / z2(i),
-        z2(i) / z2(i - 1),
-    ]
-
-
 def _remove_by_value(terms, targets):
     for target in targets:
         terms.remove(next(t for t in terms if t == target))
@@ -483,17 +505,17 @@ def _reference_surgeries(n, pair_set):
     def p(j, k):
         return parse(pvar(j, k))
 
-    floer = list(potentials._torus_terms(n, t_n).values())
+    floer = list(torus_by_hand.torus_terms(n, t_n).values())
     push = geometric_to_plucker(n, frozenset()).bindings
-    pushed = {t: t.substitute(push) for t in potentials._torus_terms(n, q).values()}
+    pushed = {t: t.substitute(push) for t in torus_by_hand.torus_terms(n, q).values()}
     homogeneous = list(pushed.values())
     for i, _ in sorted(pair_set):
-        _remove_by_value(floer, _removed_by_value(n, i, t_n))
-        floer += potentials._inserted_terms(n, i, t_n)
+        _remove_by_value(floer, torus_by_hand.removed_by_value(n, i, t_n))
+        floer += potentials._inserted_terms(n, i)
         b = n - i - 2
         binom = p(b, b + 1) * p(b + 2, n) + p(b, n) * p(b + 1, b + 2)
         ratio = p(b, b + 2) * p(b + 1, n) / binom
-        a, b1, c, d = (pushed[t] for t in _removed_by_value(n, i, q)[1:5])
+        a, b1, c, d = (pushed[t] for t in torus_by_hand.removed_by_value(n, i, q)[1:5])
         _remove_by_value(homogeneous, (a, b1, c, d))
         homogeneous += [(a + b1) * ratio, (c + d) * ratio]
     return floer, homogeneous
@@ -613,6 +635,47 @@ def test_staircase_dressing_immersed(pairs, lead):
     series = novikov_expand(dressed(pot.expr, staircase(6, pairs)), weights, 3)
     assert series.exponents()[0] == lead
     assert all(e > 0 for e in series.exponents())
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_staircase_holonomy_powers_are_the_literal_staircase(n):
+    # read from monotone_point, they are -(j+1) on row 1 and -j on row 2
+    literal = {
+        holonomy(row, j): -(j + 1) if row == 1 else -j
+        for row in (1, 2)
+        for j in range(1, n - 1)
+    }
+    for pair_set in index_sets(n)[0]:
+        tpowers = geometric_to_plucker(n, pair_set).tpowers
+        kept = holonomies(n, pair_set)
+        assert {h: tpowers[h] for h in kept} == {h: literal[h] for h in kept}
+        assert all(type(k) is int for k in tpowers.values())
+
+
+def _valuation_defects(n, pair_set, terms):
+    """The terms that, dressed by the staircase with u_i and v_i at
+    valuation 1/2, have no positive T-valuation, or, free of u and v, a
+    valuation other than 1."""
+    tmap = staircase(n, pair_set)
+    weights = {v: Fraction(1, 2) if v[0] in "uv" else Fraction(0) for v in tmap}
+    defects = []
+    for t in terms:
+        lead = novikov_expand(dressed(t, tmap), weights, 3).exponents()[0]
+        torus = not any(v[0] in "uv" for v in t.variables())
+        if lead <= 0 or (torus and lead != 1):
+            defects.append(t)
+    return defects
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_staircase_valuations_on_every_pair_set(n):
+    scale = parse("T^-2")
+    for pair_set in index_sets(n)[0]:
+        terms = immersed_terms(n, pair_set)
+        assert _valuation_defects(n, pair_set, terms) == [], sorted(pair_set)
+        # the negative control: each inserted term, scaled by T^-2, is flagged
+        scaled = [t * scale for t in terms[len(terms) - 4 * len(pair_set):]]
+        assert _valuation_defects(n, pair_set, scaled) == scaled
 
 
 # -- container behaviour ---------------------------------------------------
