@@ -5,7 +5,6 @@ from .atlas import (
     Atlas,
     Chart,
     Transition,
-    gauge_automorphism,
     gr24_atlas,
     gr_product_atlas,
     local_model_atlas,
@@ -38,7 +37,6 @@ __all__ = [
     "Atlas",
     "Chart",
     "Transition",
-    "gauge_automorphism",
     "gr24_atlas",
     "gr_product_atlas",
     "local_model_atlas",

@@ -1,6 +1,5 @@
 """Chart gluing: wall-crossing transitions, product extensions over a pair
-set, composition, cocycle and potential-transport checks, and the gauge
-family at the node.
+set, composition, and cocycle and potential-transport checks.
 
 A transition binds only the target coordinates it changes, each to a
 source-chart expression.  Every other target coordinate is the source
@@ -106,15 +105,16 @@ class Atlas:
         if len(set(names)) != len(names):
             raise ValueError("duplicate chart names")
         by_name = {c.name: c for c in self.charts}
-        edges = set()
+        # source -> target -> transition
+        adjacent: dict[str, dict[str, Transition]] = {name: {} for name in names}
         for t in self.transitions:
             if t.source not in by_name or t.target not in by_name:
                 raise ValueError(f"transition {t.source}->{t.target} off the atlas")
             if t.source == t.target:
                 raise ValueError("self-transitions do not belong in an atlas")
-            if (t.source, t.target) in edges:
+            if t.target in adjacent[t.source]:
                 raise ValueError(f"duplicate transition {t.source}->{t.target}")
-            edges.add((t.source, t.target))
+            adjacent[t.source][t.target] = t
             target_vars = set(by_name[t.target].variables)
             source_vars = set(by_name[t.source].variables)
             stray = sorted(set(t.bindings) - target_vars)
@@ -135,17 +135,19 @@ class Atlas:
             if (potential.chart, potential.variables) != (chart.name, chart.variables):
                 raise ValueError(f"potential on {chart_name!r} does not live on that chart")
         self._by_name = by_name
-        self._edges = {(t.source, t.target): t for t in self.transitions}
+        self._adjacent = adjacent
         if names:
+            # the walk follows each transition both ways
+            linked = {name: set(targets) for name, targets in adjacent.items()}
+            for source, targets in adjacent.items():
+                for target in targets:
+                    linked[target].add(source)
             seen = {names[0]}
             frontier = [names[0]]
             while frontier:
-                here = frontier.pop()
-                for s, t in self._edges:
-                    for other in ((t,) if s == here else (s,) if t == here else ()):
-                        if other not in seen:
-                            seen.add(other)
-                            frontier.append(other)
+                for other in linked[frontier.pop()] - seen:
+                    seen.add(other)
+                    frontier.append(other)
             if seen != set(names):
                 raise ValueError("transition graph is not connected")
 
@@ -153,7 +155,7 @@ class Atlas:
         return self._by_name[name]
 
     def transition(self, source: str, target: str):
-        return self._edges.get((source, target))
+        return self._adjacent.get(source, {}).get(target)
 
 
 # -- verification ----------------------------------------------------------
@@ -163,10 +165,14 @@ def verify_cocycle(a: Atlas) -> Report:
     """Every composable triangle must reproduce the direct transition, and
     every two-way edge must compose to the identity."""
     verdicts = []
-    for (s, t), forward in sorted(a._edges.items()):
-        if s < t and (t, s) in a._edges:
+    adjacent = {s: sorted(targets.items()) for s, targets in sorted(a._adjacent.items())}
+    for s, targets in adjacent.items():
+        for t, forward in targets:
+            back = a._adjacent[t].get(s)
+            if t < s or back is None:
+                continue
             variables = a.chart(s).variables
-            loop = compose(forward, a._edges[(t, s)], variables)
+            loop = compose(forward, back, variables)
             bad = [v for v in variables if not loop.image(v).equal(RationalFunction.var(v))]
             verdicts.append(
                 Verdict(
@@ -175,23 +181,22 @@ def verify_cocycle(a: Atlas) -> Report:
                     "" if not bad else f"not the identity on {bad}",
                 )
             )
-    for (s1, mid), t1 in sorted(a._edges.items()):
-        for (m2, end), t2 in sorted(a._edges.items()):
-            if m2 != mid or end == s1:
-                continue
-            direct = a._edges.get((s1, end))
-            if direct is None:
-                continue
-            variables = a.chart(end).variables
-            comp = compose(t1, t2, variables)
-            bad = [v for v in sorted(variables) if not comp.image(v).equal(direct.image(v))]
-            verdicts.append(
-                Verdict(
-                    f"triangle {s1}->{mid}->{end}",
-                    not bad,
-                    "" if not bad else f"mismatch on {bad}",
+    for s1, targets in adjacent.items():
+        for mid, t1 in targets:
+            for end, t2 in adjacent[mid]:
+                direct = a._adjacent[s1].get(end)
+                if end == s1 or direct is None:
+                    continue
+                variables = a.chart(end).variables
+                comp = compose(t1, t2, variables)
+                bad = [v for v in sorted(variables) if not comp.image(v).equal(direct.image(v))]
+                verdicts.append(
+                    Verdict(
+                        f"triangle {s1}->{mid}->{end}",
+                        not bad,
+                        "" if not bad else f"mismatch on {bad}",
+                    )
                 )
-            )
     if not verdicts:
         verdicts.append(Verdict("no-triangles", True, "nothing to compose"))
     return Report(f"cocycle[{a.name}]", tuple(verdicts))
@@ -265,17 +270,6 @@ def _wall_crossing(source: str, target: str, slot_maps, moved=()) -> Transition:
         bindings.update(one_slot)
     bindings.update((new, RationalFunction.var(old)) for new, old in moved)
     return Transition(source, target, bindings)
-
-
-def gauge_automorphism(k: int) -> Transition:
-    """Reparametrization of the node chart that preserves the product u*v."""
-    k = int(k)
-    scale = parse("1 - u*v")
-    bindings = {
-        "u": scale**k * RationalFunction.var("u"),
-        "v": scale**-k * RationalFunction.var("v"),
-    }
-    return Transition("immersed", "immersed", bindings)
 
 
 def local_model_atlas(perturb_cocycle: bool = False) -> Atlas:

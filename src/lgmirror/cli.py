@@ -24,7 +24,7 @@ from .atlas import (
 from .critical import (
     SolveConfig,
     atlas_critical_points,
-    model_atlas,
+    closed_form,
     verify_counts,
     verify_known,
 )
@@ -33,6 +33,8 @@ from .ladder import (
     admissible_diagrams,
     classify_face,
     diagram_from_pairs,
+    holonomies,
+    holonomy,
     index_sets,
     moment_inequalities,
     monotone_point,
@@ -41,7 +43,6 @@ from .ladder import (
 )
 from .novikov import novikov_expand
 from .plucker import covering_certificate, covering_check, geometric_to_plucker
-from .polytope import _is_tight, satisfies
 from .potentials import (
     immersed_potential,
     og_potentials,
@@ -86,26 +87,31 @@ def run_faces(args) -> tuple[RunReport, list[str]]:
     t0 = time.perf_counter()
     count = len(admissible_diagrams(n))
     # the Lagrangian faces are the pair-set diagrams (proof: diagram_from_pairs)
-    lagrangian = [diagram_from_pairs(n, s) for s in index_sets(n)[0]]
+    lagrangian = [(s, diagram_from_pairs(n, s)) for s in index_sets(n)[0]]
     t1 = time.perf_counter()
-    labels, ineqs, pinned = moment_inequalities(n)
+    labels, ineqs, _ = moment_inequalities(n)
     verdicts = [Verdict("census", True, f"{count} faces, {len(lagrangian)} Lagrangian")]
     lines = [f"faces of the ladder polytope, n = {n}"]
     faces = []
-    lagrangian.sort(key=lambda d: sorted(tight_edge_indices(d)))
-    for k, d in enumerate(lagrangian):
+    lagrangian.sort(key=lambda sd: sorted(tight_edge_indices(sd[1])))
+    for k, (s, d) in enumerate(lagrangian):
         cls = classify_face(d)
         point = monotone_point(d)
-        vec = tuple(point[lab] for lab in labels)
-        inside = all(satisfies(vec, q) for q in ineqs)
-        placed = all(
-            _is_tight(vec, ineqs[idx]) == (e not in d.edges)
-            for e, idx in pinned.items()
-        )
+        tight = tight_edge_indices(d)
+        kept = set(holonomies(n, s))
+        traded = [holonomy(*lab) not in kept for lab in labels]
+        slack = [sum(c * point[lab] for c, lab in zip(a, labels)) + b for a, b in ineqs]
+        # at the monotone point a facet sits at distance 0 if the face lies
+        # on it, 2 if its normal involves a holonomy that a pair trades away,
+        # and 1 otherwise
+        distance = [
+            0 if idx in tight else 2 if any(c and t for c, t in zip(a, traded)) else 1
+            for idx, (a, _) in enumerate(ineqs)
+        ]
         verdicts.append(
             Verdict(
                 f"monotone[{k}:{cls.diffeo_type}]",
-                inside and placed,
+                slack == distance,
                 f"n1={cls.n1} n2={cls.n2}, point in polytope with matching tight walls",
             )
         )
@@ -307,12 +313,13 @@ def run_critical(args) -> tuple[RunReport, list[str]]:
     model = "gr24" if args.model == "gr" else "og15"
     cfg = SolveConfig(seed=args.seed)
     t0 = time.perf_counter()
-    atlas = model_atlas(model)
+    form = closed_form(model)
+    atlas = form.atlas()
     t1 = time.perf_counter()
-    closed = verify_known(model, atlas)
+    closed = verify_known(form, atlas)
     t2 = time.perf_counter()
-    points = atlas_critical_points(model, cfg, atlas)
-    solved = verify_counts(model, points)
+    points = atlas_critical_points(form, atlas, cfg)
+    solved = verify_counts(form, points)
     t3 = time.perf_counter()
     lines = [f"critical points [{model}]"]
     for p in points:

@@ -19,11 +19,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .atlas import gr_product_atlas, og15_atlas
+from .atlas import Atlas, gr_product_atlas, og15_atlas
 from .ladder import chart_coordinates
 from .laurent import LaurentPoly
 from .potentials import Potential, parse_model
@@ -43,13 +43,13 @@ _DEDUP_RADIUS = 1e-6
 @dataclass(frozen=True)
 class SolveConfig:
     starts: int = 2000
-    newton_tol: float = 1e-12
-    max_iter: int = 100
     seed: int = 42
+    # a Newton iterate has converged once every cleared equation is this
+    # small, and a converged root is certified once the honest gradient is
+    newton_tol: ClassVar[float] = 1e-12
+    max_iter: ClassVar[int] = 100
 
     def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -333,44 +333,61 @@ def og15_expected_values() -> list[complex]:
     return [3 * 4.0 ** (1.0 / 3.0) * xi**j for j in range(3)] + [0.0]
 
 
-# model -> (atlas, numeric bindings of its potentials, root chart, the root
-# chart's homogeneous-coordinate projection, closed points, their values).  The
-# root chart holds every closed point; the values number the quantum-cohomology
-# rank.
+class ClosedForm(NamedTuple):
+    """One model's closed-form critical data.  The root chart holds every
+    closed point; the values number the quantum-cohomology rank."""
+
+    key: str
+    # builds the atlas whose charts hold the model's critical points
+    atlas: Callable[[], Atlas]
+    # numeric values of the potentials' parameters
+    bindings: Mapping[str, object]
+    root: str
+    # the root chart's homogeneous coordinates, as root-chart expressions
+    projection: Mapping[str, str]
+    points: Callable[[], list[dict]]
+    values: Callable[[], list[complex]]
+
+
 _CLOSED_FORMS = {
-    "gr24": (
-        lambda: gr_product_atlas(4),
-        {"T": 1},
-        chart_coordinates(4, {(1, 2)}, "immersed")[0],
-        {
-            pvar(1, 2): "z1_1*z2_2*(u1*v1 - 1)",
-            pvar(1, 3): "u1*z1_1",
-            pvar(1, 4): "z2_2",
-            pvar(2, 3): "z1_1",
-            pvar(2, 4): "v1*z2_2",
-            pvar(3, 4): "1",
-        },
-        gr24_closed_points,
-        gr24_expected_values,
-    ),
-    "og15": (
-        og15_atlas,
-        {},
-        "immersed",
-        {"p0": "z0", "p1": "v*z0", "p2": "u", "p3": "1"},
-        og15_closed_points,
-        og15_expected_values,
-    ),
+    form.key: form
+    for form in (
+        ClosedForm(
+            key="gr24",
+            atlas=lambda: gr_product_atlas(4),
+            bindings={"T": 1},
+            root=chart_coordinates(4, {(1, 2)}, "immersed")[0],
+            projection={
+                pvar(1, 2): "z1_1*z2_2*(u1*v1 - 1)",
+                pvar(1, 3): "u1*z1_1",
+                pvar(1, 4): "z2_2",
+                pvar(2, 3): "z1_1",
+                pvar(2, 4): "v1*z2_2",
+                pvar(3, 4): "1",
+            },
+            points=gr24_closed_points,
+            values=gr24_expected_values,
+        ),
+        ClosedForm(
+            key="og15",
+            atlas=og15_atlas,
+            bindings={},
+            root="immersed",
+            projection={"p0": "z0", "p1": "v*z0", "p2": "u", "p3": "1"},
+            points=og15_closed_points,
+            values=og15_expected_values,
+        ),
+    )
 }
 
 
-def _closed_form(model: str) -> tuple:
-    """The model's key followed by its entry of _CLOSED_FORMS."""
+def closed_form(model: str) -> ClosedForm:
+    """The closed-form data of a model name; ValueError if there are none."""
     kind, n = parse_model(model)
     key = f"gr2{n}" if kind == "gr" else kind
     if key not in _CLOSED_FORMS:
         raise ValueError(f"no closed-form critical data for model {model!r}")
-    return (key,) + _CLOSED_FORMS[key]
+    return _CLOSED_FORMS[key]
 
 
 def _value_multiset_match(actual, expected, tol: float) -> bool:
@@ -389,21 +406,13 @@ def _value_multiset_match(actual, expected, tol: float) -> bool:
     return True
 
 
-def model_atlas(model: str):
-    """The atlas whose charts hold the model's critical points."""
-    return _closed_form(model)[1]()
-
-
-def verify_known(model: str, atlas=None) -> Report:
+def verify_known(form: ClosedForm, atlas: Atlas) -> Report:
     """Check the stored closed-form points on the root chart's potential:
     tiny gradients, the expected critical-value multiset, and the
-    quantum-cohomology count.  ``atlas`` is the model's atlas if already
-    built."""
-    key, make_atlas, bindings, root, _, points, values = _closed_form(model)
-    atlas = atlas or make_atlas()
-    system = critical_system(atlas.potentials[root], bindings)
-    closed = points()
-    expected = values()
+    quantum-cohomology count.  ``atlas`` is ``form.atlas()``."""
+    system = critical_system(atlas.potentials[form.root], form.bindings)
+    closed = form.points()
+    expected = form.values()
     verdicts = []
     values = []
     for k, coords in enumerate(closed):
@@ -431,31 +440,29 @@ def verify_known(model: str, atlas=None) -> Report:
             f"{len(closed)} points = quantum cohomology rank",
         )
     )
-    return Report(f"closed-form critical data [{key}]", tuple(verdicts))
+    return Report(f"closed-form critical data [{form.key}]", tuple(verdicts))
 
 
 # -- per-chart solving and the atlas union ---------------------------------
 
 
-def _model_charts(model: str, atlas=None):
+def _model_charts(form: ClosedForm, atlas: Atlas):
     """The charts of the model's atlas, starting at the root chart, each with
     its potential, numeric bindings and homogeneous-coordinate projection.
 
     Only the root chart's projection is written out; every other chart's is
     pulled back to it along the atlas transitions.
     """
-    _, make_atlas, bindings, root, projection, _, _ = _closed_form(model)
-    atlas = atlas or make_atlas()
-    maps = {root: {k: parse(e) for k, e in projection.items()}}
-    frontier = [root]
+    maps = {form.root: {k: parse(e) for k, e in form.projection.items()}}
+    frontier = [form.root]
     while frontier:
         known = frontier.pop(0)
         for t in atlas.transitions:
             if t.target == known and t.source not in maps:
                 maps[t.source] = {k: e.substitute(t.bindings) for k, e in maps[known].items()}
                 frontier.append(t.source)
-    charts = [(name, atlas.potentials[name], bindings, maps[name]) for name in maps]
-    return charts, list(projection)
+    charts = [(name, atlas.potentials[name], form.bindings, maps[name]) for name in maps]
+    return charts, list(form.projection)
 
 
 def _project_normalized(coords, projection, order):
@@ -470,12 +477,12 @@ def _project_normalized(coords, projection, order):
 
 
 def atlas_critical_points(
-    model: str, cfg: SolveConfig = SolveConfig(), atlas=None
+    form: ClosedForm, atlas: Atlas, cfg: SolveConfig = SolveConfig()
 ) -> list[CriticalPoint]:
     """Union of the per-chart critical points, deduplicated through the
     homogeneous-coordinate projection (top coordinate scaled to one).
-    ``atlas`` is the model's atlas if already built."""
-    charts, order = _model_charts(model, atlas)
+    ``atlas`` is ``form.atlas()``."""
+    charts, order = _model_charts(form, atlas)
     merged: list[CriticalPoint] = []
     vectors: list[np.ndarray] = []
     for _, potential, bindings, projection in charts:
@@ -495,11 +502,10 @@ def atlas_critical_points(
     return merged
 
 
-def verify_counts(model: str, points: Sequence[CriticalPoint]) -> Report:
+def verify_counts(form: ClosedForm, points: Sequence[CriticalPoint]) -> Report:
     """Solver-side check that an atlas union of critical points recovers
     exactly the quantum-cohomology rank, with the expected value multiset."""
-    key, *_, values = _closed_form(model)
-    expected = values()
+    expected = form.values()
     verdicts = [
         Verdict(
             "count",
@@ -517,4 +523,4 @@ def verify_counts(model: str, points: Sequence[CriticalPoint]) -> Report:
             f"max residual {max((p.residual for p in points), default=0.0):.3e}",
         ),
     ]
-    return Report(f"solver critical data [{key}]", tuple(verdicts))
+    return Report(f"solver critical data [{form.key}]", tuple(verdicts))

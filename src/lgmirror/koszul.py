@@ -245,10 +245,10 @@ def koszul_square_check(data: KoszulData) -> Report:
     return Report(f"koszul factorization [{data.label}]", tuple(verdicts))
 
 
-def corrupt_cofactor(data: KoszulData, index: int, offset=1) -> KoszulData:
-    """Return a copy with one cofactor shifted; for failure-path tests."""
+def corrupt_cofactor(data: KoszulData, index: int) -> KoszulData:
+    """Return a copy with one cofactor shifted by 1; for failure-path tests."""
     cofactors = list(data.cofactors)
-    cofactors[index] = cofactors[index] + as_rational(offset)
+    cofactors[index] = cofactors[index] + as_rational(1)
     return replace(data, cofactors=tuple(cofactors))
 
 

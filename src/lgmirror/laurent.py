@@ -338,10 +338,6 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly((), {})
-        if divisor.is_monomial():
-            (e, c), = divisor.terms.items()
-            mono = LaurentPoly(divisor.vars, {tuple(-x for x in e): coeff_quotient(1, c)})
-            return self * mono
         vars_, ta, tb = LaurentPoly._align(self, divisor)
         # per variable, the exponent range any exact quotient must lie in
         box = [

@@ -59,7 +59,6 @@ __all__ = [
     "covering_certificate",
     "covering_check",
     "cyclic_pairs",
-    "equal_mod_plucker",
     "geometric_to_plucker",
     "parametrize",
     "pvar",
@@ -126,11 +125,6 @@ def parametrize(expr, n: int) -> RationalFunction:
         raise ValueError("expression undefined on the Grassmannian") from None
 
 
-def equal_mod_plucker(e1, e2, n: int) -> bool:
-    """Equality of rational expressions as functions on the minor cone."""
-    return parametrize(e1, n).equal(parametrize(e2, n))
-
-
 def sum_equal_mod_plucker(terms1, terms2, n: int) -> bool:
     """Equality of two term sums as functions on the minor cone.
 
@@ -155,14 +149,18 @@ class ChartDictionary:
     coordinates; composed with a potential it produces a function of the
     p-variables.  ``tpowers`` records, per variable, the power k such
     that the unit-valuation chart coordinate is T^k times the bound
-    ratio.  ``q_power`` is the power of T the quantum parameter carries.
+    ratio.
     """
 
     n: int
     pair_set: frozenset
     bindings: dict[str, RationalFunction] = field(compare=False)
     tpowers: dict[str, int] = field(compare=False)
-    q_power: int = field(default=0, compare=False)
+
+    @property
+    def q_power(self) -> int:
+        """The power of T the quantum parameter carries: q = T^n."""
+        return self.n
 
 
 def _ratio(num: Pair, den: Pair) -> RationalFunction:
@@ -196,7 +194,7 @@ def geometric_to_plucker(n: int, pair_set: frozenset) -> ChartDictionary:
     for v in chart_coordinates(n, pair_set, "immersed")[1]:
         num, den, tpowers[v] = ratios[v]
         bindings[v] = _ratio(num, den)
-    return ChartDictionary(n, pair_set, bindings, tpowers, q_power=n)
+    return ChartDictionary(n, pair_set, bindings, tpowers)
 
 
 # -- points ---------------------------------------------------------------
@@ -260,11 +258,21 @@ class GrassmannPoint:
     def scale(self) -> float:
         return max(abs(complex(v)) for v in self.values.values())
 
+    @cached_property
+    def _zero_tol(self):
+        """None on an exact point; on a numeric one, the size up to which a
+        minor counts as zero."""
+        return None if self.is_exact() else self.NUMERIC_TOL * max(self.scale(), 1.0)
+
+    def minor_nonzero(self, i: int, j: int) -> bool:
+        """Whether p_{i,j} is nonzero: exactly on an exact point, beyond
+        ``NUMERIC_TOL`` times the largest minor (at least 1) on a numeric one."""
+        m = self.minor(i, j)
+        tol = self._zero_tol
+        return m != 0 if tol is None else abs(complex(m)) > tol
+
     def in_open_part(self) -> bool:
-        if self.is_exact():
-            return all(self.minor(*p) != 0 for p in cyclic_pairs(self.n))
-        tol = self.NUMERIC_TOL * max(self.scale(), 1.0)
-        return all(abs(complex(self.minor(*p))) > tol for p in cyclic_pairs(self.n))
+        return all(self.minor_nonzero(*p) for p in cyclic_pairs(self.n))
 
     def as_dict(self) -> dict:
         def enc(v):
@@ -306,20 +314,7 @@ def chart_membership(pt: GrassmannPoint, pair_set: frozenset) -> bool:
     """
     n = pt.n
     chosen = {i for i, _ in pair_set}
-    if pt.is_exact():
-        def nonzero(v):
-            return v != 0
-    else:
-        tol = GrassmannPoint.NUMERIC_TOL * max(pt.scale(), 1.0)
-
-        def nonzero(v):
-            return abs(complex(v)) > tol
-
-    return all(
-        nonzero(pt.minor(n - i - 1, n))
-        for i in range(1, n - 2)
-        if i not in chosen
-    )
+    return all(pt.minor_nonzero(n - i - 1, n) for i in range(1, n - 2) if i not in chosen)
 
 
 # -- covering -------------------------------------------------------------

@@ -34,11 +34,8 @@ IntRow = tuple[tuple[int, ...], int]
 
 __all__ = [
     "Face",
-    "affine_rank",
     "enumerate_faces",
     "enumerate_vertices",
-    "face_from_tight",
-    "satisfies",
 ]
 
 
@@ -121,16 +118,6 @@ def _rank(vecs: list[list[int]]) -> int:
     return rank
 
 
-def satisfies(point: Point, ineq: Inequality) -> bool:
-    coeffs, const = ineq
-    return sum(c * x for c, x in zip(coeffs, point)) + const >= 0
-
-
-def _is_tight(point: Point, ineq: Inequality) -> bool:
-    coeffs, const = ineq
-    return sum(c * x for c, x in zip(coeffs, point)) + const == 0
-
-
 def enumerate_vertices(ineqs: Sequence[Inequality]) -> tuple[Point, ...]:
     """All vertices of the polytope {x : a.x + b >= 0 for each (a, b)}.
 
@@ -153,14 +140,8 @@ def enumerate_vertices(ineqs: Sequence[Inequality]) -> tuple[Point, ...]:
     return tuple(sorted(tuple(Fraction(x, den) for x in nums) for nums, den in seen))
 
 
-def affine_rank(points: Sequence[Point]) -> int:
-    """Dimension of the affine hull; -1 for no points, 0 for a single point."""
-    if not points:
-        return -1
-    return _affine_rank(_integer_points(points)[1])
-
-
 def _affine_rank(points: Sequence[list[int]]) -> int:
+    """Dimension of the affine hull of one or more integer points."""
     base = points[0]
     return _rank([[x - b for x, b in zip(p, base)] for p in points[1:]])
 
@@ -217,15 +198,3 @@ def enumerate_faces(
     faces.sort(key=lambda f: (f.dim, sorted(f.vertex_ids)))
     return tuple(faces)
 
-
-def face_from_tight(
-    ineqs: Sequence[Inequality],
-    vertices: Sequence[Point],
-    tight_indices: Sequence[int],
-) -> Face:
-    """The face on which the given constraints all hold with equality."""
-    points, masks = _tight_masks(ineqs, vertices)
-    m = (1 << len(vertices)) - 1
-    for i in tight_indices:
-        m &= masks[i]
-    return _mask_face(m, points, masks)

@@ -33,6 +33,14 @@ def _value(point, ineq):
     return sum(c * x for c, x in zip(coeffs, point)) + const
 
 
+def satisfies(point, ineq):
+    return _value(point, ineq) >= 0
+
+
+def is_tight(point, ineq):
+    return _value(point, ineq) == 0
+
+
 def enumerate_vertices(ineqs):
     if not ineqs:
         return ()
@@ -91,3 +99,14 @@ def enumerate_faces(ineqs, vertices=None):
         faces.append(Face(ids, tight, affine_rank([vertices[i] for i in sorted(ids)])))
     faces.sort(key=lambda f: (f.dim, sorted(f.vertex_ids)))
     return tuple(faces)
+
+
+def face_from_tight(ineqs, vertices, tight_indices):
+    """The face on which the given constraints all hold with equality."""
+    ids = frozenset(
+        i for i, p in enumerate(vertices) if all(is_tight(p, ineqs[k]) for k in tight_indices)
+    )
+    tight = frozenset(
+        k for k, q in enumerate(ineqs) if all(is_tight(vertices[i], q) for i in ids)
+    )
+    return Face(ids, tight, affine_rank([vertices[i] for i in sorted(ids)]))

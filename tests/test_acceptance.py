@@ -23,6 +23,7 @@ from lgmirror.atlas import (
 from lgmirror.cli import main
 from lgmirror.critical import (
     atlas_critical_points,
+    closed_form,
     critical_system,
     gr24_closed_points,
     og15_closed_points,
@@ -37,13 +38,7 @@ from lgmirror.ladder import (
 )
 from lgmirror.novikov import novikov_expand
 from lgmirror.plucker import covering_certificate, covering_check
-from lgmirror.polytope import (
-    _is_tight,
-    enumerate_faces,
-    enumerate_vertices,
-    face_from_tight,
-    satisfies,
-)
+from lgmirror.polytope import enumerate_faces, enumerate_vertices
 from lgmirror.potentials import (
     immersed_potential,
     immersed_terms,
@@ -51,6 +46,8 @@ from lgmirror.potentials import (
     verify_rietsch_identity,
 )
 from lgmirror.rational import parse
+
+from fraction_polytope import face_from_tight, is_tight, satisfies
 
 
 def budget(started, seconds):
@@ -123,7 +120,8 @@ def test_criterion_04_gr24_critical_points():
     system = critical_system(immersed_potential(4, {(1, 2)}), {"T": 1})
     for coords in gr24_closed_points():
         assert system.gradient_residual(coords) <= 1e-10
-    points = atlas_critical_points("gr24")
+    form = closed_form("gr24")
+    points = atlas_critical_points(form, form.atlas())
     assert len(points) == 6
     expected = [4 * math.sqrt(2.0) * 1j**j for j in range(4)] + [0.0, 0.0]
     assert match_multiset([p.value for p in points], expected, 1e-8)
@@ -135,7 +133,8 @@ def test_criterion_05_og15_critical_points():
     system = critical_system(og_potentials().immersed)
     for coords in og15_closed_points():
         assert system.gradient_residual(coords) <= 1e-10
-    points = atlas_critical_points("og15")
+    form = closed_form("og15")
+    points = atlas_critical_points(form, form.atlas())
     assert len(points) == 4
     xi = cmath.exp(2j * cmath.pi / 3)
     expected = [3 * 4.0 ** (1.0 / 3.0) * xi**j for j in range(3)] + [0.0]
@@ -157,7 +156,7 @@ def test_criterion_06_lagrangian_faces():
             vec = tuple(point[lab] for lab in labels)
             assert all(satisfies(vec, q) for q in ineqs)
             assert all(
-                _is_tight(vec, ineqs[idx]) == (e not in d.edges)
+                is_tight(vec, ineqs[idx]) == (e not in d.edges)
                 for e, idx in pinned.items()
             )
     budget(t0, 10)

@@ -15,7 +15,6 @@ from lgmirror.atlas import (
     Transition,
     _SLOT_MAPS,
     compose,
-    gauge_automorphism,
     gr24_atlas,
     gr_product_atlas,
     local_model_atlas,
@@ -34,6 +33,7 @@ from lgmirror.potentials import (
 )
 from lgmirror.rational import RationalFunction, over_common_denominator, parse
 
+from gauge import gauge_automorphism
 from gr24_hand_written import renamed_transitions
 
 
@@ -230,6 +230,19 @@ def test_tree_atlas_passes_both_suites(tree6):
     assert len(transport.verdicts) == 16
 
 
+def test_cocycle_verdicts_follow_the_sorted_edges(tree6):
+    edges = sorted((t.source, t.target) for t in tree6.transitions)
+    linked = set(edges)
+    trips = [f"roundtrip {s}<->{t}" for s, t in edges if s < t and (t, s) in linked]
+    triangles = [
+        f"triangle {s}->{mid}->{end}"
+        for s, mid in edges
+        for m, end in edges
+        if m == mid and end != s and (s, end) in linked
+    ]
+    assert [v.name for v in verify_cocycle(tree6).verdicts] == trips + triangles
+
+
 def test_tree_atlas_surgered_potential_is_load_bearing(tree6):
     # the immersed-chart potentials come from surgery, the clifford ones
     # from substitution into the torus potential; transport ties them
@@ -381,6 +394,8 @@ def test_atlas_validation():
     with pytest.raises(ValueError):
         Chart("a", ("u", "u"))
     Atlas("x", (u_chart, v_chart), (ok,))
+    # connected through a transition into the first chart
+    Atlas("x", (u_chart, v_chart), (Transition("b", "a", {"u": parse("v")}),))
 
 
 def test_atlas_validation_with_pass_through():

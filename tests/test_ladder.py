@@ -20,13 +20,10 @@ from lgmirror.ladder import (
     positive_paths,
     tight_edge_indices,
 )
-from lgmirror.polytope import (
-    enumerate_faces,
-    enumerate_vertices,
-    face_from_tight,
-    satisfies,
-)
+from lgmirror.polytope import enumerate_faces, enumerate_vertices
 from lgmirror.potentials import immersed_potential
+
+from fraction_polytope import face_from_tight, satisfies
 
 
 def is_admissible(n: int, mask: int) -> bool:

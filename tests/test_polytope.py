@@ -10,15 +10,19 @@ import pytest
 import fraction_polytope as ref
 from lgmirror.ladder import moment_inequalities
 from lgmirror.polytope import (
+    _affine_rank,
+    _integer_points,
     _solve_square,
-    affine_rank,
     enumerate_faces,
     enumerate_vertices,
-    face_from_tight,
-    satisfies,
 )
 
 F = Fraction
+
+
+def affine_rank(points):
+    """The integer affine-rank kernel on Fraction points; -1 for none."""
+    return _affine_rank(_integer_points(points)[1]) if points else -1
 
 
 def _ineq(coeffs, const):
@@ -87,29 +91,12 @@ def test_affine_rank_basics():
     assert affine_rank(plane) == 2
 
 
-def test_face_from_tight_picks_the_facet():
-    qs = _unit_cube()
-    verts = enumerate_vertices(qs)
-    f = face_from_tight(qs, verts, [0])  # x0 = 0
-    assert f.dim == 2
-    assert len(f.vertex_ids) == 4
-    assert all(verts[i][0] == 0 for i in f.vertex_ids)
-    edge = face_from_tight(qs, verts, [0, 2])  # x0 = 0, x1 = 0
-    assert edge.dim == 1
-
-
-def test_satisfies_is_closed_halfspace():
-    q = _ineq([1, -1, 0], 2)
-    assert satisfies((F(0), F(2), F(9)), q)
-    assert satisfies((F(0), F(3), F(0)), q) is False
-
-
 def _faces_by_subset_scan(qs, verts):
     # reference: the face of every constraint subset, empty ones dropped
     found = {}
     for k in range(len(qs) + 1):
         for subset in itertools.combinations(range(len(qs)), k):
-            f = face_from_tight(qs, verts, subset)
+            f = ref.face_from_tight(qs, verts, subset)
             if f.vertex_ids:
                 found[f.vertex_ids] = f
     return tuple(sorted(found.values(), key=lambda f: (f.dim, sorted(f.vertex_ids))))

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lgmirror.atlas import gauge_automorphism
 from lgmirror.laurent import LaurentPoly
 from lgmirror.potentials import immersed_potential, og_potentials
 from lgmirror.rational import (
@@ -16,6 +15,8 @@ from lgmirror.rational import (
     over_common_denominator,
     parse,
 )
+
+from gauge import gauge_automorphism
 
 VARS = ("x", "y")
 
