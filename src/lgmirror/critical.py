@@ -8,9 +8,12 @@ points act as the ground truth for the two smallest models.
 All numeric polynomial evaluation goes through one monomial table: the
 distinct exponent rows of a list of polynomials, with a (monomials x
 polynomials) coefficient matrix.  A Newton step evaluates the cleared
-equations and their Jacobian together from one such table and solves the
-whole batch at once; only a batch holding an exactly singular Jacobian is
-filtered by determinant before solving again.
+equations, their Jacobian and every denominator together from one such
+table.  An iterate that lands on a denominator zero is dropped there, by the
+same floor test that filters the converged roots; W has a pole there, so
+the iterate has left the chart.  The rest of the batch is solved at once,
+and only a batch still holding an exactly singular Jacobian is filtered by
+determinant before solving again.
 """
 
 from __future__ import annotations
@@ -157,13 +160,22 @@ class CriticalSystem:
             self._grad_factors.append(cols)
         self.denominators = list(denominators.values())
         self._gradient = _Monomials(grad_polys, self.variables)
-        # F in columns 0..m-1, the Jacobian row by row after it
+        # F in columns 0..m-1, the Jacobian row by row after it, then the
+        # denominators
+        m = len(self.variables)
+        self._den_col = m * (m + 1)
         self._newton = _Monomials(
             self.equations
-            + [e.partial(v) for e in self.equations for v in self.variables],
+            + [e.partial(v) for e in self.equations for v in self.variables]
+            + self.denominators,
             self.variables,
         )
-        self._den = _Monomials(self.denominators, self.variables)
+        # each denominator's terms, as rows of the Newton table, and their
+        # coefficients' sizes
+        self._den_terms = []
+        for sizes in np.abs(self._newton.coeffs[:, self._den_col:]).T:
+            terms = np.nonzero(sizes)[0]
+            self._den_terms.append((terms, sizes[terms]))
 
     def rational_residuals(self, pts: np.ndarray) -> np.ndarray:
         """Residual of the honest gradient, poles and all.  Roots of the
@@ -179,37 +191,48 @@ class CriticalSystem:
             worst = np.maximum(worst, np.asarray(mags, dtype=np.float64))
         return worst
 
-    def _f_and_j(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The cleared equations (N, m) and their Jacobian (N, m, m) at pts."""
+    def _evaluate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cleared equations (N, m), their Jacobian (N, m, m) and which
+        rows lie off every denominator, from one monomial table at pts."""
         m = len(self.variables)
-        vals = self._newton.eval(pts)
-        return vals[:, :m], vals[:, m:].reshape(-1, m, m)
+        mono = self._newton.table(pts)
+        vals = mono @ self._newton.coeffs
+        F, J = vals[:, :m], vals[:, m : self._den_col].reshape(-1, m, m)
+        return F, J, self._clear_of_denominators(mono, vals[:, self._den_col :])
+
+    def _clear_of_denominators(self, mono: np.ndarray, dens: np.ndarray) -> np.ndarray:
+        """The floor test: a row lies off every denominator when each one's
+        value is at least _DEN_FLOOR times the larger of 1 and its largest
+        term.  mono is the Newton monomial table at the rows, dens the
+        denominators' values there."""
+        keep = np.ones(mono.shape[0], dtype=bool)
+        for den, (terms, sizes) in zip(np.abs(dens).T, self._den_terms):
+            scale = np.maximum(1.0, (np.abs(mono[:, terms]) * sizes).max(axis=1))
+            keep &= den >= _DEN_FLOOR * scale
+        return keep
 
     def _newton_step(self, pts: np.ndarray):
-        F, J = self._f_and_j(pts)
+        """The Newton step at each row, whether the row may take it, and the
+        row's largest cleared residual.  A row on a denominator, or with an
+        exactly singular Jacobian, takes no step."""
+        F, J, good = self._evaluate(pts)
+        step = np.zeros_like(pts)
         try:
-            step = np.linalg.solve(J, F[..., None])[..., 0]
-            good = np.isfinite(step).all(axis=1)
+            step[good] = np.linalg.solve(J[good], F[good][..., None])[..., 0]
         except np.linalg.LinAlgError:
-            # some Jacobian is exactly singular (an iterate drifted onto a
-            # coordinate hyperplane): solve the rest of the batch
+            # some Jacobian off the denominators is exactly singular: solve
+            # the rest of the batch
             dets = np.linalg.det(J)
-            good = np.isfinite(dets) & (np.abs(dets) > 1e-300)
-            step = np.zeros_like(pts)
-            if good.any():
-                step[good] = np.linalg.solve(J[good], F[good][..., None])[..., 0]
+            good &= np.isfinite(dets) & (np.abs(dets) > 1e-300)
+            step[good] = np.linalg.solve(J[good], F[good][..., None])[..., 0]
+        good &= np.isfinite(step).all(axis=1)
         return step, good, np.abs(F).max(axis=1)
 
     def off_denominators(self, pts: np.ndarray) -> np.ndarray:
-        mono = self._den.table(pts)
-        vals = np.abs(mono @ self._den.coeffs)
-        mono = np.abs(mono)
-        keep = np.ones(pts.shape[0], dtype=bool)
-        for k, coeffs in enumerate(np.abs(self._den.coeffs).T):
-            terms = np.nonzero(coeffs)[0]
-            scale = np.maximum(1.0, (mono[:, terms] * coeffs[terms]).max(axis=1))
-            keep &= vals[:, k] >= _DEN_FLOOR * scale
-        return keep
+        """The final filter on converged roots: which rows of pts lie off
+        every denominator."""
+        mono = self._newton.table(pts)
+        return self._clear_of_denominators(mono, mono @ self._newton.coeffs[:, self._den_col :])
 
     def value_at(self, coords: Mapping[str, complex]) -> complex:
         return complex(self.expr.evaluate(dict(coords)))
@@ -228,13 +251,20 @@ def critical_system(
     return CriticalSystem(potential, numeric_bindings or {})
 
 
-def solve(system: CriticalSystem, cfg: SolveConfig = SolveConfig()) -> list[CriticalPoint]:
-    """Multi-start Newton on the cleared system; deterministic per seed."""
-    m = len(system.variables)
+def _starts(m: int, cfg: SolveConfig) -> np.ndarray:
+    """cfg.starts random points of C^m, moduli uniform in _ANNULUS."""
     rng = np.random.default_rng(cfg.seed)
     radii = rng.uniform(*_ANNULUS, size=(cfg.starts, m))
     angles = rng.uniform(0.0, 2.0 * math.pi, size=(cfg.starts, m))
-    pts = radii * np.exp(1j * angles)
+    return radii * np.exp(1j * angles)
+
+
+def solve(system: CriticalSystem, cfg: SolveConfig = SolveConfig()) -> list[CriticalPoint]:
+    """Multi-start Newton on the cleared system; deterministic per seed.
+
+    An iterate stops once it converges, and is dropped once it lands on a
+    denominator, meets an exactly singular Jacobian or passes 1e8."""
+    pts = _starts(len(system.variables), cfg)
     alive = np.ones(cfg.starts, dtype=bool)
     converged = np.zeros(cfg.starts, dtype=bool)
     with np.errstate(all="ignore"):
@@ -246,13 +276,20 @@ def solve(system: CriticalSystem, cfg: SolveConfig = SolveConfig()) -> list[Crit
             done = res <= cfg.newton_tol
             converged[idx[done]] = True
             alive[idx[done]] = False
-            dead = ~good | ~np.isfinite(step).all(axis=1)
-            alive[idx[dead]] = False
-            move = ~done & ~dead
+            alive[idx[~good]] = False
+            move = ~done & good
             pts[idx[move]] -= step[move]
             big = np.abs(pts[idx]).max(axis=1) > 1e8
             alive[idx[big]] = False
-        pts = pts[converged]
+    return _certified_points(system, pts[converged], cfg)
+
+
+def _certified_points(
+    system: CriticalSystem, pts: np.ndarray, cfg: SolveConfig
+) -> list[CriticalPoint]:
+    """The converged roots pts that lie off every denominator and whose
+    honest gradient is below the tolerance, deduplicated and sorted."""
+    with np.errstate(all="ignore"):
         if pts.size:
             keep = system.off_denominators(pts)
             pts = pts[keep]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import newton_without_stop as ref
 from lgmirror.critical import (
     CriticalPoint,
     SolveConfig,
@@ -17,6 +18,7 @@ from lgmirror.critical import (
     gr24_expected_values,
     og15_closed_points,
     og15_expected_values,
+    solve,
     solve_potential,
     verify_counts,
     verify_known,
@@ -216,7 +218,8 @@ def term_sum(poly, point):
 def test_monomial_table_matches_exact_evaluation(case):
     system = EVALUATOR_CASES[case]()
     pts = random_points(len(system.variables))
-    F, J = system._f_and_j(pts)
+    F, J, off = system._evaluate(pts)
+    assert off.all()
     for row, f_row, j_row in zip(pts, F, J):
         point = dict(zip(system.variables, row))
         for i, eq in enumerate(system.equations):
@@ -241,8 +244,11 @@ def test_rational_residuals_match_exact_gradient(case):
 def test_singular_jacobian_drops_only_its_own_start():
     system = EVALUATOR_CASES["gr24-immersed[1,2]"]()
     pts = random_points(len(system.variables), count=6)
-    pts[2, system.variables.index("z1_1")] = 0  # exactly singular Jacobian there
-    F, J = system._f_and_j(pts)
+    # u1 = v1 = 0 with z1_1*z2_2 = -1: off every denominator, but the
+    # Jacobian is exactly singular there
+    pts[2] = [0, 0, 1, -1]
+    F, J, off = system._evaluate(pts)
+    assert off.all()
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(J, F[..., None])
     step, good, res = system._newton_step(pts)
@@ -250,6 +256,52 @@ def test_singular_jacobian_drops_only_its_own_start():
     for k in np.nonzero(good)[0]:
         np.testing.assert_allclose(step[k], np.linalg.solve(J[k], F[k]), rtol=1e-13)
     np.testing.assert_array_equal(res, np.abs(F).max(axis=1))
+
+
+@pytest.mark.parametrize(
+    "case, variable, value",
+    [("gr24-immersed[1,2]", "z1_1", 0.0), ("torus5", "z2_2", 1e-12)],
+)
+def test_step_stops_a_row_on_a_denominator(case, variable, value):
+    system = EVALUATOR_CASES[case]()
+    pts = random_points(len(system.variables), count=6)
+    pts[2, system.variables.index(variable)] = value
+    # a hundred times the floor: still on the chart
+    pts[4, system.variables.index(variable)] = 1e-6
+    F, J, off = system._evaluate(pts)
+    assert off.tolist() == [True, True, False, True, True, True]
+    # the same floor test as the final filter
+    np.testing.assert_array_equal(off, system.off_denominators(pts))
+    step, good, res = system._newton_step(pts)
+    assert good.tolist() == off.tolist()
+    assert not step[2].any()
+    for k in np.nonzero(good)[0]:
+        np.testing.assert_allclose(step[k], np.linalg.solve(J[k], F[k]), rtol=1e-13)
+    np.testing.assert_array_equal(res, np.abs(F).max(axis=1))
+
+
+def _solve_cases():
+    cases = {}
+    for model in ("gr24", "og15"):
+        form = closed_form(model)
+        charts, _ = _model_charts(form, form.atlas())
+        for name, potential, bindings, _ in charts:
+            cases[f"{model}-{name}"] = (potential, bindings)
+    cases["torus5"] = (gc_torus_potential(5), {"T": 1})
+    return cases
+
+
+SOLVE_CASES = _solve_cases()
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+def test_stopping_on_denominators_keeps_every_point(case, seed):
+    # bit for bit the points of the loop that runs every iterate to the end
+    system = critical_system(*SOLVE_CASES[case])
+    cfg = SolveConfig(seed=seed)
+    points = solve(system, cfg)
+    assert points and points == ref.solve(system, cfg)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42])
