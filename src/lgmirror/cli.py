@@ -285,7 +285,7 @@ def run_verify(args) -> tuple[RunReport, list[str]]:
                         f"{sampled.samples} random + {sampled.degenerate_checked} "
                         f"degenerate points, "
                         f"{len(sampled.failures) + len(sampled.degenerate_failures)}"
-                        " failures",
+                        f" failures; {sampled.vanishing} random points have a vanishing p_k,n",
                     ),
                     Verdict(
                         "case-analysis",

@@ -27,12 +27,10 @@ coordinates p_{1,2}, ..., p_{n-1,n}, p_{1,n} are nonzero.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -54,15 +52,11 @@ Pair = tuple[int, int]
 __all__ = [
     "ChartDictionary",
     "CoveringReport",
-    "GrassmannPoint",
-    "chart_membership",
     "covering_certificate",
     "covering_check",
-    "cyclic_pairs",
     "geometric_to_plucker",
     "parametrize",
     "pvar",
-    "random_point",
     "sum_equal_mod_plucker",
 ]
 
@@ -71,11 +65,6 @@ def pvar(i: int, j: int) -> str:
     if not 1 <= i < j:
         raise ValueError(f"need 1 <= i < j, got ({i}, {j})")
     return f"p_{i},{j}"
-
-
-def cyclic_pairs(n: int) -> tuple[Pair, ...]:
-    """The index pairs whose coordinates are required nonzero."""
-    return tuple((j, j + 1) for j in range(1, n)) + ((1, n),)
 
 
 # -- identity checking ----------------------------------------------------
@@ -197,127 +186,17 @@ def geometric_to_plucker(n: int, pair_set: frozenset) -> ChartDictionary:
     return ChartDictionary(n, pair_set, bindings, tpowers)
 
 
-# -- points ---------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class GrassmannPoint:
-    """A plane through the origin, spanned by two coordinate rows and
-    recorded by their minors, each computed when read.
-
-    Exact points carry Fractions and satisfy the relations identically;
-    numeric points carry complex values, checked to double precision.
-    Two points are equal when they are the same plane, however spanned.
-    """
-
-    n: int
-    top: tuple
-    bottom: tuple
-
-    NUMERIC_TOL = 1e-10
-
-    @classmethod
-    def from_vectors(cls, n, top, bottom) -> "GrassmannPoint":
-        if len(top) != n or len(bottom) != n:
-            raise ValueError("need two coordinate rows of length n")
-        pt = cls(n, tuple(top), tuple(bottom))
-        if not pt.in_open_part():
-            raise ValueError("point lies on the forbidden divisor")
-        return pt
-
-    def minor(self, i: int, j: int):
-        a, b = self.top, self.bottom
-        return a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1]
-
-    def _plane(self) -> tuple:
-        """The minors divided by the first nonzero one: the same for every
-        pair of rows spanning the plane."""
-        minors = self.values.values()
-        lead = next((m for m in minors if m != 0), 1)
-        if self.is_exact():
-            lead = Fraction(lead)
-        return tuple(m / lead for m in minors)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GrassmannPoint):
-            return NotImplemented
-        return self.n == other.n and self._plane() == other._plane()
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._plane()))
-
-    @cached_property
-    def values(self) -> dict[Pair, object]:
-        """Every minor p_{i,j}, i < j, built on first use."""
-        return {p: self.minor(*p) for p in itertools.combinations(range(1, self.n + 1), 2)}
-
-    def is_exact(self) -> bool:
-        # the minors are exact exactly when both rows are
-        return all(isinstance(v, (Fraction, int)) for v in self.top + self.bottom)
-
-    def scale(self) -> float:
-        return max(abs(complex(v)) for v in self.values.values())
-
-    @cached_property
-    def _zero_tol(self):
-        """None on an exact point; on a numeric one, the size up to which a
-        minor counts as zero."""
-        return None if self.is_exact() else self.NUMERIC_TOL * max(self.scale(), 1.0)
-
-    def minor_nonzero(self, i: int, j: int) -> bool:
-        """Whether p_{i,j} is nonzero: exactly on an exact point, beyond
-        ``NUMERIC_TOL`` times the largest minor (at least 1) on a numeric one."""
-        m = self.minor(i, j)
-        tol = self._zero_tol
-        return m != 0 if tol is None else abs(complex(m)) > tol
-
-    def in_open_part(self) -> bool:
-        return all(self.minor_nonzero(*p) for p in cyclic_pairs(self.n))
-
-    def as_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, (Fraction, int)):
-                return str(v)
-            c = complex(v)
-            return [c.real, c.imag]
-
-        values = sorted(self.values.items())
-        return {"n": self.n, "p": {f"{i},{j}": enc(v) for (i, j), v in values}}
-
-
-def random_point(n: int, seed: int) -> GrassmannPoint:
-    """Deterministic pseudo-random exact point off the divisor."""
-    rng = random.Random(seed)
-
-    def draw():
-        num = 0
-        while num == 0:
-            num = rng.randint(-9, 9)
-        return Fraction(num, rng.randint(1, 9))
-
-    for _ in range(1000):
-        top = [draw() for _ in range(n)]
-        bottom = [draw() for _ in range(n)]
-        try:
-            return GrassmannPoint.from_vectors(n, top, bottom)
-        except ValueError:
-            continue
-    raise RuntimeError("could not sample a point off the divisor")
-
-
-def chart_membership(pt: GrassmannPoint, pair_set: frozenset) -> bool:
-    """Whether the point lies in the chart attached to the pair set.
-
-    The chart waives the nonvanishing requirement on p_{n-i-1,n} exactly
-    for the chosen pairs (i, i+1); all other such coordinates must be
-    nonzero.  Larger pair sets therefore give larger charts.
-    """
-    n = pt.n
-    chosen = {i for i, _ in pair_set}
-    return all(pt.minor_nonzero(n - i - 1, n) for i in range(1, n - 2) if i not in chosen)
-
-
 # -- covering -------------------------------------------------------------
+
+# A sampled entry is num/den with num in +-1..9 and den in 1..9, every pair
+# equally likely, kept as the integer num * (2520 // den): the fraction
+# times lcm(1..9) = 2520.  Each minor is then 2520^2 times the minor of the
+# fractions, an exact int with the same zero pattern.  |entry| <= 22,680
+# and |minor| <= 1.03e9.
+_LCM = 2520
+_ENTRIES = tuple(num * (_LCM // den) for num in range(-9, 10) if num for den in range(1, 10))
+_BLOCK = 64  # rows per draw from the random stream
+_ATTEMPTS = 1000  # rows drawn for one sample before giving up
 
 
 @dataclass
@@ -327,44 +206,111 @@ class CoveringReport:
     failures: list
     degenerate_checked: int
     degenerate_failures: list
+    vanishing: int  # sampled points with some p_{k,n} = 0, 2 <= k <= n-2
 
     @property
     def ok(self) -> bool:
         return not self.failures and not self.degenerate_failures
 
 
-def _degenerate_point(n: int, zero_rows: set[int]) -> GrassmannPoint:
+def _waived(n: int, pair_set) -> frozenset:
+    """The k whose p_{k,n} the chart of the pair set lets vanish.
+
+    The chart waives the nonvanishing requirement on p_{n-i-1,n} exactly
+    for the chosen pairs (i, i+1); every other p_{k,n}, 2 <= k <= n-2, must
+    be nonzero.  Larger pair sets therefore give larger charts.
+    """
+    return frozenset(n - i - 1 for i, _ in pair_set)
+
+
+def _chart_waivers(n: int) -> list:
+    """Each maximal pair set of gr(2,n) with the k its chart waives."""
+    return [(m, _waived(n, m)) for m in index_sets(n)[1]]
+
+
+def _charts_holding(waivers, vanishing) -> list:
+    """The maximal pair sets whose charts hold a point off the divisor whose
+    p_{k,n} vanish exactly for k in ``vanishing``."""
+    return [m for m, waived in waivers if waived.issuperset(vanishing)]
+
+
+def _minors(top, bottom) -> list:
+    """The 2n - 3 minors of two rows that the covering reads: the cyclic
+    p_{1,2}, ..., p_{n-1,n}, p_{1,n}, then p_{k,n} for k = 2..n-2."""
+    a_n, b_n = top[-1], bottom[-1]
+    out = [a * d - b * c for a, b, c, d in zip(top, top[1:], bottom, bottom[1:])]
+    out.append(top[0] * b_n - a_n * bottom[0])
+    out += [a * b_n - a_n * b for a, b in zip(top[1:-2], bottom[1:-2])]
+    return out
+
+
+def _pattern(n: int, top, bottom):
+    """None when the plane of the rows lies on the divisor; else the k,
+    2 <= k <= n-2, with p_{k,n} = 0, ascending."""
+    minors = _minors(top, bottom)
+    if 0 in minors[:n]:
+        return None
+    column = minors[n:]
+    return tuple(k for k, p in enumerate(column, 2) if p == 0) if 0 in column else ()
+
+
+def _rows(n: int, seed: int):
+    """Endless integer row pairs from one random stream, drawn ``_BLOCK``
+    rows at a time, so a longer run extends a shorter one."""
+    rng = random.Random(seed)
+    width = 2 * n
+    while True:
+        block = rng.choices(_ENTRIES, k=_BLOCK * width)
+        for r in range(0, len(block), width):
+            yield block[r : r + n], block[r + n : r + width]
+
+
+def _degenerate_point(n: int, zero_rows: set[int]) -> tuple[list, list]:
     # column k parallel to column n kills exactly the minor (k, n)
-    top = [Fraction(1) if i in zero_rows or i == n else Fraction(i) for i in range(1, n + 1)]
-    bottom = [Fraction(0) if i in zero_rows or i == n else Fraction(1) for i in range(1, n + 1)]
-    return GrassmannPoint.from_vectors(n, top, bottom)
+    top = [1 if i in zero_rows or i == n else i for i in range(1, n + 1)]
+    bottom = [0 if i in zero_rows or i == n else 1 for i in range(1, n + 1)]
+    return top, bottom
 
 
 def covering_check(n: int, num_samples: int, seed: int) -> CoveringReport:
     """Sampling falsification test of the maximal-chart covering.
 
     Random points off the divisor, plus one engineered point per possible
-    single vanishing p_{k,n}, must each land in some maximal chart.
+    single vanishing p_{k,n}, must each land in some maximal chart.  A
+    point is two integer rows; one whose plane lies on the divisor is drawn
+    again.  Only its vanishing pattern decides membership, so each distinct
+    pattern is tested against the charts once.
     """
     check_size(n)
     if num_samples < 1:
         raise ValueError(f"need a sample count >= 1, got {num_samples}")
-    _, maximal = index_sets(n)
+    waivers = _chart_waivers(n)
+    covered = {}  # vanishing pattern -> whether some maximal chart holds it
     failures = []
-    for s in range(num_samples):
-        pt = random_point(n, seed + s)
-        if not any(chart_membership(pt, m) for m in maximal):
-            failures.append(pt.as_dict())
+    vanishing = 0
+    rows = _rows(n, seed)
+    for _ in range(num_samples):
+        for _, (top, bottom) in zip(range(_ATTEMPTS), rows):
+            pattern = _pattern(n, top, bottom)
+            if pattern is not None:
+                break
+        else:
+            raise RuntimeError("could not sample a point off the divisor")
+        if pattern:
+            vanishing += 1
+        if pattern not in covered:
+            covered[pattern] = bool(_charts_holding(waivers, pattern))
+        if not covered[pattern]:
+            failures.append({"rows": [top, bottom], "vanishing": list(pattern)})
     degenerate_failures = []
-    checked = 0
-    for k in range(2, n - 1):
-        pt = _degenerate_point(n, {k})
-        checked += 1
-        if pt.minor(k, n) != 0:
-            raise RuntimeError(f"engineered point does not vanish at p_{k},{n}")
-        if not any(chart_membership(pt, m) for m in maximal):
-            degenerate_failures.append(pt.as_dict())
-    return CoveringReport(n, num_samples, failures, checked, degenerate_failures)
+    ks = range(2, n - 1)
+    for k in ks:
+        top, bottom = _degenerate_point(n, {k})
+        if _pattern(n, top, bottom) != (k,):
+            raise RuntimeError(f"engineered point does not vanish at p_{k},{n} alone")
+        if not _charts_holding(waivers, (k,)):
+            degenerate_failures.append({"rows": [top, bottom], "vanishing": [k]})
+    return CoveringReport(n, num_samples, failures, len(ks), degenerate_failures, vanishing)
 
 
 def covering_certificate(n: int) -> list[dict]:
@@ -376,20 +322,22 @@ def covering_certificate(n: int) -> list[dict]:
     vanishing pattern of (p_{2,n}, ..., p_{n-2,n}) is a set of pairwise
     non-adjacent k, and k = n - i - 1 turns it into a pair set of
     ``index_sets(n)[0]``: k runs over 2..n-2 as i runs over 1..n-3, and
-    adjacent k are overlapping pairs.  ``chart_membership`` waives exactly
-    p_{n-i-1,n} for each chosen pair (i, i+1), so a point with pattern P
-    lies in the chart of a maximal set M exactly when M contains the pair
-    set of P.  Each row lists those M, in ``index_sets`` order; the charts
-    cover the open part when no list is empty.
+    adjacent k are overlapping pairs.  ``_waived`` is that map: a chart
+    lets exactly p_{n-i-1,n} vanish for each chosen pair (i, i+1), so a
+    point with pattern P lies in the chart of a maximal set M exactly when
+    M contains the pair set of P.  Each row lists those M, in
+    ``index_sets`` order; the charts cover the open part when no list is
+    empty.
     """
     check_size(n)
-    pair_sets, maximal = index_sets(n)
+    waivers = _chart_waivers(n)
     rows = []
-    for pairs in pair_sets:
-        charts = [m for m in maximal if pairs <= m]
+    for pairs in index_sets(n)[0]:
+        zeros = _waived(n, pairs)
+        charts = _charts_holding(waivers, zeros)
         rows.append(
             {
-                "vanishing": sorted(n - i - 1 for i, _ in pairs),
+                "vanishing": sorted(zeros),
                 "covered": bool(charts),
                 "charts": [sorted(m) for m in charts],
             }

@@ -1,21 +1,19 @@
 """Tests for the Plucker algebra, charts, and covering checks."""
 import cmath
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
 from lgmirror import plucker
+from lgmirror.cli import main
 from lgmirror.plucker import (
-    GrassmannPoint,
-    chart_membership,
     covering_certificate,
     covering_check,
-    cyclic_pairs,
     geometric_to_plucker,
     parametrize,
     pvar,
-    random_point,
     sum_equal_mod_plucker,
 )
 from lgmirror.ladder import index_sets
@@ -23,6 +21,7 @@ from lgmirror.laurent import LaurentPoly
 from lgmirror.rational import as_rational, parse
 
 from generic_minors import generic_minors
+from grassmann_point import GrassmannPoint, chart_membership, cyclic_pairs, random_point
 
 
 def plucker_relation(i, j, k, l, n):
@@ -218,12 +217,20 @@ def test_points_are_equal_exactly_when_they_span_one_plane():
 
 
 def test_covering_check_builds_no_full_minor_table(monkeypatch):
-    points = []
-    real = plucker.random_point
-    monkeypatch.setattr(plucker, "random_point", lambda n, seed: points.append(real(n, seed)) or points[-1])
-    assert covering_check(12, 50, 42).ok
-    assert len(points) == 50
-    assert not any("values" in vars(pt) for pt in points)
+    # every row the sampler reads, rejected and engineered ones included,
+    # computes the 2n - 3 minors the verdict needs and no other
+    calls = []
+    real = plucker._minors
+    monkeypatch.setattr(plucker, "_minors", lambda top, bottom: calls.append((top, bottom)) or real(top, bottom))
+    for n in (5, 12, 20):
+        calls.clear()
+        assert covering_check(n, 50, 42).ok
+        assert len(calls) >= 50 + n - 3
+        read = cyclic_pairs(n) + tuple((k, n) for k in range(2, n - 1))
+        assert len(read) == 2 * n - 3
+        for top, bottom in calls:
+            pt = GrassmannPoint(n, tuple(top), tuple(bottom))
+            assert real(top, bottom) == [pt.minor(i, j) for i, j in read]
 
 
 @pytest.mark.parametrize("n,on_torus", [(4, 4), (5, 10), (6, 6), (7, 21), (8, 16)])
@@ -342,7 +349,7 @@ def _point_certificate(n):
         for zeros in itertools.combinations(ks, size):
             if any(b - a == 1 for a, b in zip(zeros, zeros[1:])):
                 continue
-            pt = plucker._degenerate_point(n, set(zeros))
+            pt = GrassmannPoint.from_vectors(n, *plucker._degenerate_point(n, set(zeros)))
             assert [k for k in ks if pt.values[(k, n)] == 0] == list(zeros)
             covered_by = [m for m in maximal if chart_membership(pt, m)]
             rows.append(
@@ -361,10 +368,68 @@ def test_covering_certificate_matches_engineered_points(n):
 
 
 def test_covering_rejects_a_point_that_does_not_vanish(monkeypatch):
-    # the check must hold under python -O, so it may not be an assert
-    monkeypatch.setattr(plucker, "_degenerate_point", lambda n, zeros: random_point(n, 5))
+    # the check must hold under python -O, so it may not be an assert;
+    # p_{i,j} = i j (j - i) on these rows, never 0
+    rows = lambda n, zeros: (list(range(1, n + 1)), [i * i for i in range(1, n + 1)])
+    monkeypatch.setattr(plucker, "_degenerate_point", rows)
     with pytest.raises(RuntimeError, match="vanish"):
         covering_check(5, 1, 0)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_sampler_agrees_with_the_fraction_reference(n, monkeypatch):
+    # every row the sampler draws, divided by lcm(1..9) = 2520 back to the
+    # sampled fractions, gets the same open-part decision and the same
+    # chart memberships from the reference point
+    fractions = [Fraction(a, b) for a in range(-9, 10) if a for b in range(1, 10)]
+    assert sorted(Fraction(v, 2520) for v in plucker._ENTRIES) == sorted(fractions)
+    seen = []
+    real = plucker._pattern
+
+    def spy(n, top, bottom):
+        seen.append((top, bottom, real(n, top, bottom)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(plucker, "_pattern", spy)
+    maximal = index_sets(n)[1]
+    waivers = plucker._chart_waivers(n)
+    rejected = 0
+    for seed in range(5):
+        seen.clear()
+        report = covering_check(n, 300, seed)
+        assert report.ok
+        open_rows = [row for row in seen if row[2] is not None]
+        assert len(open_rows) == 300 + n - 3  # the samples, then the engineered points
+        assert report.vanishing == sum(bool(row[2]) for row in open_rows[:300])
+        rejected += len(seen) - len(open_rows)
+        for top, bottom, pattern in seen:
+            pt = GrassmannPoint(n, *(tuple(Fraction(v, 2520) for v in row) for row in (top, bottom)))
+            assert (pattern is not None) == pt.in_open_part()
+            if pattern is not None:
+                holding = plucker._charts_holding(waivers, pattern)
+                assert [m in holding for m in maximal] == [chart_membership(pt, m) for m in maximal]
+                assert [k for k in range(2, n - 1) if not pt.minor_nonzero(k, n)] == list(pattern)
+    assert rejected  # rows on the divisor were drawn and drawn again
+
+
+def test_covering_gives_up_on_a_stream_of_divisor_rows(monkeypatch):
+    monkeypatch.setattr(plucker, "_pattern", lambda n, top, bottom: None)
+    with pytest.raises(RuntimeError, match="off the divisor"):
+        covering_check(5, 1, 0)
+
+
+def test_a_shifted_waiver_fails_the_sampled_verdict_only(monkeypatch, capsys, tmp_path):
+    # the waiver moved from p_{n-i-1,n} to p_{n-i,n}: the engineered point with
+    # p_{2,6} = 0 then lies in no maximal chart, while the case analysis,
+    # which reads only pair sets, still passes
+    monkeypatch.setattr(plucker, "_waived", lambda n, pair_set: frozenset(n - i for i, _ in pair_set))
+    assert covering_check(6, 1000, 42).degenerate_failures
+    path = tmp_path / "run.json"
+    assert main(["verify", "covering", "--n", "6", "--json", str(path)]) == 1
+    assert "FAIL  random-samples" in capsys.readouterr().out
+    (report,) = json.loads(path.read_text())["reports"]
+    verdicts = {v["name"]: v["passed"] for v in report["verdicts"]}
+    assert verdicts == {"random-samples": False, "case-analysis": True}
 
 
 def test_cyclic_pairs():
