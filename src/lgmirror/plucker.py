@@ -220,7 +220,7 @@ def _waived(n: int, pair_set) -> frozenset:
     for the chosen pairs (i, i+1); every other p_{k,n}, 2 <= k <= n-2, must
     be nonzero.  Larger pair sets therefore give larger charts.
     """
-    return frozenset(n - i - 1 for i, _ in pair_set)
+    return frozenset([n - i - 1 for i, _ in pair_set])
 
 
 def _chart_waivers(n: int) -> list:
@@ -228,10 +228,10 @@ def _chart_waivers(n: int) -> list:
     return [(m, _waived(n, m)) for m in index_sets(n)[1]]
 
 
-def _charts_holding(waivers, vanishing) -> list:
+def _charts_holding(waivers, vanishing: frozenset) -> list:
     """The maximal pair sets whose charts hold a point off the divisor whose
     p_{k,n} vanish exactly for k in ``vanishing``."""
-    return [m for m, waived in waivers if waived.issuperset(vanishing)]
+    return [m for m, waived in waivers if vanishing <= waived]
 
 
 def _minors(top, bottom) -> list:
@@ -299,7 +299,7 @@ def covering_check(n: int, num_samples: int, seed: int) -> CoveringReport:
         if pattern:
             vanishing += 1
         if pattern not in covered:
-            covered[pattern] = bool(_charts_holding(waivers, pattern))
+            covered[pattern] = bool(_charts_holding(waivers, frozenset(pattern)))
         if not covered[pattern]:
             failures.append({"rows": [top, bottom], "vanishing": list(pattern)})
     degenerate_failures = []
@@ -308,7 +308,7 @@ def covering_check(n: int, num_samples: int, seed: int) -> CoveringReport:
         top, bottom = _degenerate_point(n, {k})
         if _pattern(n, top, bottom) != (k,):
             raise RuntimeError(f"engineered point does not vanish at p_{k},{n} alone")
-        if not _charts_holding(waivers, (k,)):
+        if not _charts_holding(waivers, frozenset({k})):
             degenerate_failures.append({"rows": [top, bottom], "vanishing": [k]})
     return CoveringReport(n, num_samples, failures, len(ks), degenerate_failures, vanishing)
 

@@ -406,7 +406,7 @@ def test_sampler_agrees_with_the_fraction_reference(n, monkeypatch):
             pt = GrassmannPoint(n, *(tuple(Fraction(v, 2520) for v in row) for row in (top, bottom)))
             assert (pattern is not None) == pt.in_open_part()
             if pattern is not None:
-                holding = plucker._charts_holding(waivers, pattern)
+                holding = plucker._charts_holding(waivers, frozenset(pattern))
                 assert [m in holding for m in maximal] == [chart_membership(pt, m) for m in maximal]
                 assert [k for k in range(2, n - 1) if not pt.minor_nonzero(k, n)] == list(pattern)
     assert rejected  # rows on the divisor were drawn and drawn again
