@@ -12,14 +12,6 @@ from .atlas import (
     verify_cocycle,
     verify_potential_transport,
 )
-from .critical import (
-    CriticalPoint,
-    SolveConfig,
-    atlas_critical_points,
-    solve_potential,
-    verify_counts,
-    verify_known,
-)
 from .koszul import KoszulData, center_decompose, koszul_square_check
 from .laurent import LaurentPoly
 from .novikov import NovikovSeries, novikov_expand
@@ -43,12 +35,6 @@ __all__ = [
     "og15_atlas",
     "verify_cocycle",
     "verify_potential_transport",
-    "CriticalPoint",
-    "SolveConfig",
-    "atlas_critical_points",
-    "solve_potential",
-    "verify_counts",
-    "verify_known",
     "KoszulData",
     "center_decompose",
     "koszul_square_check",

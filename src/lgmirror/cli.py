@@ -21,13 +21,6 @@ from .atlas import (
     verify_cocycle,
     verify_potential_transport,
 )
-from .critical import (
-    SolveConfig,
-    atlas_critical_points,
-    closed_form,
-    verify_counts,
-    verify_known,
-)
 from .koszul import gr24_koszul, koszul_square_check, og15_koszul
 from .ladder import (
     admissible_diagrams,
@@ -310,16 +303,19 @@ def run_verify(args) -> tuple[RunReport, list[str]]:
 
 
 def run_critical(args) -> tuple[RunReport, list[str]]:
+    # imported here so that numpy loads only for the numeric solver
+    from . import critical
+
     model = "gr24" if args.model == "gr" else "og15"
-    cfg = SolveConfig(seed=args.seed)
+    cfg = critical.SolveConfig(seed=args.seed)
     t0 = time.perf_counter()
-    form = closed_form(model)
+    form = critical.closed_form(model)
     atlas = form.atlas()
     t1 = time.perf_counter()
-    closed = verify_known(form, atlas)
+    closed = critical.verify_known(form, atlas)
     t2 = time.perf_counter()
-    points = atlas_critical_points(form, atlas, cfg)
-    solved = verify_counts(form, points)
+    points = critical.atlas_critical_points(form, atlas, cfg)
+    solved = critical.verify_counts(form, points)
     t3 = time.perf_counter()
     lines = [f"critical points [{model}]"]
     for p in points:

@@ -90,30 +90,36 @@ class _Monomials:
         self.coeffs = np.zeros((len(rows), len(polys)), dtype=np.complex128)
         for r, k, c in entries:
             self.coeffs[r, k] = c
+        # per variable: the monomials holding it, their exponents and the
+        # exponent range of its power table
+        self._columns = []
+        for j, col in enumerate(self.exps.T):
+            rows = np.nonzero(col)[0]
+            if rows.size:
+                low, high = min(0, int(col.min())), max(0, int(col.max()))
+                self._columns.append((j, rows, col[rows], low, high))
 
     def table(self, pts: np.ndarray) -> np.ndarray:
-        """(N, monomials) values of every monomial at pts (N, m), from one
-        table of powers per variable built by repeated multiplication."""
-        mono = np.ones((pts.shape[0], self.exps.shape[0]), dtype=pts.dtype)
-        for j, col in enumerate(self.exps.T):
-            low, high = min(0, int(col.min(initial=0))), int(col.max(initial=0))
-            if low == high:
-                continue
+        """(monomials, N) values of every monomial at the rows of pts (N, m),
+        from one table of powers per variable built by repeated
+        multiplication and multiplied into the monomials holding it."""
+        mono = np.ones((self.exps.shape[0], pts.shape[0]), dtype=pts.dtype)
+        for j, rows, exps, low, high in self._columns:
             x = pts[:, j]
-            powers = np.empty((pts.shape[0], high - low + 1), dtype=pts.dtype)
-            powers[:, -low] = 1
+            powers = np.empty((high - low + 1, pts.shape[0]), dtype=pts.dtype)
+            powers[-low] = 1
             for e in range(1, high + 1):
-                powers[:, e - low] = powers[:, e - 1 - low] * x
+                powers[e - low] = powers[e - 1 - low] * x
             if low:
                 inv = 1 / x
                 for e in range(-1, low - 1, -1):
-                    powers[:, e - low] = powers[:, e + 1 - low] * inv
-            mono *= powers[:, col - low]
+                    powers[e - low] = powers[e + 1 - low] * inv
+            mono[rows] *= powers[exps - low]
         return mono
 
     def eval(self, pts: np.ndarray) -> np.ndarray:
         """(N, polynomials) values at pts (N, m)."""
-        return self.table(pts) @ self.coeffs.astype(pts.dtype, copy=False)
+        return self.table(pts).T @ self.coeffs.astype(pts.dtype, copy=False)
 
 
 class CriticalSystem:
@@ -171,11 +177,16 @@ class CriticalSystem:
             self.variables,
         )
         # each denominator's terms, as rows of the Newton table, and their
-        # coefficients' sizes
-        self._den_terms = []
-        for sizes in np.abs(self._newton.coeffs[:, self._den_col:]).T:
-            terms = np.nonzero(sizes)[0]
-            self._den_terms.append((terms, sizes[terms]))
+        # coefficients' sizes, one row per denominator; shorter rows repeat
+        # their first term, which leaves the largest term as it is
+        den_sizes = np.abs(self._newton.coeffs[:, self._den_col :]).T
+        width = max((np.count_nonzero(row) for row in den_sizes), default=0)
+        self._den_terms = np.zeros((len(den_sizes), width), dtype=np.intp)
+        for terms, sizes in zip(self._den_terms, den_sizes):
+            held = np.nonzero(sizes)[0]
+            terms[:] = held[0]
+            terms[: held.size] = held
+        self._den_sizes = np.take_along_axis(den_sizes, self._den_terms, axis=1)[..., None]
 
     def rational_residuals(self, pts: np.ndarray) -> np.ndarray:
         """Residual of the honest gradient, poles and all.  Roots of the
@@ -196,20 +207,18 @@ class CriticalSystem:
         rows lie off every denominator, from one monomial table at pts."""
         m = len(self.variables)
         mono = self._newton.table(pts)
-        vals = mono @ self._newton.coeffs
+        vals = mono.T @ self._newton.coeffs
         F, J = vals[:, :m], vals[:, m : self._den_col].reshape(-1, m, m)
         return F, J, self._clear_of_denominators(mono, vals[:, self._den_col :])
 
     def _clear_of_denominators(self, mono: np.ndarray, dens: np.ndarray) -> np.ndarray:
         """The floor test: a row lies off every denominator when each one's
         value is at least _DEN_FLOOR times the larger of 1 and its largest
-        term.  mono is the Newton monomial table at the rows, dens the
-        denominators' values there."""
-        keep = np.ones(mono.shape[0], dtype=bool)
-        for den, (terms, sizes) in zip(np.abs(dens).T, self._den_terms):
-            scale = np.maximum(1.0, (np.abs(mono[:, terms]) * sizes).max(axis=1))
-            keep &= den >= _DEN_FLOOR * scale
-        return keep
+        term.  mono is the Newton monomial table at the rows (monomials, N),
+        dens the denominators' values there (N, denominators)."""
+        largest = (np.abs(mono[self._den_terms]) * self._den_sizes).max(axis=1, initial=0.0)
+        scale = np.maximum(1.0, largest)
+        return (np.abs(dens).T >= _DEN_FLOOR * scale).all(axis=0)
 
     def _newton_step(self, pts: np.ndarray):
         """The Newton step at each row, whether the row may take it, and the
@@ -232,7 +241,7 @@ class CriticalSystem:
         """The final filter on converged roots: which rows of pts lie off
         every denominator."""
         mono = self._newton.table(pts)
-        return self._clear_of_denominators(mono, mono @ self._newton.coeffs[:, self._den_col :])
+        return self._clear_of_denominators(mono, mono.T @ self._newton.coeffs[:, self._den_col :])
 
     def value_at(self, coords: Mapping[str, complex]) -> complex:
         return complex(self.expr.evaluate(dict(coords)))
@@ -265,22 +274,23 @@ def solve(system: CriticalSystem, cfg: SolveConfig = SolveConfig()) -> list[Crit
     An iterate stops once it converges, and is dropped once it lands on a
     denominator, meets an exactly singular Jacobian or passes 1e8."""
     pts = _starts(len(system.variables), cfg)
-    alive = np.ones(cfg.starts, dtype=bool)
     converged = np.zeros(cfg.starts, dtype=bool)
+    # the live iterates, compacted, and their rows in pts; a converged
+    # iterate is written back to pts as it leaves
+    idx, live = np.arange(cfg.starts), pts.copy()
     with np.errstate(all="ignore"):
         for _ in range(cfg.max_iter):
-            if not alive.any():
+            if not idx.size:
                 break
-            idx = np.nonzero(alive)[0]
-            step, good, res = system._newton_step(pts[idx])
+            step, good, res = system._newton_step(live)
             done = res <= cfg.newton_tol
             converged[idx[done]] = True
-            alive[idx[done]] = False
-            alive[idx[~good]] = False
+            pts[idx[done]] = live[done]
             move = ~done & good
-            pts[idx[move]] -= step[move]
-            big = np.abs(pts[idx]).max(axis=1) > 1e8
-            alive[idx[big]] = False
+            live[move] -= step[move]
+            move &= np.abs(live).max(axis=1) <= 1e8
+            if not move.all():
+                idx, live = idx[move], live[move]
     return _certified_points(system, pts[converged], cfg)
 
 

@@ -51,7 +51,13 @@ from .ladder import (
 )
 from .laurent import LaurentPoly
 from .plucker import geometric_to_plucker, pvar, sum_equal_mod_plucker
-from .rational import RationalFunction, as_rational, parse, sum_is_zero
+from .rational import (
+    RationalFunction,
+    as_rational,
+    over_common_denominator,
+    parse,
+    sum_is_zero,
+)
 
 _T = RationalFunction.var("T")
 _Q = RationalFunction.var("q")
@@ -75,8 +81,15 @@ class Potential:
 
     @cached_property
     def expr(self) -> RationalFunction:
-        """The sum of the terms, built on first use."""
-        return sum(self.terms, RationalFunction.constant(0))
+        """The sum of the terms, built on first use.  The numerators are
+        added in the order of a term-by-term sum, the running numerator
+        lifted over each denominator factor as it first appears, and the
+        total is normalized once."""
+        total = RationalFunction.constant(0)
+        for term in self.terms:
+            lcm, (left, right) = over_common_denominator((total, term))
+            total = RationalFunction(left + right, tuple(sorted(lcm, key=lambda fm: fm[0].key())))
+        return RationalFunction.make(total.num, total.factors)
 
     def substitute_terms(self, bindings) -> tuple[RationalFunction, ...]:
         """The terms with the bindings substituted, one term at a time."""

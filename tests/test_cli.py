@@ -59,6 +59,30 @@ def test_parser_is_built_once_and_not_at_import(capsys):
     assert out.stdout.strip() == "0"
 
 
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("module", ["lgmirror.cli", "lgmirror"])
+def test_importing_the_package_loads_no_numeric_solver(module):
+    probe = (
+        f"import sys, {module}; "
+        "print(sorted({'numpy', 'lgmirror.critical'} & set(sys.modules)))"
+    )
+    out = _fresh_python("-c", probe)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_critical_runs_from_a_fresh_process(tmp_path):
+    path = tmp_path / "og15.json"
+    out = _fresh_python("-m", "lgmirror.cli", "critical", "--model", "og15", "--json", str(path))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(path.read_text())["passed"] is True
+
+
 def test_missing_n_reports_cli_error(capsys):
     code, _, err = run(capsys, ["faces"])
     assert code == 2

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import monomial_table_by_rows as rows
 import newton_without_stop as ref
 from lgmirror.critical import (
     CriticalPoint,
@@ -302,6 +303,32 @@ def test_stopping_on_denominators_keeps_every_point(case, seed):
     cfg = SolveConfig(seed=seed)
     points = solve(system, cfg)
     assert points and points == ref.solve(system, cfg)
+
+
+def _bitwise_equal(a, b):
+    return all(
+        np.array_equal(f(a), f(b))
+        for f in (np.real, np.imag, lambda z: np.signbit(z.real), lambda z: np.signbit(z.imag))
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+@pytest.mark.parametrize("case", sorted(SOLVE_CASES) + ["torus6"])
+def test_batch_last_table_matches_the_row_layout_bit_for_bit(case, dtype):
+    # clongdouble is the dtype of rational_residuals
+    args = (gc_torus_potential(6), {"T": 1}) if case == "torus6" else SOLVE_CASES[case]
+    system = critical_system(*args)
+    rng = np.random.default_rng(5)
+    m = len(system.variables)
+    radii = rng.uniform(0.05, 20.0, (200, m))
+    pts = (radii * np.exp(1j * rng.uniform(0, 2 * math.pi, (200, m)))).astype(dtype)
+    for monomials in (system._newton, system._gradient):
+        table = monomials.table(pts)
+        want = rows.table(monomials, pts)
+        assert table.shape == want.T.shape
+        assert _bitwise_equal(table.T, want)
+        coeffs = monomials.coeffs.astype(dtype)
+        assert _bitwise_equal(monomials.eval(pts), want @ coeffs)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lgmirror.atlas import gr_product_atlas
+from lgmirror.atlas import gr_product_atlas, og15_atlas
 from lgmirror.ladder import (
     chart_coordinates,
     diagram_from_pairs,
@@ -156,6 +156,20 @@ def test_torus_potential_metadata():
         "z1_1", "z1_2", "z1_3", "z1_4", "z2_1", "z2_2", "z2_3", "z2_4",
     )
     assert p.expr.equal(msum(torus_terms(6)))
+
+
+@pytest.mark.parametrize("n", [*range(4, 11), "og15"])
+def test_expr_is_the_term_by_term_sum_in_its_term_order(n):
+    # expr normalizes once; folding the terms with + normalizes every partial
+    # sum.  The numeric solver reads the numerator's terms in order, so the
+    # order must agree as well as the canonical form
+    atlas = og15_atlas() if n == "og15" else gr_product_atlas(n)
+    for name, p in atlas.potentials.items():
+        fold = sum(p.terms, RationalFunction.constant(0))
+        assert p.expr == fold, name
+        assert p.expr.num.vars == fold.num.vars, name
+        assert list(p.expr.num.terms.items()) == list(fold.num.terms.items()), name
+        assert [f.key() for f, _ in p.expr.factors] == [f.key() for f, _ in fold.factors], name
 
 
 # -- surgered potentials ---------------------------------------------------
