@@ -94,17 +94,17 @@ class _Monomials:
         # exponent range of its power table
         self._columns = []
         for j, col in enumerate(self.exps.T):
-            rows = np.nonzero(col)[0]
-            if rows.size:
+            held = np.nonzero(col)[0]
+            if held.size:
                 low, high = min(0, int(col.min())), max(0, int(col.max()))
-                self._columns.append((j, rows, col[rows], low, high))
+                self._columns.append((j, held, col[held], low, high))
 
     def table(self, pts: np.ndarray) -> np.ndarray:
         """(monomials, N) values of every monomial at the rows of pts (N, m),
         from one table of powers per variable built by repeated
         multiplication and multiplied into the monomials holding it."""
         mono = np.ones((self.exps.shape[0], pts.shape[0]), dtype=pts.dtype)
-        for j, rows, exps, low, high in self._columns:
+        for j, held, exps, low, high in self._columns:
             x = pts[:, j]
             powers = np.empty((high - low + 1, pts.shape[0]), dtype=pts.dtype)
             powers[-low] = 1
@@ -114,7 +114,7 @@ class _Monomials:
                 inv = 1 / x
                 for e in range(-1, low - 1, -1):
                     powers[e - low] = powers[e + 1 - low] * inv
-            mono[rows] *= powers[exps - low]
+            mono[held] *= powers[exps - low]
         return mono
 
     def eval(self, pts: np.ndarray) -> np.ndarray:
