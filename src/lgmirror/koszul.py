@@ -4,6 +4,12 @@ Centering the potential at a chosen point splits W - W(center) into a sum
 of (x_i - c_i) * f_i with exactly divided cofactors f_i.  The associated
 odd operator on the exterior algebra squares to (W - W(center)) times the
 identity, which is verified coefficient by coefficient in exact arithmetic.
+Every coefficient of the square is a signed sum of products of two operator
+entries, a linear form or a cofactor each.  The ring is commutative, so a
+coefficient is fixed by the signed count of each unordered product, and
+each product is computed once.  Equal signed counts with equal targets are
+one fact, so each is decided once, by one exact sum; a count that cancels
+to 0 contributes no term, and nothing else is assumed to cancel.
 The shipped factorizations are centered at critical points of the model
 potentials.  A center with algebraic coordinates adjoins a root s of a
 minimal polynomial m(s), and every zero test is then made modulo m.
@@ -16,7 +22,7 @@ from typing import Mapping
 
 from .laurent import LaurentPoly, coeff_quotient
 from .potentials import Potential, immersed_potential, og_potentials
-from .rational import RationalFunction, as_rational, parse
+from .rational import RationalFunction, as_rational, over_common_denominator, parse
 from .report import Report, Verdict
 
 KOSZUL_SCHEMA = "koszul/1"
@@ -188,34 +194,45 @@ def _insert_sign(mask: int, i: int) -> int:
     return -1 if below % 2 else 1
 
 
-def apply_differential(
-    data: KoszulData, element: Mapping[int, RationalFunction]
-) -> dict[int, RationalFunction]:
-    """One application of wedge-by-linear-forms plus cofactor contraction."""
-    m = len(data.variables)
-    forms = data.linear_forms()
-    out: dict[int, RationalFunction] = {}
-
-    def add(mask, term):
-        out[mask] = out.get(mask, RationalFunction.constant(0)) + term
-
-    for mask, coeff in element.items():
-        for i in range(m):
-            bit = 1 << i
-            sign = _insert_sign(mask, i)
-            if mask & bit:
-                add(mask ^ bit, data.cofactors[i] * coeff * sign)
-            else:
-                add(mask | bit, forms[i] * coeff * sign)
-    return out
-
-
 def koszul_square_check(data: KoszulData) -> Report:
     """Verify the square of the odd operator is multiplication by the
-    centered potential on every exterior basis element."""
+    centered potential on every exterior basis element.
+
+    Entry a of the operator is linear form a for a < m and cofactor a - m
+    otherwise; at bit i of a mask the operator applies cofactor i if the
+    bit is set and form i if not.  The coefficient of e_k in the square of
+    e_mask sums sign * entry_a * entry_b over the paths mask -> mask ^ bit
+    i -> k = mask ^ bit i ^ bit j.  The ring is commutative, so the
+    coefficient is fixed by the signed count of each unordered pair {a, b},
+    and each product is computed once, when a decision first needs it.
+    The counts are built in the loop order of applying the operator twice,
+    so the coefficients are tested in the same order and the first wrong
+    one named is the same.  A pair whose two orders cancel has count 0 and
+    contributes no term.  Equal signed counts with equal targets (W - W(c)
+    on the diagonal, 0 off it) are one fact, decided once by one exact
+    sum."""
     m = len(data.variables)
-    target = data.potential - data.value
-    zero = RationalFunction.constant(0)
+    entries = data.linear_forms() + list(data.cofactors)
+    wants = (RationalFunction.constant(0), data.potential - data.value)
+    products: dict[tuple[int, int], RationalFunction] = {}
+    decided: dict = {}
+
+    def holds(counts: dict[tuple[int, int], int], diagonal: bool) -> bool:
+        terms = tuple(sorted((pair, c) for pair, c in counts.items() if c))
+        fact = (terms, diagonal)
+        if fact not in decided:
+            for (a, b), _ in terms:
+                if (a, b) not in products:
+                    products[a, b] = entries[a] * entries[b]
+            factors, numerators = over_common_denominator([products[p] for p, _ in terms])
+            total = _ZERO
+            for num, (_, c) in zip(numerators, terms):
+                total = total + num.scale(c)
+            decided[fact] = equal_mod_adjoined(
+                RationalFunction.make(total, factors), wants[diagonal], data.modulus
+            )
+        return decided[fact]
+
     verdicts = [
         Verdict(
             "cofactor-sum",
@@ -223,18 +240,27 @@ def koszul_square_check(data: KoszulData) -> Report:
             "linear forms against cofactors rebuild the centered potential",
         )
     ]
+    # the entry of the operator at bit i of a mask, and its insertion sign
+    steps = [
+        [(m + i if mask >> i & 1 else i, _insert_sign(mask, i)) for i in range(m)]
+        for mask in range(1 << m)
+    ]
     parity_ok = True
-    for mask in range(1 << m):
-        image = apply_differential(data, {mask: RationalFunction.constant(1)})
+    for mask, first in enumerate(steps):
+        image = [(mask ^ (1 << i), a, s) for i, (a, s) in enumerate(first)]
         parity_ok &= all(
-            bin(k).count("1") % 2 != bin(mask).count("1") % 2 for k in image
+            bin(k).count("1") % 2 != bin(mask).count("1") % 2 for k, _, _ in image
         )
-        square = apply_differential(data, image)
+        square: dict[int, dict[tuple[int, int], int]] = {}
+        for k, a, s in image:
+            for j, (b, t) in enumerate(steps[k]):
+                counts = square.setdefault(k ^ (1 << j), {})
+                pair = (a, b) if a <= b else (b, a)
+                counts[pair] = counts.get(pair, 0) + s * t
         ok = True
         detail = "matches"
-        for k, coeff in square.items():
-            want = target if k == mask else zero
-            if not equal_mod_adjoined(coeff, want, data.modulus):
+        for k, counts in square.items():
+            if not holds(counts, k == mask):
                 ok = False
                 detail = f"wrong coefficient on {_basis_label(k, m)}"
                 break

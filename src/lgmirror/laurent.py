@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add, itemgetter
+from heapq import heapify, heappop, heappush
+from operator import add, itemgetter, neg
 from typing import Iterable, Mapping, Union
 
 Exponents = tuple[int, ...]
@@ -351,9 +352,16 @@ class LaurentPoly:
         lead = max(div)
         lead_c = div[lead]
         quot: dict[Exponents, Coeff] = {}
+        # the remainder's exponents, negated so that the min-heap top is the
+        # lex-largest; an exponent whose term has cancelled stays in the heap
+        # until it reaches the top, and is skipped there
+        heap = [tuple(map(neg, e)) for e in rem]
+        heapify(heap)
         while rem:
-            e = max(rem)
-            c = rem[e]
+            e = tuple(map(neg, heappop(heap)))
+            c = rem.get(e)
+            if c is None:
+                continue
             qe = tuple(x - y for x, y in zip(e, lead))
             if any(x < lo or x > hi for x, (lo, hi) in zip(qe, box)):
                 return None
@@ -361,11 +369,15 @@ class LaurentPoly:
             quot[qe] = qc
             for de, dc in div.items():
                 t = tuple(map(add, qe, de))
-                s = rem.get(t, 0) - qc * dc
-                if s:
-                    rem[t] = s
+                if t in rem:
+                    s = rem[t] - qc * dc
+                    if s:
+                        rem[t] = s
+                    else:
+                        del rem[t]
                 else:
-                    del rem[t]
+                    rem[t] = -qc * dc
+                    heappush(heap, tuple(map(neg, t)))
         return LaurentPoly._pruned(vars_, quot)
 
     # -- evaluation and substitution --------------------------------------

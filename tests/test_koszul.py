@@ -3,11 +3,13 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
+from koszul_by_masks import apply_differential, square_check_by_masks
+from lgmirror import koszul
 from lgmirror.koszul import (
-    apply_differential,
     center_decompose,
     corrupt_cofactor,
     divide_linear,
@@ -18,6 +20,7 @@ from lgmirror.koszul import (
     reduce_adjoined,
 )
 from lgmirror.laurent import LaurentPoly
+from lgmirror.potentials import gc_torus_potential
 from lgmirror.rational import RationalFunction, parse
 
 I_MODULUS = parse("s^2 + 1").num
@@ -31,6 +34,14 @@ def og_data():
 @pytest.fixture(scope="module")
 def gr_data():
     return gr24_koszul()
+
+
+def torus_koszul(n):
+    """The gr(2,n) torus chart at T = 1, split at the all-ones centre;
+    2(n - 2) variables."""
+    p = gc_torus_potential(n)
+    p = replace(p, terms=p.substitute_terms({"T": 1}))
+    return center_decompose(p, dict.fromkeys(p.variables, 1))
 
 
 # -- exact division --------------------------------------------------------
@@ -283,6 +294,55 @@ def test_differential_square_is_diagonal(og_data):
         for out_mask, coeff in square.items():
             expected = target if out_mask == mask else RationalFunction.constant(0)
             assert coeff.equal(expected)
+
+
+def _square_cases():
+    for name, make in [("og15", og15_koszul), ("gr24", gr24_koszul)]:
+        data = make()
+        yield pytest.param(data, id=name)
+        for i in range(len(data.variables)):
+            yield pytest.param(corrupt_cofactor(data, i), id=f"{name}-corrupt{i}")
+    yield pytest.param(torus_koszul(5), id="gr25-torus")
+
+
+@pytest.mark.parametrize("data", list(_square_cases()))
+def test_table_route_matches_the_masks_route(data):
+    def rows(report):
+        return [(v.name, v.passed, v.detail) for v in report.verdicts]
+
+    assert rows(koszul_square_check(data)) == rows(square_check_by_masks(data))
+
+
+def test_square_check_reads_the_insertion_signs(og_data, gr_data, monkeypatch):
+    # with every sign +1 the two orders of a product no longer cancel
+    monkeypatch.setattr(koszul, "_insert_sign", lambda mask, i: 1)
+    for data in (og_data, gr_data):
+        off_diagonal = [
+            v
+            for v in koszul_square_check(data).verdicts
+            if v.name.startswith("square[")
+            and not v.passed
+            and v.detail != f"wrong coefficient on {v.name[len('square['):-1]}"
+        ]
+        assert off_diagonal, data.label
+
+
+@pytest.fixture(scope="module")
+def gr27_torus():
+    return torus_koszul(7)
+
+
+@pytest.mark.deadline(5)
+def test_ten_variable_square_check(gr27_torus, deadline):
+    report = koszul_square_check(gr27_torus)
+    assert len(gr27_torus.variables) == 10
+    assert len(report.verdicts) == 1026
+    assert report.passed, [v.name for v in report.failures()]
+
+
+@pytest.mark.deadline(5)
+def test_ten_variable_corrupted_cofactor_fails(gr27_torus, deadline):
+    assert not koszul_square_check(corrupt_cofactor(gr27_torus, 0)).passed
 
 
 def test_corrupted_cofactor_detected(og_data):
