@@ -213,7 +213,8 @@ def koszul_square_check(data: KoszulData) -> Report:
     sum."""
     m = len(data.variables)
     entries = data.linear_forms() + list(data.cofactors)
-    wants = (RationalFunction.constant(0), data.potential - data.value)
+    # the target of a coefficient off the diagonal and on it
+    targets = (RationalFunction.constant(0), data.potential - data.value)
     products: dict[tuple[int, int], RationalFunction] = {}
     decided: dict = {}
 
@@ -229,7 +230,7 @@ def koszul_square_check(data: KoszulData) -> Report:
             for num, (_, c) in zip(numerators, terms):
                 total = total + num.scale(c)
             decided[fact] = equal_mod_adjoined(
-                RationalFunction.make(total, factors), wants[diagonal], data.modulus
+                RationalFunction.make(total, factors), targets[diagonal], data.modulus
             )
         return decided[fact]
 

@@ -135,6 +135,8 @@ def test_exact_division_inverts_multiplication(a, b):
         return
     q = (a * b).exact_div(b)
     assert q is not None and q == a
+    # lex-leading division finds the quotient terms largest first
+    assert list(q.terms) == sorted(q.terms, reverse=True)
 
 
 @st.composite
