@@ -51,9 +51,6 @@ __all__ = [
     "tight_edge_indices",
 ]
 
-_OUT = "out"
-
-
 # -- model size and pair sets --------------------------------------------
 
 
@@ -143,50 +140,57 @@ class Diagram:
         return len(self.regions)
 
 
-def _edge_sides(n: int, e: Edge):
-    (i, j), (_, j2) = e
-    if j == j2:  # step in i, horizontal segment at height j
-        below: Box | str = (i, j - 1) if j >= 1 else _OUT
-        above: Box | str = (i, j) if j <= n - 3 else _OUT
-        return below, above
-    # step in j, vertical segment at x = i
-    left: Box | str = (i - 1, j) if i >= 1 else _OUT
-    right: Box | str = (i, j) if i <= 1 else _OUT
-    return left, right
+@lru_cache(maxsize=None)
+def _box_walls(n: int) -> tuple[tuple[Box, ...], tuple[tuple[int, int, int], ...]]:
+    """The unit boxes in sorted order, and (edge bit, box, box) for each
+    grid edge: the two sides of the edge, as numbers.
+
+    Box number x is boxes[x]; number len(boxes) is the outside.
+    """
+    rows = n - 2
+    boxes = tuple((a, b) for a in range(2) for b in range(rows))
+
+    def side(a: int, b: int) -> int:
+        return a * rows + b if 0 <= a <= 1 and 0 <= b < rows else len(boxes)
+
+    walls = []
+    for k, ((i, j), (_, j2)) in enumerate(ladder_edges(n)):
+        if j == j2:  # step in i, horizontal segment at height j
+            walls.append((1 << k, side(i, j - 1), side(i, j)))
+        else:  # step in j, vertical segment at x = i
+            walls.append((1 << k, side(i - 1, j), side(i, j)))
+    return boxes, tuple(walls)
 
 
 def bounded_regions(n: int, mask: int) -> tuple[frozenset[Box], ...]:
-    """Connected groups of unit boxes enclosed by the diagram.
+    """Connected groups of unit boxes enclosed by the diagram, in sorted
+    order.
 
     Boxes merge across every grid edge the diagram does not use; groups
-    touching the outside are dropped.
+    touching the outside are dropped.  Regions are disjoint, so sorted
+    order is the order of their least boxes, which is the order in which
+    a scan of the boxes in sorted order meets them.
     """
-    parent: dict = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
+    boxes, walls = _box_walls(n)
+    parent = list(range(len(boxes) + 1))
+    for bit, x, y in walls:
+        if not mask & bit:
+            while parent[x] != x:
+                x = parent[x]
+            while parent[y] != y:
+                y = parent[y]
+            if x != y:
+                parent[x] = y
+    outside = len(boxes)
+    while parent[outside] != outside:
+        outside = parent[outside]
+    groups: dict[int, list[Box]] = {}
+    for x, box in enumerate(boxes):
+        while parent[x] != x:
             x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    boxes = [(a, b) for a in range(2) for b in range(n - 2)]
-    for box in boxes:
-        find(box)
-    find(_OUT)
-    for k, e in enumerate(ladder_edges(n)):
-        if not mask >> k & 1:
-            union(*_edge_sides(n, e))
-    groups: dict = {}
-    for box in boxes:
-        groups.setdefault(find(box), set()).add(box)
-    out_root = find(_OUT)
-    regions = [frozenset(g) for root, g in groups.items() if root != out_root]
-    return tuple(sorted(regions, key=sorted))
+        if x != outside:
+            groups.setdefault(x, []).append(box)
+    return tuple(map(frozenset, groups.values()))
 
 
 def admissible_diagrams(n: int) -> tuple[Diagram, ...]:

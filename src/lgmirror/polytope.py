@@ -5,32 +5,33 @@ Fraction data.  Vertices come from solving square tight subsystems, faces
 from intersecting facet vertex sets.  Everything is exact; no floating
 point enters.
 
-The elimination runs on Python ints, fraction-free (Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", 1968).
-Two scale invariances make that possible without changing any answer:
+The elimination runs on Python ints, fraction-free: an inequality times a
+positive number is the same halfspace with the same tight set, so each is
+scaled once to an integer row by the LCM of its denominators, and an
+eliminated row may be divided by its content.  A candidate vertex is an
+integer vector over one positive denominator; it becomes a Fraction tuple
+only when returned.
 
-* an inequality times a positive number is the same halfspace with the
-  same tight set, so each is scaled once to an integer row by the LCM of
-  its denominators;
-* the affine rank of a point list does not change when every point is
-  scaled by one number, so face dimensions are ranks of the vertices
-  scaled once to a common denominator.
-
-A candidate vertex is an integer vector over one positive denominator; it
-becomes a Fraction tuple only when returned.  The vertex search still runs
-over all square constraint subsets, so keep the instance small.
+The vertex search walks the square constraint subsets depth first and
+reduces each new row once against the echelon form of the prefix; a row
+that reduces to zero cuts off every subset containing that prefix and
+row.  Face dimensions are read off the face lattice itself, with no
+elimination: one more than the dimension of a facet.  The search still
+visits every independent prefix, so keep the instance small.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Sequence
 
 Point = tuple[Fraction, ...]
 Inequality = tuple[tuple[Fraction, ...], Fraction]
 IntRow = tuple[tuple[int, ...], int]
+# an eliminated row [a_1..a_d, b] with the column of its pivot
+EchelonRow = tuple[int, list[int]]
 
 __all__ = [
     "Face",
@@ -60,90 +61,90 @@ def _integer_points(points: Sequence[Point]) -> tuple[int, list[list[int]]]:
     return den, [[x.numerator * (den // x.denominator) for x in p] for p in points]
 
 
-def _eliminate(
-    m: list[list[int]], pivot: int, col: int, targets: Iterable[int], prev: int
-) -> int:
-    """One fraction-free step: clear column ``col`` of the rows ``targets``
-    against row ``pivot`` and divide by the previous pivot ``prev``.
-    Returns the new pivot."""
-    pr = m[pivot]
-    p = pr[col]
-    for r in targets:
-        row = m[r]
-        f = row[col]
-        # every entry is a minor of the input, so the division is exact
-        if f:
-            m[r] = [(p * x - f * y) // prev for x, y in zip(row, pr)]
-        elif p != prev:
-            m[r] = [p * x // prev for x in row]
-    return p
+def _reduce(row: list[int], echelon: Sequence[EchelonRow]) -> EchelonRow | None:
+    """A row [a_1..a_d, b] reduced fraction-free against the echelon rows
+    and divided by its content, with its pivot column: the first nonzero
+    coefficient.  None if the coefficients reduce to zero, that is if a
+    lies in the span of the echelon rows' coefficients.
 
-
-def _solve_square(rows: Sequence[list[int]]) -> tuple[tuple[int, ...], int] | None:
-    """Solve a d x d integer system given as rows [a_1..a_d, b].
-
-    Fraction-free Gauss-Jordan: after the last step every diagonal entry is
-    the determinant of the row-swapped system and the right-hand column
-    holds its Cramer numerators, so x is their quotient.  Returns x = N / D
-    in lowest terms with D > 0, or None if singular.
+    Each echelon row is zero at the pivot columns of those before it, so
+    clearing one pivot column keeps the earlier ones clear.
     """
-    d = len(rows)
-    m = [row[:] for row in rows]
-    prev = 1
-    for col in range(d):
-        piv = next((r for r in range(col, d) if m[r][col]), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        prev = _eliminate(m, col, col, itertools.chain(range(col), range(col + 1, d)), prev)
-    g = gcd(prev, *(m[r][d] for r in range(d)))
-    if prev < 0:
+    for col, e in echelon:
+        f = row[col]
+        if f:
+            p = e[col]
+            row = [p * x - f * y for x, y in zip(row, e)]
+    col = next((c for c in range(len(row) - 1) if row[c]), None)
+    if col is None:
+        return None
+    g = gcd(*row)
+    return col, [x // g for x in row] if g > 1 else row
+
+
+def _back_substitute(echelon: Sequence[EchelonRow]) -> tuple[tuple[int, ...], int]:
+    """The solution N / D, lowest terms, D > 0, of a square echelon system
+    of rows [a_1..a_d, b] meaning a.x = b.
+
+    The last row has one nonzero coefficient, at its pivot; each row before
+    it adds one unknown.  All unknowns found so far are N / D over one
+    denominator, and solving for the next one multiplies D by its pivot.
+    """
+    d = len(echelon)
+    nums = [0] * d
+    den = 1
+    for col, row in reversed(echelon):
+        p = row[col]
+        rest = row[d] * den - sum(map(mul, row, nums))
+        if p != 1:
+            nums = [x * p for x in nums]
+            den *= p
+        nums[col] = rest
+    g = gcd(den, *nums)
+    if den < 0:
         g = -g
-    return tuple(m[r][d] // g for r in range(d)), prev // g
-
-
-def _rank(vecs: list[list[int]]) -> int:
-    """Rank of integer row vectors by fraction-free elimination; a column
-    with no pivot left is skipped."""
-    rows = list(vecs)
-    rank = 0
-    prev = 1
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prev = _eliminate(rows, rank, col, range(rank + 1, len(rows)), prev)
-        rank += 1
-    return rank
+    return tuple(x // g for x in nums), den // g
 
 
 def enumerate_vertices(ineqs: Sequence[Inequality]) -> tuple[Point, ...]:
     """All vertices of the polytope {x : a.x + b >= 0 for each (a, b)}.
 
-    Assumes the polytope is bounded.  Runs over all d-subsets of the
-    constraints, so keep the instance small.  A solution N / D, in lowest
-    terms, is tested as a.N + b.D >= 0 and deduplicated in that form.
+    Assumes the polytope is bounded.  A vertex is the solution of d tight
+    constraints with independent normals.  The constraint d-subsets are
+    walked depth first, in ``itertools.combinations`` order, carrying the
+    echelon form of the current prefix: each row is reduced once against
+    it and divided by its content.  A row whose normal reduces to zero
+    lies in the span of the prefix, so every subset that contains both is
+    singular and none is visited.  A full subset is solved by back
+    substitution; the solution N / D, in lowest terms, is tested as
+    a.N + b.D >= 0 and deduplicated in that form.
     """
     if not ineqs:
         return ()
     rows = _integer_rows(ineqs)
     d = len(rows[0][0])
+    system = [[*a, -b] for a, b in rows]
     seen: set[tuple[tuple[int, ...], int]] = set()
-    for subset in itertools.combinations([[*a, -b] for a, b in rows], d):
-        sol = _solve_square(subset)
-        if sol is None or sol in seen:
-            continue
-        nums, den = sol
-        if all(sum(c * x for c, x in zip(a, nums)) + b * den >= 0 for a, b in rows):
-            seen.add(sol)
+    echelon: list[EchelonRow] = []
+
+    def extend(start: int) -> None:
+        if len(echelon) == d:
+            sol = _back_substitute(echelon)
+            if sol in seen:
+                return
+            nums, den = sol
+            if all(sum(c * x for c, x in zip(a, nums)) + b * den >= 0 for a, b in rows):
+                seen.add(sol)
+            return
+        for k in range(start, len(system) - (d - len(echelon)) + 1):
+            step = _reduce(system[k], echelon)
+            if step is not None:
+                echelon.append(step)
+                extend(k + 1)
+                echelon.pop()
+
+    extend(0)
     return tuple(sorted(tuple(Fraction(x, den) for x in nums) for nums, den in seen))
-
-
-def _affine_rank(points: Sequence[list[int]]) -> int:
-    """Dimension of the affine hull of one or more integer points."""
-    base = points[0]
-    return _rank([[x - b for x, b in zip(p, base)] for p in points[1:]])
 
 
 @dataclass(frozen=True)
@@ -155,11 +156,9 @@ class Face:
     dim: int
 
 
-def _tight_masks(
-    ineqs: Sequence[Inequality], vertices: Sequence[Point]
-) -> tuple[list[list[int]], list[int]]:
-    """The vertices scaled to integers over one denominator D, and for each
-    inequality the mask of the vertices where it is tight."""
+def _tight_masks(ineqs: Sequence[Inequality], vertices: Sequence[Point]) -> list[int]:
+    """For each inequality the mask of the vertices where it is tight; the
+    vertices are scaled to integers over one denominator D first."""
     den, points = _integer_points(vertices)
     masks = []
     for a, b in _integer_rows(ineqs):
@@ -168,33 +167,60 @@ def _tight_masks(
             if sum(c * x for c, x in zip(a, p)) + b * den == 0:
                 m |= 1 << vid
         masks.append(m)
-    return points, masks
+    return masks
 
 
-def _mask_face(mask: int, points: Sequence[list[int]], masks: list[int]) -> Face:
-    ids = [i for i in range(len(points)) if mask >> i & 1]
-    tight = frozenset(i for i, m in enumerate(masks) if m & mask == mask)
-    dim = _affine_rank([points[i] for i in ids]) if ids else -1
-    return Face(frozenset(ids), tight, dim)
+def _bit_indices(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def enumerate_faces(
     ineqs: Sequence[Inequality], vertices: Sequence[Point] | None = None
 ) -> tuple[Face, ...]:
-    """All nonempty faces, the whole polytope included.
+    """All nonempty faces, the whole polytope included; none if the
+    polytope is empty.
 
     Every proper face of a polytope is an intersection of facets, so
     closing the constraints' vertex sets under intersection finds each face
     exactly once: after the k-th constraint, the set holds the nonempty
     intersections over every subset of the first k.
+
+    Dimensions are read off the same lattice, faces in order of vertex
+    count.  A face with one vertex has dimension 0.  Any other face F has
+    dimension 1 + dim G, where G is the largest F & m over the constraint
+    masks m that do not contain F.  G is a facet of F: each F & m is a
+    proper face of F, perhaps empty.  Conversely, take a proper face H of
+    F.  A face is the set of points where the constraints tight on all of
+    it are tight, so some constraint k is tight on H but not on all of F,
+    or F would lie in H; hence H lies in F & m_k.  So every facet of F,
+    being a maximal proper face, equals the F & m containing it, and the
+    F & m that are maximal under inclusion are exactly the facets of F.
+    The largest one is maximal, and a facet of a polytope of dimension
+    at least 1 has dimension one less.
     """
     if vertices is None:
         vertices = enumerate_vertices(ineqs)
-    points, masks = _tight_masks(ineqs, vertices)
+    if not vertices:
+        return ()
+    masks = _tight_masks(ineqs, vertices)
     found = {(1 << len(vertices)) - 1}
     for f in masks:
         found |= {f & m for m in found} - {0}
-    faces = [_mask_face(m, points, masks) for m in found]
-    faces.sort(key=lambda f: (f.dim, sorted(f.vertex_ids)))
-    return tuple(faces)
-
+    dims: dict[int, int] = {}
+    faces = []
+    for f in sorted(found, key=int.bit_count):
+        if f & (f - 1):
+            facet = max((f & m for m in masks if f & m != f), key=int.bit_count)
+            dims[f] = dims[facet] + 1
+        else:
+            dims[f] = 0
+        ids = _bit_indices(f)
+        tight = frozenset(i for i, m in enumerate(masks) if m & f == f)
+        faces.append((dims[f], ids, Face(frozenset(ids), tight, dims[f])))
+    faces.sort(key=lambda t: t[:2])
+    return tuple(face for _, _, face in faces)

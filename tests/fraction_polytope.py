@@ -85,6 +85,8 @@ def affine_rank(points):
 def enumerate_faces(ineqs, vertices=None):
     if vertices is None:
         vertices = enumerate_vertices(ineqs)
+    if not vertices:
+        return ()
     masks = [
         sum(1 << vid for vid, p in enumerate(vertices) if _value(p, q) == 0)
         for q in ineqs

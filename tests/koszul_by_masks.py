@@ -46,12 +46,8 @@ def square_check_by_masks(data: KoszulData) -> Report:
             "linear forms against cofactors rebuild the centered potential",
         )
     ]
-    parity_ok = True
     for mask in range(1 << m):
         image = apply_differential(data, {mask: RationalFunction.constant(1)})
-        parity_ok &= all(
-            bin(k).count("1") % 2 != bin(mask).count("1") % 2 for k in image
-        )
         square = apply_differential(data, image)
         ok = True
         detail = "matches"
@@ -62,7 +58,4 @@ def square_check_by_masks(data: KoszulData) -> Report:
                 detail = f"wrong coefficient on {_basis_label(k, m)}"
                 break
         verdicts.append(Verdict(f"square[{_basis_label(mask, m)}]", ok, detail))
-    verdicts.append(
-        Verdict("odd-parity", parity_ok, "the operator swaps even and odd degrees")
-    )
     return Report(f"koszul factorization [{data.label}]", tuple(verdicts))

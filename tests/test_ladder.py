@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lgmirror.ladder import (
     Diagram,
     admissible_diagrams,
+    bounded_regions,
     check_pair_set,
     classify_face,
     diagram_from_pairs,
@@ -24,6 +25,7 @@ from lgmirror.polytope import enumerate_faces, enumerate_vertices
 from lgmirror.potentials import immersed_potential
 
 from fraction_polytope import face_from_tight, satisfies
+import regions_by_dict
 
 
 def is_admissible(n: int, mask: int) -> bool:
@@ -113,6 +115,32 @@ def test_diagrams_match_polytope_faces(n):
         assert f.dim == d.dimension
         assert f.vertex_ids not in seen
         seen.add(f.vertex_ids)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_bounded_regions_match_the_dict_union_find(n):
+    for d in admissible_diagrams(n):
+        assert bounded_regions(n, d.mask) == regions_by_dict.bounded_regions(n, d.mask)
+
+
+def test_census_matches_polytope_faces_at_n7():
+    n = 7
+    diagrams = admissible_diagrams(n)
+    _, ineqs, _ = moment_inequalities(n)
+    faces = enumerate_faces(ineqs, enumerate_vertices(ineqs))
+    assert len(diagrams) == len(faces) == 5695
+    assert Counter(d.dimension for d in diagrams) == Counter(f.dim for f in faces)
+    assert sum(classify_face(d).lagrangian for d in diagrams) == 8
+    # each diagram cuts out its own face, of its own dimension
+    vertex_tight = {v: f.tight for f in faces if f.dim == 0 for v in f.vertex_ids}
+    face_of = {f.vertex_ids: f for f in faces}
+    seen = set()
+    for d in diagrams:
+        tight = tight_edge_indices(d)
+        ids = frozenset(v for v, t in vertex_tight.items() if tight <= t)
+        assert face_of[ids].dim == d.dimension
+        seen.add(ids)
+    assert len(seen) == len(diagrams)
 
 
 def test_diagram_inclusion_is_face_inclusion():

@@ -1,6 +1,7 @@
 """Tests for the exact H-polytope face machinery."""
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -8,11 +9,12 @@ from math import lcm
 import pytest
 
 import fraction_polytope as ref
+import polytope_by_subsets as old
 from lgmirror.ladder import moment_inequalities
 from lgmirror.polytope import (
-    _affine_rank,
+    _back_substitute,
     _integer_points,
-    _solve_square,
+    _reduce,
     enumerate_faces,
     enumerate_vertices,
 )
@@ -22,7 +24,19 @@ F = Fraction
 
 def affine_rank(points):
     """The integer affine-rank kernel on Fraction points; -1 for none."""
-    return _affine_rank(_integer_points(points)[1]) if points else -1
+    return old.affine_rank(_integer_points(points)[1]) if points else -1
+
+
+def _echelon_solve(rows):
+    """The vertex search's kernels on one square system: each row reduced
+    against those before it, then back substitution; None if singular."""
+    echelon = []
+    for row in rows:
+        step = _reduce(row, echelon)
+        if step is None:
+            return None
+        echelon.append(step)
+    return _back_substitute(echelon)
 
 
 def _ineq(coeffs, const):
@@ -146,7 +160,8 @@ def test_solve_square_matches_the_fraction_reference(d):
     for _ in range(300):
         rows = [[_rational(rng) for _ in range(d + 1)] for _ in range(d)]
         want = ref.solve_square(rows)
-        assert _as_fractions(_solve_square(_integer_system(rows))) == want
+        assert _as_fractions(old.solve_square(_integer_system(rows))) == want
+        assert _as_fractions(_echelon_solve(_integer_system(rows))) == want
         solved += want is not None and any(x.denominator > 1 for x in want)
     assert solved > 100  # mostly regular systems with non-integer solutions
 
@@ -159,7 +174,8 @@ def test_solve_square_rejects_singular_systems(d):
         basis = [[_rational(rng) for _ in range(d)] for _ in range(rng.randint(1, d - 1))]
         rows = [row + [_rational(rng)] for row in _combinations(rng, basis, d)]
         assert ref.solve_square(rows) is None
-        assert _solve_square(_integer_system(rows)) is None
+        assert old.solve_square(_integer_system(rows)) is None
+        assert _echelon_solve(_integer_system(rows)) is None
 
 
 def _affine_family(rng, dim, rank, count, skip):
@@ -208,10 +224,13 @@ def _random_polytope(rng, d, cuts):
     return qs
 
 
+def _random_case(seed):
+    return _random_polytope(random.Random(300 + seed), 2 + seed % 3, 1 + seed % 4)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_random_polytopes_match_the_fraction_reference(seed):
-    rng = random.Random(300 + seed)
-    qs = _random_polytope(rng, 2 + seed % 3, 1 + seed % 4)
+    qs = _random_case(seed)
     verts = enumerate_vertices(qs)
     assert verts == ref.enumerate_vertices(qs)
     assert any(x.denominator > 1 for v in verts for x in v)
@@ -228,6 +247,42 @@ def _redundant_cube():
     ]
 
 
+def _square_pyramid():
+    # the unit square at z = 0 under the apex (1/2, 1/2, 1), which lies on
+    # all four side facets
+    return [
+        _ineq([0, 0, 1], 0),
+        _ineq([2, 0, -1], 0),
+        _ineq([-2, 0, -1], 2),
+        _ineq([0, 2, -1], 0),
+        _ineq([0, -2, -1], 2),
+    ]
+
+
+def _octahedron():
+    # |x| + |y| + |z| <= 3/2: every vertex lies on four facets
+    return [_ineq(s, F(3, 2)) for s in itertools.product([-1, 1], repeat=3)]
+
+
+def _flat_square():
+    # the unit square in R^3, held at z = 0 by z >= 0 and -z >= 0
+    return [
+        _ineq([1, 0, 0], 0),
+        _ineq([-1, 0, 0], 1),
+        _ineq([0, 1, 0], 0),
+        _ineq([0, -1, 0], 1),
+        _ineq([0, 0, 1], 0),
+        _ineq([0, 0, -1], 0),
+    ]
+
+
+def _repeated_rows():
+    # x0 >= 0 three times over, the last scaled by 3, then the cube: every
+    # prefix holding two of the three is singular
+    cube = _unit_cube()
+    return [cube[0], cube[0], (tuple(3 * c for c in cube[0][0]), F(0))] + cube
+
+
 @cache
 def _reference(name):
     qs = _POLYTOPES[name]()
@@ -239,6 +294,10 @@ _POLYTOPES = {
     "cube": _unit_cube,
     "simplex": _simplex,
     "redundant_cube": _redundant_cube,
+    "square_pyramid": _square_pyramid,
+    "octahedron": _octahedron,
+    "flat_square": _flat_square,
+    "repeated_rows": _repeated_rows,
     **{f"ladder{n}": (lambda n=n: moment_inequalities(n)[1]) for n in range(4, 8)},
 }
 
@@ -251,3 +310,36 @@ def test_enumeration_matches_the_fraction_reference(name):
     assert all(isinstance(x, Fraction) for v in verts for x in v)
     assert enumerate_faces(qs, verts) == want_faces
     assert enumerate_faces(qs) == want_faces
+
+
+@pytest.mark.parametrize(
+    "name,counts",
+    [
+        ("square_pyramid", {0: 5, 1: 8, 2: 5, 3: 1}),
+        ("octahedron", {0: 6, 1: 12, 2: 8, 3: 1}),
+        ("flat_square", {0: 4, 1: 4, 2: 1}),
+        ("repeated_rows", {0: 8, 1: 12, 2: 6, 3: 1}),
+    ],
+)
+def test_face_counts_by_dimension(name, counts):
+    qs = _POLYTOPES[name]()
+    assert Counter(f.dim for f in enumerate_faces(qs)) == counts
+
+
+@pytest.mark.parametrize(
+    "qs",
+    [pytest.param(_POLYTOPES[name](), id=name) for name in sorted(_POLYTOPES)]
+    + [pytest.param(_random_case(seed), id=f"random{seed}") for seed in range(12)],
+)
+def test_enumeration_matches_elimination_per_subset(qs):
+    verts = enumerate_vertices(qs)
+    assert verts == old.enumerate_vertices(qs)
+    assert enumerate_faces(qs, verts) == old.enumerate_faces(qs, verts)
+
+
+def test_empty_polytope_has_no_faces():
+    qs = [_ineq([1], -1), _ineq([-1], 0)]  # x >= 1 and x <= 0
+    assert enumerate_vertices(qs) == ()
+    for route in (enumerate_faces, ref.enumerate_faces, old.enumerate_faces):
+        assert route(qs) == ()
+        assert route(qs, ()) == ()
