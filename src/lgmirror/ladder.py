@@ -198,10 +198,11 @@ def admissible_diagrams(n: int) -> tuple[Diagram, ...]:
 
     The closure runs over the path masks: after the k-th path, the set holds
     every union of a nonempty subset of the first k.  Measured
-    single-threaded on a 2-core host: 0.006 s at n = 7 (5,695 diagrams),
-    0.05 s at n = 8 (29,823) and 0.35 s with a 59 MB process peak at n = 9
-    (156,159).  The count grows about fivefold per step in n, the time
-    about sevenfold.
+    single-threaded on a 2-core host: 0.007-0.012 s at n = 7 (5,695
+    diagrams), 0.04 s at n = 8 (29,823) and 0.33-0.46 s with a 42 MB
+    process peak at n = 9 (156,159).  The count grows about fivefold per
+    step in n, the time about eightfold.  Classifying every diagram, which
+    finds its regions, takes 0.06 s at n = 7 and 0.54 s at n = 8.
     """
     masks: set[int] = set()
     for p in positive_paths(n):

@@ -171,6 +171,7 @@ def _tight_masks(ineqs: Sequence[Inequality], vertices: Sequence[Point]) -> list
 
 
 def _bit_indices(mask: int) -> list[int]:
+    """The set bits of a mask, lowest first."""
     out = []
     while mask:
         low = mask & -mask
