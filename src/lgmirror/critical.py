@@ -9,9 +9,11 @@ All numeric polynomial evaluation goes through one monomial table: the
 distinct exponent rows of a list of polynomials, with a (monomials x
 polynomials) coefficient matrix.  A Newton step evaluates the cleared
 equations, their Jacobian and every denominator together from one such
-table.  An iterate that lands on a denominator zero is dropped there, by the
-same floor test that filters the converged roots; W has a pole there, so
-the iterate has left the chart.  The rest of the batch is solved at once,
+table, written into buffers that the solve allocates once for all its
+starts.  A row leaves at a step when it has converged or landed on a
+denominator zero, by the same floor test that filters the converged roots;
+W has a pole there, so the iterate has left the chart.  Leaving rows are
+dropped before the linear solve, the rest of the batch is solved at once,
 and only a batch still holding an exactly singular Jacobian is filtered by
 determinant before solving again.
 """
@@ -53,6 +55,8 @@ class SolveConfig:
     max_iter: ClassVar[int] = 100
 
     def __post_init__(self):
+        if self.starts < 1:
+            raise ValueError(f"starts must be positive, got {self.starts}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -99,21 +103,27 @@ class _Monomials:
                 low, high = min(0, int(col.min())), max(0, int(col.max()))
                 self._columns.append((j, held, col[held], low, high))
 
-    def table(self, pts: np.ndarray) -> np.ndarray:
+    def table(self, pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(monomials, N) values of every monomial at the rows of pts (N, m),
         from one table of powers per variable built by repeated
-        multiplication and multiplied into the monomials holding it."""
-        mono = np.ones((self.exps.shape[0], pts.shape[0]), dtype=pts.dtype)
+        multiplication and multiplied into the monomials holding it.  With
+        ``out`` (monomials, >= N) the table is its first N columns."""
+        n = pts.shape[0]
+        if out is None:
+            mono = np.ones((self.exps.shape[0], n), dtype=pts.dtype)
+        else:
+            mono = out[:, :n]
+            mono[...] = 1
         for j, held, exps, low, high in self._columns:
             x = pts[:, j]
-            powers = np.empty((high - low + 1, pts.shape[0]), dtype=pts.dtype)
+            powers = np.empty((high - low + 1, n), dtype=pts.dtype)
             powers[-low] = 1
             for e in range(1, high + 1):
-                powers[e - low] = powers[e - 1 - low] * x
+                np.multiply(powers[e - 1 - low], x, out=powers[e - low])
             if low:
                 inv = 1 / x
                 for e in range(-1, low - 1, -1):
-                    powers[e - low] = powers[e + 1 - low] * inv
+                    np.multiply(powers[e + 1 - low], inv, out=powers[e - low])
             mono[held] *= powers[exps - low]
         return mono
 
@@ -202,12 +212,25 @@ class CriticalSystem:
             worst = np.maximum(worst, np.asarray(mags, dtype=np.float64))
         return worst
 
-    def _evaluate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _workspace(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Buffers for _evaluate at up to ``rows`` points: the Newton
+        monomial table (monomials, rows) and its values (rows, columns)."""
+        monomials, columns = self._newton.coeffs.shape
+        return (
+            np.empty((monomials, rows), dtype=np.complex128),
+            np.empty((rows, columns), dtype=np.complex128),
+        )
+
+    def _evaluate(
+        self, pts: np.ndarray, work: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The cleared equations (N, m), their Jacobian (N, m, m) and which
-        rows lie off every denominator, from one monomial table at pts."""
+        rows lie off every denominator, from one monomial table at pts.
+        With a ``_workspace`` the table and F and J are views into it."""
         m = len(self.variables)
-        mono = self._newton.table(pts)
-        vals = mono.T @ self._newton.coeffs
+        table, vals = (None, None) if work is None else (work[0], work[1][: pts.shape[0]])
+        mono = self._newton.table(pts, table)
+        vals = np.matmul(mono.T, self._newton.coeffs, out=vals)
         F, J = vals[:, :m], vals[:, m : self._den_col].reshape(-1, m, m)
         return F, J, self._clear_of_denominators(mono, vals[:, self._den_col :])
 
@@ -220,22 +243,31 @@ class CriticalSystem:
         scale = np.maximum(1.0, largest)
         return (np.abs(dens).T >= _DEN_FLOOR * scale).all(axis=0)
 
-    def _newton_step(self, pts: np.ndarray):
-        """The Newton step at each row, whether the row may take it, and the
-        row's largest cleared residual.  A row on a denominator, or with an
-        exactly singular Jacobian, takes no step."""
-        F, J, good = self._evaluate(pts)
-        step = np.zeros_like(pts)
+    def _newton_step(
+        self,
+        pts: np.ndarray,
+        tol: float,
+        work: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One Newton step at the rows of pts (N, m): the steps of the rows
+        that stay, one per staying row, which rows stay, and each row's
+        largest cleared residual.  A row leaves, and is not solved for,
+        once its residual is at most tol, once it lies on a denominator or
+        when its Jacobian is exactly singular."""
+        F, J, stay = self._evaluate(pts, work)
+        res = np.abs(F).max(axis=1)
+        stay &= ~(res <= tol)
+        if not stay.all():
+            F, J = F[stay], J[stay]
         try:
-            step[good] = np.linalg.solve(J[good], F[good][..., None])[..., 0]
+            return np.linalg.solve(J, F[..., None])[..., 0], stay, res
         except np.linalg.LinAlgError:
-            # some Jacobian off the denominators is exactly singular: solve
-            # the rest of the batch
+            # some staying Jacobian is exactly singular: solve the rest
             dets = np.linalg.det(J)
-            good &= np.isfinite(dets) & (np.abs(dets) > 1e-300)
-            step[good] = np.linalg.solve(J[good], F[good][..., None])[..., 0]
-        good &= np.isfinite(step).all(axis=1)
-        return step, good, np.abs(F).max(axis=1)
+            solvable = np.isfinite(dets) & (np.abs(dets) > 1e-300)
+            stay[stay] = solvable
+            step = np.linalg.solve(J[solvable], F[solvable][..., None])[..., 0]
+            return step, stay, res
 
     def off_denominators(self, pts: np.ndarray) -> np.ndarray:
         """The final filter on converged roots: which rows of pts lie off
@@ -272,25 +304,29 @@ def solve(system: CriticalSystem, cfg: SolveConfig = SolveConfig()) -> list[Crit
     """Multi-start Newton on the cleared system; deterministic per seed.
 
     An iterate stops once it converges, and is dropped once it lands on a
-    denominator, meets an exactly singular Jacobian or passes 1e8."""
+    denominator, meets an exactly singular Jacobian or passes 1e8; a
+    non-finite step passes 1e8 too.  The live iterates are kept compacted,
+    and every step is evaluated into one workspace sized for all starts."""
     pts = _starts(len(system.variables), cfg)
     converged = np.zeros(cfg.starts, dtype=bool)
-    # the live iterates, compacted, and their rows in pts; a converged
-    # iterate is written back to pts as it leaves
+    work = system._workspace(cfg.starts)
+    # the live iterates and their rows in pts; a converged iterate is
+    # written back to pts as it leaves
     idx, live = np.arange(cfg.starts), pts.copy()
     with np.errstate(all="ignore"):
         for _ in range(cfg.max_iter):
             if not idx.size:
                 break
-            step, good, res = system._newton_step(live)
+            step, stay, res = system._newton_step(live, cfg.newton_tol, work)
             done = res <= cfg.newton_tol
             converged[idx[done]] = True
             pts[idx[done]] = live[done]
-            move = ~done & good
-            live[move] -= step[move]
-            move &= np.abs(live).max(axis=1) <= 1e8
-            if not move.all():
-                idx, live = idx[move], live[move]
+            if not stay.all():
+                idx, live = idx[stay], live[stay]
+            live -= step
+            keep = np.abs(live).max(axis=1) <= 1e8
+            if not keep.all():
+                idx, live = idx[keep], live[keep]
     return _certified_points(system, pts[converged], cfg)
 
 

@@ -116,35 +116,41 @@ def enumerate_vertices(ineqs: Sequence[Inequality]) -> tuple[Point, ...]:
     it and divided by its content.  A row whose normal reduces to zero
     lies in the span of the prefix, so every subset that contains both is
     singular and none is visited.  A full subset is solved by back
-    substitution; the solution N / D, in lowest terms, is tested as
-    a.N + b.D >= 0 and deduplicated in that form.
+    substitution, and the solution N / D is kept when a.N + b.D >= 0 for
+    every row.  Each vertex found keeps the mask of its tight rows: a full
+    subset whose rows are all tight at a found vertex has that vertex as
+    its unique solution, so it is skipped unsolved.  The polytopes here
+    are degenerate, every vertex lying on more than d facets, and most
+    full subsets are of that kind.
     """
     if not ineqs:
         return ()
     rows = _integer_rows(ineqs)
     d = len(rows[0][0])
     system = [[*a, -b] for a, b in rows]
-    seen: set[tuple[tuple[int, ...], int]] = set()
+    found: list[tuple[tuple[int, ...], int]] = []
+    tight_masks: list[int] = []
     echelon: list[EchelonRow] = []
 
-    def extend(start: int) -> None:
+    def extend(start: int, subset: int) -> None:
         if len(echelon) == d:
-            sol = _back_substitute(echelon)
-            if sol in seen:
+            if any(subset & t == subset for t in tight_masks):
                 return
-            nums, den = sol
-            if all(sum(c * x for c, x in zip(a, nums)) + b * den >= 0 for a, b in rows):
-                seen.add(sol)
+            nums, den = _back_substitute(echelon)
+            slacks = [sum(c * x for c, x in zip(a, nums)) + b * den for a, b in rows]
+            if all(s >= 0 for s in slacks):
+                found.append((nums, den))
+                tight_masks.append(sum(1 << k for k, s in enumerate(slacks) if s == 0))
             return
         for k in range(start, len(system) - (d - len(echelon)) + 1):
             step = _reduce(system[k], echelon)
             if step is not None:
                 echelon.append(step)
-                extend(k + 1)
+                extend(k + 1, subset | 1 << k)
                 echelon.pop()
 
-    extend(0)
-    return tuple(sorted(tuple(Fraction(x, den) for x in nums) for nums, den in seen))
+    extend(0, 0)
+    return tuple(sorted(tuple(Fraction(x, den) for x in nums) for nums, den in found))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import pytest
 
 import fraction_polytope as ref
 import polytope_by_subsets as old
+from lgmirror import polytope
 from lgmirror.ladder import moment_inequalities
 from lgmirror.polytope import (
     _back_substitute,
@@ -335,6 +336,23 @@ def test_enumeration_matches_elimination_per_subset(qs):
     verts = enumerate_vertices(qs)
     assert verts == old.enumerate_vertices(qs)
     assert enumerate_faces(qs, verts) == old.enumerate_faces(qs, verts)
+
+
+def test_each_vertex_is_solved_once(monkeypatch):
+    # the n = 6 ladder polytope is degenerate: 217 full subsets were solved
+    # for its 15 vertices before a subset tight at a found vertex was skipped
+    qs = moment_inequalities(6)[1]
+    solved = []
+
+    def spy(echelon):
+        nums, den = _back_substitute(echelon)
+        solved.append(tuple(F(x, den) for x in nums))
+        return nums, den
+
+    monkeypatch.setattr(polytope, "_back_substitute", spy)
+    verts = enumerate_vertices(qs)
+    assert verts == old.enumerate_vertices(qs)
+    assert Counter(p for p in solved if p in verts) == Counter(verts)
 
 
 def test_empty_polytope_has_no_faces():
