@@ -491,8 +491,8 @@ def _value_multiset_match(actual, expected, tol: float) -> bool:
 
 def verify_known(form: ClosedForm, atlas: Atlas) -> Report:
     """Check the stored closed-form points on the root chart's potential:
-    tiny gradients, the expected critical-value multiset, and the
-    quantum-cohomology count.  ``atlas`` is ``form.atlas()``."""
+    tiny gradients and the expected critical-value multiset, which also
+    fixes their number.  ``atlas`` is ``form.atlas()``."""
     system = critical_system(atlas.potentials[form.root], form.bindings)
     closed = form.points()
     expected = form.values()
@@ -514,13 +514,6 @@ def verify_known(form: ClosedForm, atlas: Atlas) -> Report:
             "critical-values",
             ok_values,
             "multiset matches the closed form" if ok_values else f"got {values}",
-        )
-    )
-    verdicts.append(
-        Verdict(
-            "count",
-            len(closed) == len(expected),
-            f"{len(closed)} points = quantum cohomology rank",
         )
     )
     return Report(f"closed-form critical data [{form.key}]", tuple(verdicts))

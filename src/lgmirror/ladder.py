@@ -64,10 +64,13 @@ def check_pair_set(n: int, pair_set) -> frozenset:
     """The pair set as a frozenset of int pairs, once it is valid for gr(2,n).
 
     Valid means n >= 4, every pair is (i, i+1) of integers with
-    1 <= i <= n-3, and no index lies in two pairs.
+    1 <= i <= n-3, no pair is listed twice, and no index lies in two pairs.
     """
     check_size(n)
-    pairs = frozenset(map(tuple, pair_set))
+    listed = [tuple(pair) for pair in pair_set]
+    pairs = frozenset(listed)
+    if len(pairs) != len(listed):
+        raise ValueError(f"not a valid pair set for n={n}: a pair is listed twice in {listed}")
     if not all(isinstance(x, numbers.Integral) for pair in pairs for x in pair):
         raise ValueError(f"not a valid pair set for n={n}: {sorted(pairs, key=str)}")
     pairs = frozenset((int(i), int(j)) for i, j in pairs)

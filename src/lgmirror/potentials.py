@@ -181,11 +181,10 @@ class OgPotentials(NamedTuple):
     clifford: Potential
     toric_fiber: Potential
     rietsch: Potential
-    og14: Potential
 
 
 def og_potentials() -> OgPotentials:
-    """The six potentials of the quadric models, smallest cases."""
+    """The five potentials of the quadric threefold og(1,5)."""
     five = "og(1,5)"
     return OgPotentials(
         immersed=Potential(
@@ -214,12 +213,6 @@ def og_potentials() -> OgPotentials:
             "plucker",
             ("p0", "p1", "p2", "p3"),
             five,
-        ),
-        og14=Potential(
-            ("(y1_2/y1_1)*(1 + y1_1)^2",),
-            "wallcrossed",
-            ("y1_1", "y1_2"),
-            "og(1,4)",
         ),
     )
 
@@ -340,8 +333,6 @@ def parse_model(model: str) -> tuple[str, int]:
         return "gr", n
     if text in {"og15", "og(1,5)"}:
         return "og15", 5
-    if text in {"og14", "og(1,4)"}:
-        return "og14", 4
     raise ValueError(f"unknown model: {model!r}")
 
 
@@ -367,9 +358,7 @@ def verify_rietsch_identity(model: str, pair_set=frozenset()) -> bool:
         return sum_equal_mod_plucker(floer, target, n) and _restricted_checked(
             n, pair_set
         )
-    if kind == "og15":
-        og = og_potentials()
-        floer = og.immersed.substitute_terms(og15_recovery_bindings())
-        target = og.rietsch.substitute_terms({"q": _ONE})
-        return sum_is_zero([(t, 1) for t in floer] + [(t, -1) for t in target])
-    raise ValueError(f"no homogeneous-coordinate identity for model {model!r}")
+    og = og_potentials()
+    floer = og.immersed.substitute_terms(og15_recovery_bindings())
+    target = og.rietsch.substitute_terms({"q": _ONE})
+    return sum_is_zero([(t, 1) for t in floer] + [(t, -1) for t in target])

@@ -30,7 +30,7 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
+        return bool(self.verdicts) and all(v.passed for v in self.verdicts)
 
     def failures(self) -> tuple[Verdict, ...]:
         return tuple(v for v in self.verdicts if not v.passed)

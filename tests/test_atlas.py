@@ -393,7 +393,9 @@ def test_atlas_validation():
         Atlas("x", (u_chart, v_chart), (ok,), {"zzz": None})
     with pytest.raises(ValueError):
         Chart("a", ("u", "u"))
-    Atlas("x", (u_chart, v_chart), (ok,))
+    # one way only: neither a roundtrip nor a triangle, so the cocycle
+    # check examines nothing and must not pass
+    assert not verify_cocycle(Atlas("x", (u_chart, v_chart), (ok,))).passed
     # connected through a transition into the first chart
     Atlas("x", (u_chart, v_chart), (Transition("b", "a", {"u": parse("v")}),))
 

@@ -9,6 +9,7 @@ import pytest
 
 from lgmirror import cli, critical, ladder, potentials
 from lgmirror.cli import main, parse_pairs
+from lgmirror.report import Report, Verdict
 
 
 def run(capsys, argv):
@@ -21,10 +22,11 @@ def run(capsys, argv):
 
 
 def test_parse_pairs():
-    assert parse_pairs("1,2") == frozenset({(1, 2)})
-    assert parse_pairs("1,2;3,4") == frozenset({(1, 2), (3, 4)})
-    assert parse_pairs(None) == frozenset()
-    assert parse_pairs("") == frozenset()
+    assert parse_pairs("1,2") == ((1, 2),)
+    assert parse_pairs("3,4;1,2") == ((3, 4), (1, 2))
+    assert parse_pairs("1,2;1,2") == ((1, 2), (1, 2))
+    assert parse_pairs(None) == ()
+    assert parse_pairs("") == ()
 
 
 def test_parse_pairs_rejects_garbage():
@@ -180,6 +182,17 @@ def test_faces_small_census(capsys):
     assert "S^3 x S^1" in out
 
 
+def test_faces_census_is_a_count_not_a_verdict(capsys, tmp_path):
+    path = tmp_path / "faces.json"
+    code, out, _ = run(capsys, ["faces", "--n", "4", "--json", str(path)])
+    assert code == 0
+    assert out.startswith("faces of the ladder polytope, n = 4: 39 faces, 2 Lagrangian\n")
+    report = json.loads(path.read_text())
+    assert report["artifacts"]["census"] == 39
+    names = [v["name"] for r in report["reports"] for v in r["verdicts"]]
+    assert names and "census" not in names
+
+
 def test_charts_prints_bindings(capsys):
     code, out, _ = run(capsys, ["charts", "--n", "4", "--pairs", "1,2"])
     assert code == 0
@@ -204,8 +217,27 @@ def test_potential_torus_when_no_pairs(capsys):
 def test_potential_og_models(capsys):
     code, out, _ = run(capsys, ["potential", "--model", "og15"])
     assert code == 0
-    code, out, _ = run(capsys, ["potential", "--model", "og14"])
-    assert code == 0
+    assert "3 terms, one per summand of the og(1,5) homogeneous potential" in out
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["potential", "--model", "og14"], "unknown model 'og14'"),
+        (["charts", "--n", "6", "--pairs", "1,2;1,2"], "listed twice"),
+        (["verify", "rietsch", "--model", "gr", "--n", "6", "--pairs", "1,2;1,2"], "listed twice"),
+        (["potential", "--model", "gr", "--n", "6", "--pairs", "1,2;3,4;1,2"], "listed twice"),
+    ],
+)
+def test_rejected_inputs_name_the_reason(capsys, argv, reason):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert reason in err
+
+
+def test_a_report_without_verdicts_fails():
+    assert not Report("t", ()).passed
+    assert Report("t", (Verdict("v", True),)).passed
 
 
 def test_potential_quantum_substitution_guard(capsys):
@@ -474,5 +506,4 @@ def test_critical_solves_each_chart_once(capsys, monkeypatch):
 def test_gr24_critical_via_cli(capsys):
     code, out, _ = run(capsys, ["critical", "--model", "gr", "--n", "4"])
     assert code == 0
-    assert "6 points = quantum cohomology rank" in out
     assert "6 deduplicated points" in out

@@ -316,6 +316,12 @@ def test_check_pair_set_rejects_non_integer_indices(pair_set):
         immersed_potential(6, pair_set)
 
 
+@pytest.mark.parametrize("pairs", [[(1, 2), (1, 2)], ((1, 2), (3, 4), (1, 2))])
+def test_check_pair_set_rejects_a_repeated_pair(pairs):
+    with pytest.raises(ValueError, match="listed twice"):
+        check_pair_set(6, pairs)
+
+
 @pytest.mark.parametrize("n", [-1, 0, 2, 3])
 def test_check_pair_set_rejects_small_n(n):
     with pytest.raises(ValueError, match="n >= 4"):

@@ -309,8 +309,7 @@ def test_quadric_charts_frozen():
     assert og.clifford.expr.equal(parse("1/y2 + z2/y2 + y2^2*(x2 + 1)^2/(x2*z2)"))
     assert og.toric_fiber.expr.equal(parse("1/y1_3 + y1_3/y1_2 + (y1_2/y1_1)*(1 + y1_1)^2"))
     assert og.rietsch.expr.equal(parse("p1/p0 + p2^2/(p1*p2 - p0*p3) + q*p1/p3"))
-    assert all(p.model == "og(1,5)" for p in og[:5])
-    assert og.og14.model == "og(1,4)"
+    assert all(p.model == "og(1,5)" for p in og)
 
 
 def test_quadric_wall_crossings():
@@ -342,15 +341,6 @@ def test_quadric_correction_term_expansion():
     assert series.exponents() == (Fraction(2), Fraction(4))
     assert as_rational(series.coefficient(2)).equal(parse("-u^2/z0"))
     assert as_rational(series.coefficient(4)).equal(parse("-u^3*v/z0"))
-
-
-def test_quadric_surface_chart_is_partial():
-    og = og_potentials()
-    assert og.og14.expr.equal(parse("(y1_2/y1_1)*(1 + y1_1)^2"))
-    missing = og.toric_fiber.expr - og.og14.expr
-    assert missing.equal(parse("1/y1_3 + y1_3/y1_2"))
-    with pytest.raises(ValueError):
-        verify_rietsch_identity("og14")
 
 
 # -- homogeneous-coordinate potentials -------------------------------------
