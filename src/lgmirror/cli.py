@@ -409,7 +409,8 @@ def _check_flags(served: dict) -> list[str]:
 
 def check_model(args) -> None:
     """Reject an unserved model or size, a missing --n, a stray --n or --pairs,
-    or a flag given to a verify check that does not take it."""
+    a flag given to a verify check that does not take it, or a negative
+    --seed."""
     name, served = args.command, _COMMANDS[args.command][3]
     if isinstance(served, dict):
         checks, name, served = served, f"{name} {args.check}", served[args.check]
@@ -418,6 +419,9 @@ def check_model(args) -> None:
                 setattr(args, flag, getattr(args, flag, _FLAGS[flag]["default"]))
             elif hasattr(args, flag):
                 raise CliError(f"{name} takes no --{flag}")
+    # random.Random drops the sign of a seed, so -s would silently repeat s
+    if getattr(args, "seed", 0) < 0:
+        raise CliError(f"seed must be non-negative, got {args.seed}")
     models = [s for s in served.split() if s not in _FLAGS]
     model = getattr(args, "model", "gr")
     n, pairs = getattr(args, "n", None), getattr(args, "pairs", ())

@@ -85,9 +85,9 @@ class _Monomials:
         rows: dict[tuple[int, ...], int] = {}
         entries = []
         for k, poly in enumerate(polys):
-            for exps, c in poly.terms.items():
+            for mono, c in poly.terms.items():
                 row = [0] * len(variables)
-                for v, e in zip(poly.vars, exps):
+                for v, e in mono:
                     row[index[v]] = e
                 entries.append((rows.setdefault(tuple(row), len(rows)), k, complex(c)))
         self.exps = np.array(list(rows), dtype=np.int64).reshape(len(rows), len(variables))
@@ -342,12 +342,8 @@ def _certified_points(
         if pts.size:
             wide = system.rational_residuals(pts.astype(np.clongdouble))
             pts = pts[wide <= cfg.newton_tol]
-    unique: list[np.ndarray] = []
-    for row in pts:
-        if all(np.abs(row - kept).max() >= _DEDUP_RADIUS for kept in unique):
-            unique.append(row)
     points = []
-    for row in unique:
+    for row in _distinct_rows(pts):
         coords = {v: complex(c) for v, c in zip(system.variables, row)}
         points.append(
             CriticalPoint(
@@ -360,6 +356,27 @@ def _certified_points(
                                [(round(c.real, 9), round(c.imag, 9))
                                 for c in p.coords.values()]))
     return points
+
+
+def _distinct_rows(pts: np.ndarray) -> list[np.ndarray]:
+    """The rows of pts that lie at max-norm distance _DEDUP_RADIUS or more
+    from every row kept before them, in order.
+
+    A greedy filter: keep the first row left, drop every row left within
+    the radius of it (itself included), repeat.  By induction this keeps
+    the same rows as testing each row against every kept one.  Say both
+    have kept k_1..k_j.  A row before k_j is then some k_i or within the
+    radius of a k_i kept before it, so the rows left are those after k_j
+    at distance >= the radius from every k_i, in order.  Testing row by
+    row, the next kept row is the first of those, which is the next row
+    the filter keeps.  ``tests/dedup_one_at_a_time.py`` holds the row by
+    row loop.
+    """
+    unique = []
+    while len(pts):
+        unique.append(pts[0])
+        pts = pts[np.abs(pts - pts[0]).max(axis=1) >= _DEDUP_RADIUS]
+    return unique
 
 
 def solve_potential(

@@ -27,7 +27,7 @@ from .report import Report, Verdict
 
 KOSZUL_SCHEMA = "koszul/1"
 
-_ZERO = LaurentPoly((), {})
+_ZERO = LaurentPoly({})
 
 
 def reduce_adjoined(poly: LaurentPoly, modulus: LaurentPoly | None) -> LaurentPoly:
@@ -128,7 +128,7 @@ def _center_value_poly(value) -> LaurentPoly:
     rf = as_rational(value)
     if not rf.is_polynomial():
         raise ValueError("center coordinates must be polynomial expressions")
-    if any(e < 0 for exps in rf.num.terms for e in exps):
+    if any(e < 0 for exps in rf.num.dense()[1] for e in exps):
         raise ValueError("center coordinates must be polynomial expressions")
     return rf.num
 

@@ -1,11 +1,26 @@
 """Sparse Laurent polynomials over the exact rationals.
 
-A polynomial is a dict mapping exponent tuples to nonzero rational
-coefficients; the tuples are aligned with a sorted tuple of variable names.
-A coefficient is an int when it is whole and a Fraction only when it is
-not, so integer arithmetic never builds a Fraction.  Exponents may be
-negative, so monomials are units and can always be moved between numerator
-and denominator.
+A polynomial is a dict mapping monomials to nonzero rational coefficients.
+A monomial is a tuple of (name, exponent) pairs, sorted by name, with no
+zero exponent; the constant monomial is ().  So a product merges the pairs
+of two monomials, a sum is a plain dict merge, and a variable that no term
+uses cannot occur: nothing is aligned to a shared variable tuple and no
+exponent column is ever scanned.  A coefficient is an int when it is whole
+and a Fraction only when it is not, so integer arithmetic never builds a
+Fraction.  Exponents may be negative, so monomials are units and can always
+be moved between numerator and denominator.
+
+Every step that depends on an order of the terms reads the dense view,
+``dense()``: the sorted names of the variables in use and each term's
+exponent tuple over them, in term order, built at most once per polynomial.
+Those steps are the lex-leading division of ``exact_div`` (its Newton box
+and its heap), ``key()`` and the hash, ``format_poly``, ``monomial_gcd`` and
+``shift``.  Lex order over the dense view is the order of the aligned
+exponent tuples that polynomials carried before they were sparse, and the
+arithmetic adds, merges and deletes terms in the same sequence, so every
+canonical form, every ordering of denominator factors, every hash and every
+printed form is the same as with aligned tuples.  ``tests/dense_laurent.py``
+keeps the aligned-tuple arithmetic as the reference.
 """
 from __future__ import annotations
 
@@ -13,16 +28,20 @@ import math
 import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, itemgetter, neg
+from operator import add, neg
 from typing import Iterable, Mapping, Union
 
 Exponents = tuple[int, ...]
+# (name, exponent) pairs sorted by name, no exponent 0
+Monomial = tuple[tuple[str, int], ...]
 # an int, or a Fraction whose denominator is not 1
 Coeff = Union[int, Fraction]
 
 
 def _frac(value) -> Coeff:
     """The canonical coefficient of an int or Fraction value."""
+    if value.__class__ is int:
+        return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
@@ -40,7 +59,7 @@ def coeff_quotient(a: Coeff, b: Coeff) -> Coeff:
     return _frac(Fraction(a, b))
 
 
-def _demoted(terms: dict[Exponents, Coeff]) -> dict[Exponents, Coeff]:
+def _demoted(terms: dict) -> dict:
     """The terms with every whole Fraction coefficient made an int.  Sums
     and products of Fractions can be whole; those of ints stay ints."""
     if Fraction in map(type, terms.values()):
@@ -48,70 +67,119 @@ def _demoted(terms: dict[Exponents, Coeff]) -> dict[Exponents, Coeff]:
     return terms
 
 
+def _times(a: Monomial, b: Monomial) -> Monomial:
+    """The product of two monomials: the pairs merged by name, exponents of
+    a shared name added, and a name whose exponents cancel dropped."""
+    if not a:
+        return b
+    if not b:
+        return a
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    exps = dict(a)
+    for v, k in b:
+        k += exps.get(v, 0)
+        if k:
+            exps[v] = k
+        else:
+            del exps[v]
+    return tuple(sorted(exps.items()))
+
+
+def _sparse(names: tuple[str, ...], exps: Exponents) -> Monomial:
+    """The monomial of an exponent tuple over sorted names."""
+    return tuple([(v, k) for v, k in zip(names, exps) if k])
+
+
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with int or Fraction coefficients."""
 
-    __slots__ = ("vars", "terms", "_key")
+    __slots__ = ("terms", "_vars", "_exps", "_key")
 
-    def __init__(self, vars: tuple[str, ...], terms: dict[Exponents, Coeff]):
-        # Trusted constructor: callers must pass pruned, sorted data with
-        # nonzero canonical coefficients.
-        self.vars = vars
+    def __init__(self, terms: dict[Monomial, Coeff]):
+        # Trusted constructor: callers must pass canonical monomials (sorted
+        # names, no zero exponent) with nonzero canonical coefficients.
         self.terms = terms
+        self._vars = None
+        self._exps = None
         self._key = None
+
+    @property
+    def vars(self) -> tuple[str, ...]:
+        """The sorted names of the variables some term uses."""
+        if self._vars is None:
+            self._vars = tuple(sorted({v for m in self.terms for v, _ in m}))
+        return self._vars
+
+    def dense(self) -> tuple[tuple[str, ...], tuple[Exponents, ...]]:
+        """The dense view: the sorted variable names, and each term's
+        exponent tuple over them, in the order of ``terms``."""
+        if self._exps is None:
+            self._exps = self._exponents_over(self.vars)
+        return self._vars, self._exps
+
+    def _exponents_over(self, names: tuple[str, ...]) -> tuple[Exponents, ...]:
+        """Each term's exponent tuple over sorted names that hold its own."""
+        if not names:
+            return ((),) * len(self.terms)
+        where = {v: i for i, v in enumerate(names)}
+        zero = [0] * len(names)
+        rows = []
+        for m in self.terms:
+            row = zero.copy()
+            for v, k in m:
+                row[where[v]] = k
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    def _same_monomials(self, terms: dict[Monomial, Coeff]) -> "LaurentPoly":
+        """A polynomial with new coefficients on this one's monomials, in
+        this one's order; it shares the cached views."""
+        p = LaurentPoly(terms)
+        p._vars, p._exps = self._vars, self._exps
+        return p
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def make(vars: Iterable[str], terms: Mapping[Exponents, object]) -> "LaurentPoly":
-        """Build a polynomial from int or Fraction coefficients, dropping
-        zero terms and unused variables."""
-        cleaned = {tuple(e): _frac(c) for e, c in terms.items() if c != 0}
-        poly = LaurentPoly._pruned(tuple(vars), cleaned)
-        vtuple = poly.vars
-        if vtuple != tuple(sorted(vtuple)):
-            order = sorted(range(len(vtuple)), key=lambda i: vtuple[i])
-            poly = LaurentPoly(
-                tuple(vtuple[i] for i in order),
-                {tuple(e[i] for i in order): c for e, c in poly.terms.items()},
-            )
-        return poly
-
-    @staticmethod
-    def _pruned(vars_: tuple[str, ...], terms: dict[Exponents, Coeff]) -> "LaurentPoly":
-        """Trusted constructor for sorted variables and nonzero canonical
-        coefficients that drops the variables no term uses (x * x^-1 and
-        cancelling sums can remove one)."""
-        used = [i for i, column in enumerate(zip(*terms)) if any(column)]
-        if len(used) != len(vars_):
-            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
-            vars_ = tuple(vars_[i] for i in used)
-        return LaurentPoly(vars_, terms)
+        """Build a polynomial from exponent tuples over the given variable
+        names and int or Fraction coefficients, dropping zero terms."""
+        names = tuple(vars)
+        order = sorted(range(len(names)), key=names.__getitem__)
+        if order == list(range(len(names))):
+            monomial = lambda e: _sparse(names, e)
+        else:
+            pick = [(names[i], i) for i in order]
+            monomial = lambda e: tuple([(v, e[i]) for v, i in pick if e[i]])
+        return LaurentPoly(
+            {monomial(tuple(e)): _frac(c) for e, c in terms.items() if c != 0}
+        )
 
     @staticmethod
     def constant(c) -> "LaurentPoly":
         c = _frac(c)
         if c == 0:
-            return LaurentPoly((), {})
-        return LaurentPoly((), {(): c})
+            return LaurentPoly({})
+        return LaurentPoly({(): c})
 
     @staticmethod
     def var(name: str, power: int = 1, coeff=1) -> "LaurentPoly":
         c = _frac(coeff)
         if c == 0:
-            return LaurentPoly((), {})
+            return LaurentPoly({})
         if power == 0:
-            return LaurentPoly((), {(): c})
-        return LaurentPoly((name,), {(power,): c})
+            return LaurentPoly({(): c})
+        return LaurentPoly({((name, power),): c})
 
     @staticmethod
     def monomial(exps: Mapping[str, int], coeff=1) -> "LaurentPoly":
         c = _frac(coeff)
         if c == 0:
-            return LaurentPoly((), {})
-        exps = {v: e for v, e in exps.items() if e != 0}
-        names = tuple(sorted(exps))
-        return LaurentPoly(names, {tuple(exps[v] for v in names): c})
+            return LaurentPoly({})
+        return LaurentPoly({tuple(sorted((v, e) for v, e in exps.items() if e != 0)): c})
 
     # -- basic queries ----------------------------------------------------
 
@@ -119,7 +187,7 @@ class LaurentPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.vars or all(not any(e) for e in self.terms)
+        return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -129,68 +197,52 @@ class LaurentPoly:
             return 0
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return self.terms[()]
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def key(self):
-        """Hashable canonical key (variables plus sorted terms)."""
+        """Hashable canonical key: the variables and the terms sorted by
+        their exponent tuples over them."""
         if self._key is None:
-            self._key = (self.vars, tuple(sorted(self.terms.items())))
+            names, exps = self.dense()
+            self._key = (names, tuple(sorted(zip(exps, self.terms.values()))))
         return self._key
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.key() == other.key()
+        return self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(self.key())
 
-    # -- alignment --------------------------------------------------------
-
-    @staticmethod
-    def _align(a: "LaurentPoly", b: "LaurentPoly"):
-        if a.vars == b.vars:
-            return a.vars, a.terms, b.terms
-        merged = tuple(sorted(set(a.vars) | set(b.vars)))
-        return merged, a._remap(merged), b._remap(merged)
-
-    def _remap(self, merged: tuple[str, ...]) -> dict[Exponents, Coeff]:
-        if merged == self.vars:
-            return self.terms
-        if not self.vars:
-            return {(0,) * len(merged): c for c in self.terms.values()}
-        # merged strictly contains self.vars here, so it has two or more
-        # variables and the getter returns a tuple; a variable self lacks
-        # reads the 0 appended to each exponent tuple
-        where = {v: i for i, v in enumerate(self.vars)}
-        pad = len(self.vars)
-        pick = itemgetter(*[where.get(v, pad) for v in merged])
-        return {pick(e + (0,)): c for e, c in self.terms.items()}
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        vars_, ta, tb = LaurentPoly._align(self, other)
-        out = dict(ta)
-        for e, c in tb.items():
-            s = out.get(e, 0) + c
+        if other.__class__ is not LaurentPoly:
+            if isinstance(other, (int, Fraction)):
+                other = LaurentPoly.constant(other)
+            elif not isinstance(other, LaurentPoly):
+                return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            s = out.get(m, 0) + c
             if s:
-                out[e] = s
+                out[m] = s
             else:
-                del out[e]
-        return LaurentPoly._pruned(vars_, _demoted(out))
+                del out[m]
+        return LaurentPoly(_demoted(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return self._same_monomials({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -203,26 +255,31 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if not self.terms or not other.terms:
-            return LaurentPoly((), {})
-        vars_, ta, tb = LaurentPoly._align(self, other)
+        if other.__class__ is not LaurentPoly:
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
+            if not isinstance(other, LaurentPoly):
+                return NotImplemented
+        ta, tb = self.terms, other.terms
+        if not ta or not tb:
+            return LaurentPoly({})
         if len(ta) > len(tb):
             ta, tb = tb, ta
-        out: dict[Exponents, Coeff] = {}
+            self, other = other, self
+        if len(ta) == 1 and () in ta:
+            # a constant factor keeps the other's monomials and their order
+            return other.scale(ta[()])
+        out: dict[Monomial, Coeff] = {}
         get = out.get
-        for ea, ca in ta.items():
-            for eb, cb in tb.items():
-                e = tuple(map(add, ea, eb))
-                s = get(e, 0) + ca * cb
+        for ma, ca in ta.items():
+            for mb, cb in tb.items():
+                m = _times(ma, mb)
+                s = get(m, 0) + ca * cb
                 if s:
-                    out[e] = s
+                    out[m] = s
                 else:
-                    del out[e]
-        return LaurentPoly._pruned(vars_, _demoted(out))
+                    del out[m]
+        return LaurentPoly(_demoted(out))
 
     __rmul__ = __mul__
 
@@ -232,8 +289,8 @@ class LaurentPoly:
         if n < 0:
             if not self.is_monomial():
                 raise ValueError("negative power of a non-monomial Laurent polynomial")
-            (e, c), = self.terms.items()
-            return LaurentPoly(self.vars, {tuple(n * x for x in e): coeff_quotient(1, c ** -n)})
+            (m, c), = self.terms.items()
+            return LaurentPoly({tuple([(v, n * k) for v, k in m]): coeff_quotient(1, c ** -n)})
         result = LaurentPoly.constant(1)
         base = self
         while n:
@@ -257,71 +314,67 @@ class LaurentPoly:
         return coeff_quotient(num_gcd, den_lcm)
 
     def monomial_gcd(self) -> Exponents:
-        """Componentwise minimum exponent over all terms."""
-        if not self.terms:
-            return tuple(0 for _ in self.vars)
-        it = iter(self.terms)
-        mins = list(next(it))
-        for e in it:
-            for i, x in enumerate(e):
-                if x < mins[i]:
-                    mins[i] = x
-        return tuple(mins)
+        """Componentwise minimum exponent over all terms, over ``vars``."""
+        return tuple(map(min, zip(*self.dense()[1])))
 
     def shift(self, exps: Exponents) -> "LaurentPoly":
-        """Multiply by the monomial with the given exponents (same vars)."""
-        if not any(exps):
+        """Multiply by the monomial with the given exponents over ``vars``."""
+        unit = _sparse(self.vars, exps)
+        if not unit:
             return self
-        return LaurentPoly._pruned(
-            self.vars,
-            {tuple(map(add, e, exps)): c for e, c in self.terms.items()},
-        )
+        return LaurentPoly({_times(m, unit): c for m, c in self.terms.items()})
 
     def scale(self, c) -> "LaurentPoly":
         c = _frac(c)
         if c == 0:
-            return LaurentPoly((), {})
-        return LaurentPoly(self.vars, _demoted({e: k * c for e, k in self.terms.items()}))
+            return LaurentPoly({})
+        if c == 1:
+            return self
+        return self._same_monomials(_demoted({m: k * c for m, k in self.terms.items()}))
 
     def coefficients_in(self, name: str) -> dict[int, "LaurentPoly"]:
         """The univariate view in one variable: exponent -> coefficient
         polynomial in the other variables, for every exponent that occurs."""
-        if name not in self.vars:
-            return {0: self} if self.terms else {}
-        i = self.vars.index(name)
-        rest = self.vars[:i] + self.vars[i + 1:]
-        buckets: dict[int, dict[Exponents, Coeff]] = {}
-        for e, c in self.terms.items():
-            buckets.setdefault(e[i], {})[e[:i] + e[i + 1:]] = c
-        return {d: LaurentPoly._pruned(rest, terms) for d, terms in buckets.items()}
+        if not self.terms:
+            return {}
+        buckets: dict[int, dict[Monomial, Coeff]] = {}
+        for m, c in self.terms.items():
+            for i, (v, k) in enumerate(m):
+                if v == name:
+                    buckets.setdefault(k, {})[m[:i] + m[i + 1:]] = c
+                    break
+            else:
+                buckets.setdefault(0, {})[m] = c
+        if len(buckets) == 1 and 0 in buckets:
+            return {0: self}
+        return {d: LaurentPoly(terms) for d, terms in buckets.items()}
 
     @staticmethod
     def from_coefficients(coeffs: Mapping[int, "LaurentPoly"], name: str) -> "LaurentPoly":
         """Inverse of ``coefficients_in``: the sum of coeffs[d] * name^d."""
-        total = LaurentPoly((), {})
+        total = LaurentPoly({})
         for d, c in coeffs.items():
             total = total + (c * LaurentPoly.var(name, d) if d else c)
         return total
 
     def degree_in(self, name: str) -> tuple[int, int]:
         """(min, max) exponent of a variable across all terms."""
-        if name not in self.vars:
+        exps = [next((k for v, k in m if v == name), 0) for m in self.terms]
+        if not any(exps):
             return (0, 0)
-        i = self.vars.index(name)
-        exps = [e[i] for e in self.terms]
         return (min(exps), max(exps))
 
     def partial(self, name: str) -> "LaurentPoly":
-        if name not in self.vars:
-            return LaurentPoly((), {})
-        i = self.vars.index(name)
-        out: dict[Exponents, Coeff] = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
-        return LaurentPoly._pruned(self.vars, _demoted(out))
+        out: dict[Monomial, Coeff] = {}
+        for m, c in self.terms.items():
+            for i, (v, k) in enumerate(m):
+                if v == name:
+                    if k == 1:
+                        out[m[:i] + m[i + 1:]] = c
+                    else:
+                        out[m[:i] + ((v, k - 1),) + m[i + 1:]] = c * k
+                    break
+        return LaurentPoly(_demoted(out))
 
     def exact_div(self, divisor: "LaurentPoly"):
         """Return self/divisor if the division is exact, else None.
@@ -334,21 +387,33 @@ class LaurentPoly:
         quotient term outside the box proves the division inexact.  The loop
         ends: quotient exponents strictly decrease in lex order inside a
         finite box.
+
+        Division runs on exponent tuples over the dividend's dense view
+        when the divisor's variables are among its own, as they are for
+        every exact division but by a Laurent unit, so a dividend tried
+        against many divisors builds that view once.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
-            return LaurentPoly((), {})
-        vars_, ta, tb = LaurentPoly._align(self, divisor)
+            return LaurentPoly({})
+        names, fexps = self.dense()
+        if divisor.vars == names:
+            gexps = divisor.dense()[1]
+        elif set(divisor.vars) <= set(names):
+            gexps = divisor._exponents_over(names)
+        else:
+            names = tuple(sorted(set(names) | set(divisor.vars)))
+            fexps, gexps = self._exponents_over(names), divisor._exponents_over(names)
         # per variable, the exponent range any exact quotient must lie in
         box = [
             (min(fs) - min(gs), max(fs) - max(gs))
-            for fs, gs in zip(zip(*ta), zip(*tb))
+            for fs, gs in zip(zip(*fexps), zip(*gexps))
         ]
         if any(lo > hi for lo, hi in box):
             return None
-        rem = dict(ta)
-        div = dict(tb)
+        rem = dict(zip(fexps, self.terms.values()))
+        div = dict(zip(gexps, divisor.terms.values()))
         lead = max(div)
         lead_c = div[lead]
         quot: dict[Exponents, Coeff] = {}
@@ -378,7 +443,7 @@ class LaurentPoly:
                 else:
                     rem[t] = -qc * dc
                     heappush(heap, tuple(map(neg, t)))
-        return LaurentPoly._pruned(vars_, quot)
+        return LaurentPoly({_sparse(names, e): c for e, c in quot.items()})
 
     # -- evaluation and substitution --------------------------------------
 
@@ -388,24 +453,24 @@ class LaurentPoly:
         missing = [v for v in self.vars if v not in point]
         if missing:
             raise KeyError(f"no value supplied for {missing}")
-        vals = [point[v] for v in self.vars]
         total = 0
-        for e, c in self.terms.items():
+        for m, c in self.terms.items():
             acc = c
-            for v, k in zip(vals, e):
-                if k:
-                    # an int to a negative power would be a float
-                    exact = k < 0 and v.__class__ is int
-                    acc = acc * (coeff_quotient(1, v ** -k) if exact else v ** k)
+            for v, k in m:
+                v = point[v]
+                # an int to a negative power would be a float
+                exact = k < 0 and v.__class__ is int
+                acc = acc * (coeff_quotient(1, v ** -k) if exact else v ** k)
             total = total + acc
         return total
 
     def rename(self, mapping: Mapping[str, str]) -> "LaurentPoly":
         """Rename variables (mapping may cover a subset)."""
-        new_names = tuple(mapping.get(v, v) for v in self.vars)
+        names = self.vars
+        new_names = tuple(mapping.get(v, v) for v in names)
         if len(set(new_names)) != len(new_names):
             raise ValueError("variable renaming must stay injective")
-        return LaurentPoly.make(new_names, dict(self.terms))
+        return LaurentPoly.make(new_names, dict(zip(self.dense()[1], self.terms.values())))
 
     # -- printing ---------------------------------------------------------
 
@@ -421,13 +486,9 @@ def format_poly(p: LaurentPoly) -> str:
     if not p.terms:
         return "0"
     chunks: list[str] = []
-    for e in sorted(p.terms, reverse=True):
-        c = p.terms[e]
-        factors = [
-            f"{v}^{k}" if k != 1 else v
-            for v, k in zip(p.vars, e)
-            if k != 0
-        ]
+    _, exps = p.dense()
+    for _, (m, c) in sorted(zip(exps, p.terms.items()), key=lambda t: t[0], reverse=True):
+        factors = [f"{v}^{k}" if k != 1 else v for v, k in m]
         mag = abs(c)
         if not factors:
             body = _format_fraction(mag)

@@ -46,7 +46,7 @@ class NovikovSeries:
         for ee, c in self.terms:
             if ee == e:
                 return c
-        return LaurentPoly((), {})
+        return LaurentPoly({})
 
     def __str__(self) -> str:
         if not self.terms:
@@ -73,19 +73,26 @@ def _resolve_weights(expr_vars, valuations: Mapping[str, object]) -> dict[str, F
     return weights
 
 
+def _dense_terms(p: LaurentPoly) -> tuple[tuple[str, ...], dict]:
+    """The variables of p and its terms keyed by exponent tuples over them."""
+    names, exps = p.dense()
+    return names, dict(zip(exps, p.terms.values()))
+
+
 def novikov_expand(expr, valuations: Mapping[str, object], order) -> NovikovSeries:
     """Expand a rational function into a truncated formal series.
 
     Raises ValueError when the denominator has no unique minimal-weight
-    term, in which case no geometric expansion exists.
+    term, in which case no geometric expansion exists.  Valuations, the
+    lead term and the truncation read the dense views of the polynomials.
     """
     f: RationalFunction = as_rational(expr)
     order = Fraction(order)
     weights = _resolve_weights(f.variables(), valuations)
     if f.is_zero():
         return NovikovSeries((), order)
-    den = f.den
-    vals = {e: monomial_valuation(den.vars, e, weights) for e in den.terms}
+    den_vars, den_terms = _dense_terms(f.den)
+    vals = {e: monomial_valuation(den_vars, e, weights) for e in den_terms}
     vmin = min(vals.values())
     leads = [e for e, v in vals.items() if v == vmin]
     if len(leads) != 1:
@@ -93,31 +100,34 @@ def novikov_expand(expr, valuations: Mapping[str, object], order) -> NovikovSeri
             "denominator has no unique minimal-valuation term; expansion undefined"
         )
     lead = leads[0]
-    lead_inv = LaurentPoly(den.vars, {tuple(-x for x in lead): coeff_quotient(1, den.terms[lead])})
-    r = (den - LaurentPoly.make(den.vars, {lead: den.terms[lead]})) * lead_inv
+    lead_inv = LaurentPoly.monomial(
+        {v: -x for v, x in zip(den_vars, lead)}, coeff_quotient(1, den_terms[lead])
+    )
+    r = (f.den - LaurentPoly.make(den_vars, {lead: den_terms[lead]})) * lead_inv
     base = f.num * lead_inv
     if base.is_zero():
         return NovikovSeries((), order)
-    base_vals = {e: monomial_valuation(base.vars, e, weights) for e in base.terms}
-    base_min = min(base_vals.values())
+    base_vars, base_terms = _dense_terms(base)
+    base_min = min(monomial_valuation(base_vars, e, weights) for e in base_terms)
     budget = order - base_min
     if r.is_zero():
         series_poly = base
     else:
-        r_vals = {e: monomial_valuation(r.vars, e, weights) for e in r.terms}
-        delta = min(r_vals.values())
+        r_vars, r_terms = _dense_terms(r)
+        delta = min(monomial_valuation(r_vars, e, weights) for e in r_terms)
         if delta <= 0:
             raise ValueError(
                 "denominator tail has nonpositive valuation; expansion undefined"
             )
 
         def prune(p: LaurentPoly) -> LaurentPoly:
+            names, terms = _dense_terms(p)
             kept = {
                 e: c
-                for e, c in p.terms.items()
-                if monomial_valuation(p.vars, e, weights) < budget
+                for e, c in terms.items()
+                if monomial_valuation(names, e, weights) < budget
             }
-            return LaurentPoly.make(p.vars, kept)
+            return LaurentPoly.make(names, kept)
 
         acc = LaurentPoly.constant(1)
         power = LaurentPoly.constant(1)
@@ -132,10 +142,11 @@ def novikov_expand(expr, valuations: Mapping[str, object], order) -> NovikovSeri
             acc = acc + power
         series_poly = base * acc
     bucket: dict[Fraction, dict] = {}
-    t_index = series_poly.vars.index("T") if "T" in series_poly.vars else None
-    rest_vars = tuple(v for v in series_poly.vars if v != "T")
-    for e, c in series_poly.terms.items():
-        v = monomial_valuation(series_poly.vars, e, weights)
+    series_vars, series_terms = _dense_terms(series_poly)
+    t_index = series_vars.index("T") if "T" in series_vars else None
+    rest_vars = tuple(v for v in series_vars if v != "T")
+    for e, c in series_terms.items():
+        v = monomial_valuation(series_vars, e, weights)
         if v >= order:
             continue
         if t_index is None:

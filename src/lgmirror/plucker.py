@@ -79,7 +79,7 @@ def _fan_chart(n: int) -> Mapping[str, RationalFunction]:
         x_i = LaurentPoly.var(f"x_{i}")
         out[pvar(i, n)] = as_rational(x_i)
         # the telescoped three-term relation, one summand per step k -> k+1
-        total = LaurentPoly((), {})
+        total = LaurentPoly({})
         for j in range(i + 1, n):
             k = j - 1
             total = total + LaurentPoly.monomial({f"f_{k}": 1, f"x_{k}": -1, f"x_{j}": -1})

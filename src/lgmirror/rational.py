@@ -40,6 +40,15 @@ by term through normalized sums and products.  That its canonical form is
 identical too is checked against that route, kept in
 tests/term_by_term_substitution.py, not proven: the gcd pass has budgets,
 and it sees different inputs on the two routes.
+
+LaurentPoly keeps each monomial as its sparse (name, exponent) pairs.
+Substitution and the irreducibility test read those pairs directly.  The
+canonical sign (the lex-first term) in _normalize_factor and _gcd_in_var,
+the factor order (sorted by LaurentPoly.key()) and trial division read the
+polynomial's dense view, exponent tuples over its sorted variable names.
+Lex order over that view is the order of the aligned exponent tuples the
+polynomials carried before they were sparse, so no canonical form, factor
+order or printed form depends on the layout.
 """
 from __future__ import annotations
 
@@ -82,7 +91,7 @@ class RationalFunction:
                 continue
             merged[f.key()] = (f, merged.get(f.key(), (f, 0))[1] + m)
         if num.is_zero():
-            return RationalFunction(LaurentPoly((), {}), ())
+            return RationalFunction(LaurentPoly({}), ())
         factors = {k: fm for k, fm in merged.items()}
         # exact trial division of the numerator by tracked factors
         changed = True
@@ -322,7 +331,7 @@ def sum_is_zero(signed: Iterable[tuple[object, int]]) -> bool:
         count[as_rational(t)] += m
     parts = [(t, m) for t, m in count.items() if m]
     _, numerators = over_common_denominator([t for t, _ in parts])
-    total = LaurentPoly((), {})
+    total = LaurentPoly({})
     for num, (_, m) in zip(numerators, parts):
         total = total + (num if m == 1 else num.scale(m))
     return total.is_zero()
@@ -348,8 +357,9 @@ def _normalize_factor(f: LaurentPoly):
         f = f.shift(tuple(-x for x in mono))
         units.append(LaurentPoly.make(orig_vars, {tuple(-x for x in mono): 1}))
     c = f.content()
-    lead_e = max(f.terms)
-    if f.terms[lead_e] < 0:
+    # the lex-first term, over the dense view
+    _, lead_c = max(zip(f.dense()[1], f.terms.values()))
+    if lead_c < 0:
         c = -c
     if c != 1:
         inv = coeff_quotient(1, c)
@@ -374,15 +384,20 @@ def _is_irreducible(f: LaurentPoly) -> bool:
     with h0 free of v.  Then h0 divides the v-coefficient a of f, a
     monomial, so h is a unit.  Hence a factor of this shape that does not
     divide a polynomial shares no non-unit factor with it, and poly_gcd
-    would return 1.
+    would return 1.  A v of that shape occurs in exactly one term, to the
+    power 1.
     """
-    return len(f.terms) > 1 and any(
-        [e[i] for e in f.terms if e[i]] == [1] for i in range(len(f.vars))
-    )
+    if len(f.terms) < 2:
+        return False
+    seen: dict[str, list[int]] = {}
+    for m in f.terms:
+        for v, k in m:
+            seen.setdefault(v, []).append(k)
+    return [1] in seen.values()
 
 
 def _substitute_poly(p: LaurentPoly, vals: Mapping[str, "RationalFunction"]) -> "RationalFunction":
-    if not any(v in vals for v in p.vars):
+    if not any(v in vals for m in p.terms for v, _ in m):
         return RationalFunction.from_poly(p)
     power_cache: dict[tuple[str, int], RationalFunction] = {}
 
@@ -400,19 +415,18 @@ def _substitute_poly(p: LaurentPoly, vals: Mapping[str, "RationalFunction"]) -> 
     # each term is c * prod power.num over the multiset sum of the powers'
     # factors, left unnormalized; the terms are summed over their LCM
     terms = []
-    for e, c in p.terms.items():
+    for mono, c in p.terms.items():
         num = LaurentPoly.constant(c)
         factors: dict = {}
-        for name, k in zip(p.vars, e):
-            if k:
-                got = power(name, k)
-                num = num * got.num
-                for f, m in got.factors:
-                    key = f.key()
-                    factors[key] = (f, factors[key][1] + m if key in factors else m)
+        for name, k in mono:
+            got = power(name, k)
+            num = num * got.num
+            for f, m in got.factors:
+                key = f.key()
+                factors[key] = (f, factors[key][1] + m if key in factors else m)
         terms.append(RationalFunction(num, tuple(factors.values())))
     lcm, numerators = over_common_denominator(terms)
-    total = LaurentPoly((), {})
+    total = LaurentPoly({})
     for num in numerators:
         total = total + num
     return RationalFunction.make(total, lcm)
@@ -534,8 +548,8 @@ def _gcd_in_var(f: LaurentPoly, g: LaurentPoly, v: str, work: _Work) -> LaurentP
     prim = LaurentPoly.from_coefficients(a, v)
     prim = prim.shift(tuple(-x for x in prim.monomial_gcd()))
     cc = prim.content()
-    lead = max(prim.terms)
-    if prim.terms[lead] < 0:
+    _, lead_c = max(zip(prim.dense()[1], prim.terms.values()))
+    if lead_c < 0:
         cc = -cc
     prim = prim.scale(coeff_quotient(1, cc))
     return content_gcd * prim
@@ -568,7 +582,7 @@ def _pseudo_rem(a: dict[int, LaurentPoly], b: dict[int, LaurentPoly], work: _Wor
         for d, c in r.items():
             nxt[d] = c * lb
         for d, c in b.items():
-            t = nxt.get(d + shift, LaurentPoly((), {})) - c * lr
+            t = nxt.get(d + shift, LaurentPoly({})) - c * lr
             nxt[d + shift] = t
         r = {d: c for d, c in nxt.items() if not c.is_zero()}
         if sum(len(c.terms) for c in r.values()) > _GCD_TERM_CAP:

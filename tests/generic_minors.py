@@ -41,10 +41,10 @@ def generic_sum_equal(terms1, terms2, n):
     for t, m in count.items():
         if m:
             p = t.substitute(generic_minors(n))
-            groups[p.factors] = groups.get(p.factors, LaurentPoly((), {})) + p.num.scale(m)
+            groups[p.factors] = groups.get(p.factors, LaurentPoly({})) + p.num.scale(m)
     parts = [RationalFunction(num, factors) for factors, num in groups.items() if num]
     _, numerators = over_common_denominator(parts)
-    total = LaurentPoly((), {})
+    total = LaurentPoly({})
     for num in numerators:
         total = total + num
     return total.is_zero()

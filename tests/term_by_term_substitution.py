@@ -29,9 +29,10 @@ def substitute_poly(p: LaurentPoly, vals: Mapping[str, RationalFunction]) -> Rat
         return got
 
     total = RationalFunction.constant(0)
-    for e, c in p.terms.items():
+    names, rows = p.dense()
+    for e, c in zip(rows, p.terms.values()):
         term = RationalFunction.constant(c)
-        for name, k in zip(p.vars, e):
+        for name, k in zip(names, e):
             if k:
                 term = term * power(name, k)
         total = total + term

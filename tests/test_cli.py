@@ -148,8 +148,9 @@ def test_unknown_model_reports_cli_error(capsys):
         ["expand", "--model", "gr", "--order", "1"],
         ["expand", "--model", "og15", "--order", "1"],
         ["expand", "--model", "og15", "--order", "2"],
-        # a negative solver seed
+        # a negative seed, to the solver or to the covering sampler
         ["critical", "--model", "og15", "--seed", "-1"],
+        ["verify", "covering", "--n", "6", "--seed", "-1"],
         # critical takes no quantum parameter; argparse rejects the flag
         ["critical", "--model", "og15", "--q", "1"],
         ["critical", "--model", "og15", "--q", "2"],

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import dedup_one_at_a_time as dedup
+import lgmirror.critical as critical_module
 import monomial_table_by_rows as rows
 import newton_without_stop as ref
 from lgmirror.critical import (
@@ -214,9 +216,10 @@ def term_sum(poly, point):
     """Sum of the absolute values of the terms: the scale of the rounding
     error of any evaluation order."""
     total = 0.0
-    for exps, c in poly.terms.items():
+    names, rows = poly.dense()
+    for exps, c in zip(rows, poly.terms.values()):
         term = abs(float(c))
-        for v, e in zip(poly.vars, exps):
+        for v, e in zip(names, exps):
             term *= abs(point[v]) ** e
         total += term
     return total
@@ -326,6 +329,32 @@ def test_stopping_on_denominators_keeps_every_point(case, seed):
     cfg = SolveConfig(seed=seed)
     points = solve(system, cfg)
     assert points and points == ref.solve(system, cfg)
+
+
+def _float_hex(rows):
+    return [[(c.real.hex(), c.imag.hex()) for c in row] for row in rows]
+
+
+@pytest.mark.parametrize("seed", [37, 42])
+def test_greedy_dedup_keeps_the_rows_of_the_one_at_a_time_loop(monkeypatch, seed):
+    # the ten solves of the critical workload: every chart of gr24 and og15,
+    # and the gr(2,5) and gr(2,6) torus charts
+    greedy = critical_module._distinct_rows
+    seen = []
+
+    def both(pts):
+        kept = greedy(pts)
+        seen.append((len(pts), _float_hex(kept), _float_hex(dedup.distinct_rows(pts))))
+        return kept
+
+    monkeypatch.setattr(critical_module, "_distinct_rows", both)
+    for case in sorted(SOLVE_CASES) + ["torus6"]:
+        solve(critical_system(*_case_args(case)), SolveConfig(seed=seed))
+    assert len(seen) == 10
+    for _, got, want in seen:
+        assert got == want
+    # the certified rows repeat, so the filter had duplicates to drop
+    assert sum(len(got) for _, got, _ in seen) < sum(size for size, _, _ in seen)
 
 
 def _bitwise_equal(a, b):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_laurent import DenseLaurent
 from lgmirror.laurent import LaurentPoly, format_poly
 from lgmirror.rational import parse
 
@@ -12,6 +13,12 @@ def P(text):
     r = parse(text)
     assert r.is_polynomial(), text
     return r.num
+
+
+def dense_terms(p):
+    """The terms keyed by exponent tuples over the sorted variables."""
+    names, exps = p.dense()
+    return names, dict(zip(exps, p.terms.values()))
 
 
 def test_binomial_square():
@@ -136,7 +143,8 @@ def test_exact_division_inverts_multiplication(a, b):
     q = (a * b).exact_div(b)
     assert q is not None and q == a
     # lex-leading division finds the quotient terms largest first
-    assert list(q.terms) == sorted(q.terms, reverse=True)
+    _, exps = q.dense()
+    assert list(exps) == sorted(exps, reverse=True)
 
 
 @st.composite
@@ -193,8 +201,10 @@ def test_arithmetic_keeps_coefficients_ints_or_proper_fractions(a, b, c):
 def test_exact_div_by_a_monomial_gives_exact_halves():
     x, y = LaurentPoly.var("x"), LaurentPoly.var("y")
     q = (x + 3 * x ** 2 * y + 4 * x * y).exact_div(2 * x)
-    assert q.terms == {(0, 0): Fraction(1, 2), (1, 1): Fraction(3, 2), (0, 1): 2}
-    assert _canonical(q) and type(q.terms[(0, 1)]) is int
+    names, terms = dense_terms(q)
+    assert names == ("x", "y")
+    assert terms == {(0, 0): Fraction(1, 2), (1, 1): Fraction(3, 2), (0, 1): 2}
+    assert _canonical(q) and type(terms[(0, 1)]) is int
     half = (x ** 2 - 1).exact_div(2 * x - 2)
     assert half == LaurentPoly.make(("x",), {(1,): Fraction(1, 2), (0,): Fraction(1, 2)})
     assert _canonical(half)
@@ -203,16 +213,17 @@ def test_exact_div_by_a_monomial_gives_exact_halves():
 
 def test_negative_power_of_an_integer_coefficient_is_exact():
     inv = LaurentPoly.monomial({"x": 1}, 2) ** -1
-    assert inv.terms == {(-1,): Fraction(1, 2)} and _canonical(inv)
+    assert dense_terms(inv) == (("x",), {(-1,): Fraction(1, 2)}) and _canonical(inv)
     back = LaurentPoly.monomial({"x": 1}, Fraction(1, 2)) ** -2
-    assert back.terms == {(-2,): 4} and type(back.terms[(-2,)]) is int
+    assert dense_terms(back) == (("x",), {(-2,): 4})
+    assert type(dense_terms(back)[1][(-2,)]) is int
 
 
 def test_make_and_constructors_demote_whole_fractions():
     p = LaurentPoly.make(("x", "y"), {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3)})
-    assert type(p.terms[(1, 0)]) is int and _canonical(p)
+    assert type(dense_terms(p)[1][(1, 0)]) is int and _canonical(p)
     assert type(LaurentPoly.constant(Fraction(6, 3)).constant_value()) is int
-    assert type(P("u/2 + u/2").terms[(1,)]) is int
+    assert type(dense_terms(P("u/2 + u/2"))[1][(1,)]) is int
     with pytest.raises(TypeError):
         LaurentPoly.constant(0.5)
 
@@ -233,3 +244,94 @@ def test_novikov_expansion_with_lead_two_stays_exact():
     assert [c.constant_value() for c in coeffs] == [2, -1, Fraction(1, 2), Fraction(-1, 4)]
     assert all(_canonical(c) for c in coeffs)
     assert type(coeffs[0].constant_value()) is int
+
+
+# -- the sparse arithmetic against the aligned-tuple reference -------------
+
+_POOL = ("a", "u", "v", "w")
+
+
+@st.composite
+def aligned_terms(draw):
+    """Sorted names from the pool and 0-4 terms over them, exponents -2..2,
+    int or Fraction coefficients in canonical form."""
+    names = tuple(sorted(draw(st.sets(st.sampled_from(_POOL), max_size=3))))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        e = tuple(draw(st.integers(-2, 2)) for _ in names)
+        c = Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 1, 2, 3])))
+        if c:
+            terms[e] = c.numerator if c.denominator == 1 else c
+    return names, terms
+
+
+@st.composite
+def pairs_with_cancellations(draw):
+    """Two polynomials, both sparse and aligned.  The second is drawn on its
+    own, or is the first with every exponent negated (x * x^-1 cancels in
+    the product), or the first with some terms negated (they cancel in the
+    sum, and can take a variable with them)."""
+    names, ta = draw(aligned_terms())
+    how = draw(st.sampled_from(["fresh", "inverse", "negated"]))
+    if how == "fresh":
+        names_b, tb = draw(aligned_terms())
+    elif how == "inverse":
+        names_b, tb = names, {tuple(-x for x in e): c for e, c in ta.items()}
+    else:
+        names_b, tb = names, {e: -c for e, c in ta.items() if draw(st.booleans())}
+    return (
+        (LaurentPoly.make(names, ta), DenseLaurent.make(names, ta)),
+        (LaurentPoly.make(names_b, tb), DenseLaurent.make(names_b, tb)),
+    )
+
+
+def _aligned(p):
+    """p's names and its (exponent tuple, coefficient) terms in order, read
+    from the monomial pairs themselves."""
+    names = tuple(sorted({v for m in p.terms for v, _ in m}))
+    return names, [(tuple(dict(m).get(v, 0) for v in names), c) for m, c in p.terms.items()]
+
+
+def _matches(p, ref):
+    """p has the reference's variables and terms, in its term order and with
+    its coefficient types, the same key and the same printed form, and
+    every monomial is canonical."""
+    for m, c in p.terms.items():
+        names = [v for v, _ in m]
+        assert names == sorted(set(names)), m
+        assert all(k for _, k in m), m
+        assert c and (type(c) is int or c.denominator > 1), c
+    names, rows = _aligned(p)
+    want = list(ref.terms.items())
+    assert (names, rows) == (ref.vars, want)
+    assert [type(c) for _, c in rows] == [type(c) for _, c in want]
+    assert p.vars == names and p.dense() == (names, tuple(e for e, _ in rows))
+    assert p.key() == ref.key()
+    assert str(p) == str(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs_with_cancellations(), st.integers(0, 3))
+def test_sparse_arithmetic_matches_the_aligned_reference(pair, k):
+    (a, ra), (b, rb) = pair
+    _matches(a, ra)
+    _matches(b, rb)
+    _matches(a + b, ra + rb)
+    _matches(b + a, rb + ra)
+    _matches(a * b, ra * rb)
+    _matches(b * a, rb * ra)
+    _matches(a ** k, ra ** k)
+    if a.is_monomial():
+        _matches(a ** -k, ra ** -k)
+    for v in _POOL:
+        _matches(a.partial(v), ra.partial(v))
+        view, ref = a.coefficients_in(v), ra.coefficients_in(v)
+        assert list(view) == list(ref)
+        for d in view:
+            _matches(view[d], ref[d])
+    if not b.is_zero():
+        for f, rf in ((a * b, ra * rb), (a, ra), (a * b + a, ra * rb + ra)):
+            q, rq = f.exact_div(b), rf.exact_div(rb)
+            assert (q is None) == (rq is None)
+            if q is not None:
+                _matches(q, rq)

@@ -72,4 +72,4 @@ def test_series_constructor_guards():
     with pytest.raises(ValueError):
         NovikovSeries(((Fraction(7), one),), Fraction(5))
     with pytest.raises(ValueError):
-        NovikovSeries(((Fraction(1), LaurentPoly((), {})),), Fraction(5))
+        NovikovSeries(((Fraction(1), LaurentPoly({})),), Fraction(5))

@@ -359,10 +359,11 @@ def test_homogeneous_potential_frozen_small():
 def test_homogeneous_denominators_are_frozen_coordinates(n):
     num = rietsch_gr(n).expr.num
     assert rietsch_gr(n).expr.is_polynomial()
+    names, rows = num.dense()
     neg = {
         v
-        for exps in num.terms
-        for v, k in zip(num.vars, exps)
+        for exps in rows
+        for v, k in zip(names, exps)
         if k < 0
     }
     expected = {pvar(j, j + 1) for j in range(1, n)} | {pvar(1, n)}
@@ -446,8 +447,8 @@ def test_restricted_maximal_n4_equals_homogeneous_verbatim():
 def _exponent(t, name):
     # power of one variable in a Laurent monomial
     assert t.is_polynomial() and len(t.num.terms) == 1
-    (exps,) = t.num.terms
-    return dict(zip(t.num.vars, exps)).get(name, 0)
+    names, (exps,) = t.num.dense()
+    return dict(zip(names, exps)).get(name, 0)
 
 
 def _merge_search_terms(n, pair_set):

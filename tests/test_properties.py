@@ -165,7 +165,7 @@ def test_equal_is_stable_under_exact_evaluation(a):
 @given(parts=st.lists(rationals, min_size=1, max_size=3))
 def test_common_denominator_sum_equals_add(parts):
     factors, numerators = over_common_denominator(parts)
-    total = LaurentPoly((), {})
+    total = LaurentPoly({})
     for p, num in zip(parts, numerators):
         assert RationalFunction.make(num, factors).equal(p)
         total = total + num
