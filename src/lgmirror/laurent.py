@@ -147,16 +147,12 @@ class LaurentPoly:
     def make(vars: Iterable[str], terms: Mapping[Exponents, object]) -> "LaurentPoly":
         """Build a polynomial from exponent tuples over the given variable
         names and int or Fraction coefficients, dropping zero terms."""
-        names = tuple(vars)
-        order = sorted(range(len(names)), key=names.__getitem__)
-        if order == list(range(len(names))):
-            monomial = lambda e: _sparse(names, e)
-        else:
-            pick = [(names[i], i) for i in order]
-            monomial = lambda e: tuple([(v, e[i]) for v, i in pick if e[i]])
-        return LaurentPoly(
-            {monomial(tuple(e)): _frac(c) for e, c in terms.items() if c != 0}
-        )
+        pick = sorted((v, i) for i, v in enumerate(vars))
+        return LaurentPoly({
+            tuple([(v, e[i]) for v, i in pick if e[i]]): _frac(c)
+            for e, c in terms.items()
+            if c != 0
+        })
 
     @staticmethod
     def constant(c) -> "LaurentPoly":
@@ -389,9 +385,10 @@ class LaurentPoly:
         finite box.
 
         Division runs on exponent tuples over the dividend's dense view
-        when the divisor's variables are among its own, as they are for
-        every exact division but by a Laurent unit, so a dividend tried
-        against many divisors builds that view once.
+        when the divisor's variables are among its own.  They are in
+        every exact division by a divisor whose least exponent of each
+        variable is 0, such as a canonical denominator factor, so a
+        numerator trial-divided by many factors builds its view once.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")

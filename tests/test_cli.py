@@ -148,12 +148,13 @@ def test_unknown_model_reports_cli_error(capsys):
         ["expand", "--model", "gr", "--order", "1"],
         ["expand", "--model", "og15", "--order", "1"],
         ["expand", "--model", "og15", "--order", "2"],
-        # a negative seed, to the solver or to the covering sampler
+        # a negative solver seed
         ["critical", "--model", "og15", "--seed", "-1"],
-        ["verify", "covering", "--n", "6", "--seed", "-1"],
         # critical takes no quantum parameter; argparse rejects the flag
         ["critical", "--model", "og15", "--q", "1"],
         ["critical", "--model", "og15", "--q", "2"],
+        # a negative covering seed; random.Random would drop its sign
+        ["verify", "covering", "--n", "6", "--seed", "-1"],
     ],
 )
 def test_invalid_size_or_pairs_exit_2(capsys, argv):
