@@ -17,6 +17,24 @@ transitions; the local model, the quadric and every product chart of
 gr(2,n) instantiate it through ``_wall_crossing``.  A gr(2,n) build renames
 each slot map to each slot once and shares it among the pair sets holding
 the slot.
+
+So the pair sets of gr(2,n) repeat the same exact work slot by slot, and
+each ``Atlas`` does each distinct piece of it once, for as long as the atlas
+lives:
+
+* ``Atlas._pullback`` substitutes a term under the bindings of its own
+  variables once.  The key is the term's canonical form and those bindings'
+  forms, so the defining pullbacks of a build, every transport pullback
+  and every image in ``Atlas.compose`` share one table.  A term bound
+  only by slot i's maps is pulled back once for all pair sets holding i.
+* ``verify_cocycle`` decides each distinct (image, expected) pair once,
+  within one call.
+
+Keys are values, never names or positions, so an atlas whose transitions
+or potentials were changed after the build cannot read another input's
+entry.  Nothing is shared between atlases or kept at module level.  The
+tree of charts and transitions, ``gr_tree_atlas``, carries no potentials:
+the cocycle check needs none, and ``gr_product_atlas`` attaches them.
 """
 
 from __future__ import annotations
@@ -74,23 +92,6 @@ class Transition:
         return RationalFunction.var(name) if bound is None else bound
 
 
-def compose(t1: Transition, t2: Transition, variables: tuple[str, ...]) -> Transition:
-    """The transition following t1 by t2; t1 must land where t2 starts.
-    ``variables`` are the coordinates of t2's target chart, and the result
-    binds those that either transition moves, so no coordinate of the middle
-    chart is left behind."""
-    if t1.target != t2.source:
-        raise ValueError(
-            f"cannot compose {t1.source}->{t1.target} with {t2.source}->{t2.target}"
-        )
-    bindings = {
-        name: t2.image(name).substitute(t1.bindings)
-        for name in variables
-        if name in t2.bindings or name in t1.bindings
-    }
-    return Transition(t1.source, t2.target, bindings)
-
-
 @dataclass
 class Atlas:
     name: str
@@ -136,6 +137,8 @@ class Atlas:
                 raise ValueError(f"potential on {chart_name!r} does not live on that chart")
         self._by_name = by_name
         self._adjacent = adjacent
+        # (term form, bound forms) -> the term pulled back
+        self._pulled: dict = {}
         if names:
             # the walk follows each transition both ways
             linked = {name: set(targets) for name, targets in adjacent.items()}
@@ -157,6 +160,39 @@ class Atlas:
     def transition(self, source: str, target: str):
         return self._adjacent.get(source, {}).get(target)
 
+    def _pullback(self, term: RationalFunction, bindings) -> RationalFunction:
+        """``term.substitute(bindings)``, computed once per atlas for each
+        term and restriction of ``bindings`` to the term's variables."""
+        bound = tuple((v, bindings[v]) for v in term.variables() if v in bindings)
+        if not bound:
+            return term
+        key = (_form(term), tuple((v, _form(e)) for v, e in bound))
+        got = self._pulled.get(key)
+        if got is None:
+            got = self._pulled[key] = term.substitute(dict(bound))
+        return got
+
+    def compose(self, t1: Transition, t2: Transition) -> Transition:
+        """The transition following t1 by t2; t1 must land where t2 starts.
+        The result binds the coordinates of t2's target chart that either
+        transition moves, so no coordinate of the middle chart is left
+        behind."""
+        if t1.target != t2.source:
+            raise ValueError(
+                f"cannot compose {t1.source}->{t1.target} with {t2.source}->{t2.target}"
+            )
+        bindings = {
+            name: self._pullback(t2.image(name), t1.bindings)
+            for name in self.chart(t2.target).variables
+            if name in t2.bindings or name in t1.bindings
+        }
+        return Transition(t1.source, t2.target, bindings)
+
+
+def _form(f: RationalFunction):
+    """The canonical form of ``f`` as a key: numerator and factor list."""
+    return f.num, f.factors
+
 
 # -- verification ----------------------------------------------------------
 
@@ -166,15 +202,25 @@ def verify_cocycle(a: Atlas) -> Report:
     every two-way edge must compose to the identity.  An atlas with
     neither gets no verdicts, and its report fails."""
     verdicts = []
+    decided: dict = {}
+
+    def same(image: RationalFunction, expected: RationalFunction) -> bool:
+        key = (_form(image), _form(expected))
+        got = decided.get(key)
+        if got is None:
+            got = decided[key] = image.equal(expected)
+        return got
+
     adjacent = {s: sorted(targets.items()) for s, targets in sorted(a._adjacent.items())}
     for s, targets in adjacent.items():
         for t, forward in targets:
             back = a._adjacent[t].get(s)
             if t < s or back is None:
                 continue
-            variables = a.chart(s).variables
-            loop = compose(forward, back, variables)
-            bad = [v for v in variables if not loop.image(v).equal(RationalFunction.var(v))]
+            loop = a.compose(forward, back)
+            bad = [
+                v for v in a.chart(s).variables if not same(loop.image(v), RationalFunction.var(v))
+            ]
             verdicts.append(
                 Verdict(
                     f"roundtrip {s}<->{t}",
@@ -188,9 +234,12 @@ def verify_cocycle(a: Atlas) -> Report:
                 direct = a._adjacent[s1].get(end)
                 if end == s1 or direct is None:
                     continue
-                variables = a.chart(end).variables
-                comp = compose(t1, t2, variables)
-                bad = [v for v in sorted(variables) if not comp.image(v).equal(direct.image(v))]
+                comp = a.compose(t1, t2)
+                bad = [
+                    v
+                    for v in sorted(a.chart(end).variables)
+                    if not same(comp.image(v), direct.image(v))
+                ]
                 verdicts.append(
                     Verdict(
                         f"triangle {s1}->{mid}->{end}",
@@ -203,14 +252,15 @@ def verify_cocycle(a: Atlas) -> Report:
 
 def verify_potential_transport(a: Atlas) -> Report:
     """Each potential, pulled back along a transition term by term, must
-    sum to the potential already living on the source chart."""
+    sum to the potential already living on the source chart.  The pullbacks
+    go through ``Atlas._pullback``, so they share the build's."""
     verdicts = []
     for t in a.transitions:
         ws = a.potentials.get(t.source)
         wt = a.potentials.get(t.target)
         if ws is None or wt is None:
             continue
-        pulled = wt.substitute_terms(t.bindings)
+        pulled = [a._pullback(w, t.bindings) for w in wt.terms]
         ok = sum_is_zero([(w, 1) for w in pulled] + [(w, -1) for w in ws.terms])
         verdicts.append(
             Verdict(
@@ -337,15 +387,13 @@ def product_charts(n: int, pair_set) -> dict:
     return {kind: Chart(*chart_coordinates(n, pair_set, kind)) for kind in CHART_KINDS}
 
 
-def gr_product_atlas(n: int) -> Atlas:
-    """The tree of charts through the shared monotone torus: for every
-    maximal pair set, the three chart types glued to each other and, via
-    the clifford type, to the torus chart."""
+def _gr_tree(n: int) -> tuple[Atlas, list]:
+    """The tree atlas of ``gr_tree_atlas`` and, for every maximal pair set,
+    the pair set with its charts by kind."""
     pair_sets = sorted(index_sets(n)[1], key=sorted)
-    torus = gc_torus_potential(n)
     charts = [product_charts(n, frozenset())["torus"]]
     transitions: list[Transition] = []
-    potentials = {"torus": torus}
+    named_sets = []
     # each edge's slot map renamed to each slot, once per build
     slots = sorted({i for ps in pair_sets for i, _ in ps})
     renamed = {
@@ -353,22 +401,41 @@ def gr_product_atlas(n: int) -> Atlas:
     }
     for ps in pair_sets:
         named = product_charts(n, ps)
-        crossings = {
-            (s, t): _wall_crossing(
+        named_sets.append((ps, named))
+        transitions += (
+            _wall_crossing(
                 named[s].name, named[t].name, [renamed[(s, t), i] for i, _ in sorted(ps)]
             )
             for s, t in sorted(_SLOT_MAPS)
-        }
-        transitions += crossings.values()
+        )
+        charts += (named[kind] for kind in ("immersed", "chekanov", "clifford"))
+    return Atlas(f"gr(2,{n})-tree", tuple(charts), tuple(transitions)), named_sets
+
+
+def gr_tree_atlas(n: int) -> Atlas:
+    """The tree of charts through the shared monotone torus, without
+    potentials: for every maximal pair set, the three chart types glued to
+    each other and, via the clifford type, to the torus chart."""
+    return _gr_tree(n)[0]
+
+
+def gr_product_atlas(n: int) -> Atlas:
+    """The tree of ``gr_tree_atlas`` with a potential on every chart: the
+    torus and immersed potentials, and on chekanov and clifford charts the
+    immersed and torus potentials pulled back term by term."""
+    a, named_sets = _gr_tree(n)
+    torus = gc_torus_potential(n)
+    a.potentials["torus"] = torus
+    for ps, named in named_sets:
         immersed = immersed_potential(n, ps)
-        # the other two potentials are pulled back term by term
+        into_immersed = a.transition(named["chekanov"].name, named["immersed"].name)
+        into_torus = a.transition(named["clifford"].name, "torus")
         pulled = {
             "immersed": immersed.terms,
-            "chekanov": immersed.substitute_terms(crossings["chekanov", "immersed"].bindings),
-            "clifford": torus.substitute_terms(crossings["clifford", "torus"].bindings),
+            "chekanov": [a._pullback(w, into_immersed.bindings) for w in immersed.terms],
+            "clifford": [a._pullback(w, into_torus.bindings) for w in torus.terms],
         }
         for kind, w in pulled.items():
             chart = named[kind]
-            charts.append(chart)
-            potentials[chart.name] = Potential(w, chart.name, chart.variables, torus.model)
-    return Atlas(f"gr(2,{n})-tree", tuple(charts), tuple(transitions), potentials)
+            a.potentials[chart.name] = Potential(w, chart.name, chart.variables, torus.model)
+    return a

@@ -78,14 +78,25 @@ def _times(a: Monomial, b: Monomial) -> Monomial:
         return a + b
     if b[-1][0] < a[0][0]:
         return b + a
-    exps = dict(a)
-    for v, k in b:
-        k += exps.get(v, 0)
-        if k:
-            exps[v] = k
+    # one sorted merge of the two pair tuples
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        pa, pb = a[i], b[j]
+        if pa[0] < pb[0]:
+            out.append(pa)
+            i += 1
+        elif pb[0] < pa[0]:
+            out.append(pb)
+            j += 1
         else:
-            del exps[v]
-    return tuple(sorted(exps.items()))
+            k = pa[1] + pb[1]
+            if k:
+                out.append((pa[0], k))
+            i += 1
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
 
 
 def _sparse(names: tuple[str, ...], exps: Exponents) -> Monomial:

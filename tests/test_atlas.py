@@ -14,7 +14,6 @@ from lgmirror.atlas import (
     Chart,
     Transition,
     _SLOT_MAPS,
-    compose,
     gr24_atlas,
     gr_product_atlas,
     local_model_atlas,
@@ -61,9 +60,6 @@ def _inverse_maps():
     return [a.transition(t.target, t.source) for t in _canonical_maps()]
 
 
-_NODE_VARIABLES = {"immersed": ("u", "v"), "chekanov": ("x1", "y1"), "clifford": ("x2", "y2")}
-
-
 # -- the node wall crossings ----------------------------------------------
 
 
@@ -92,7 +88,7 @@ def test_compose_with_identity():
     t01 = _canonical_maps()[0]
     # the identity binds nothing: every coordinate passes through
     identity = Transition("immersed", "immersed", {})
-    left = compose(identity, t01, _NODE_VARIABLES["chekanov"])
+    left = local_model_atlas().compose(identity, t01)
     assert set(left.bindings) == set(t01.bindings)
     assert all(left.bindings[k].equal(v) for k, v in t01.bindings.items())
 
@@ -100,18 +96,19 @@ def test_compose_with_identity():
 def test_compose_rejects_mismatched_charts():
     t01, t02, _ = _canonical_maps()
     with pytest.raises(ValueError):
-        compose(t01, t02, _NODE_VARIABLES["clifford"])
+        local_model_atlas().compose(t01, t02)
 
 
 def test_composed_wall_crossing_matches_declared():
     t01, t02, t21 = _canonical_maps()
     i10, i20, i12 = _inverse_maps()
-    via_node = compose(i10, t02, _NODE_VARIABLES["clifford"])
+    a = local_model_atlas()
+    via_node = a.compose(i10, t02)
     assert (via_node.source, via_node.target) == ("chekanov", "clifford")
     # no coordinate of the middle chart is left in the composite
     assert set(via_node.bindings) == set(i12.bindings)
     assert all(via_node.bindings[k].equal(v) for k, v in i12.bindings.items())
-    other_way = compose(i20, t01, _NODE_VARIABLES["chekanov"])
+    other_way = a.compose(i20, t01)
     assert set(other_way.bindings) == set(t21.bindings)
     assert all(other_way.bindings[k].equal(v) for k, v in t21.bindings.items())
 
@@ -317,7 +314,7 @@ def test_gauge_preserves_uv(k):
 
 @pytest.mark.parametrize("k", [-3, -1, 2, 3])
 def test_gauge_inverse_composition(k):
-    loop = compose(gauge_automorphism(k), gauge_automorphism(-k), ("u", "v"))
+    loop = local_model_atlas().compose(gauge_automorphism(k), gauge_automorphism(-k))
     assert loop.bindings["u"].equal(parse("u"))
     assert loop.bindings["v"].equal(parse("v"))
 
@@ -335,11 +332,10 @@ def conjugate_chart(
             raise ValueError("self-map does not live on the named chart")
     new_transitions = []
     for t in a.transitions:
-        variables = a.chart(t.target).variables
         if t.source == chart_name:
-            new_transitions.append(compose(forward, t, variables))
+            new_transitions.append(a.compose(forward, t))
         elif t.target == chart_name:
-            new_transitions.append(compose(t, backward, variables))
+            new_transitions.append(a.compose(t, backward))
         else:
             new_transitions.append(t)
     potentials = dict(a.potentials)

@@ -491,6 +491,21 @@ def test_json_report_includes_timings(capsys, tmp_path):
     assert data["command"] == "faces"
 
 
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["verify", "cocycle", "--model", "gr", "--n", "5"], ["atlas", "check", "total"]),
+        (["verify", "transport", "--model", "og15"], ["atlas", "check", "total"]),
+        (["verify", "rietsch", "--model", "og15"], ["verify", "total"]),
+    ],
+)
+def test_atlas_checks_time_the_build_and_the_check_apart(capsys, tmp_path, argv, keys):
+    path = tmp_path / "verify.json"
+    code, _, _ = run(capsys, argv + ["--json", str(path)])
+    assert code == 0
+    assert list(json.loads(path.read_text())["timings"]) == keys
+
+
 def test_critical_solves_each_chart_once(capsys, monkeypatch):
     calls = []
     original = critical.solve
