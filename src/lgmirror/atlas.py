@@ -204,12 +204,21 @@ def verify_cocycle(a: Atlas) -> Report:
     verdicts = []
     decided: dict = {}
 
-    def same(image: RationalFunction, expected: RationalFunction) -> bool:
-        key = (_form(image), _form(expected))
-        got = decided.get(key)
-        if got is None:
-            got = decided[key] = image.equal(expected)
-        return got
+    def mismatched(t: Transition, u: Transition, variables) -> list[str]:
+        """The coordinates on which t and u differ; one that neither binds
+        is its own image under both."""
+        bad = []
+        for v in variables:
+            if v not in t.bindings and v not in u.bindings:
+                continue
+            image, expected = t.image(v), u.image(v)
+            key = (_form(image), _form(expected))
+            got = decided.get(key)
+            if got is None:
+                got = decided[key] = image.equal(expected)
+            if not got:
+                bad.append(v)
+        return bad
 
     adjacent = {s: sorted(targets.items()) for s, targets in sorted(a._adjacent.items())}
     for s, targets in adjacent.items():
@@ -217,10 +226,8 @@ def verify_cocycle(a: Atlas) -> Report:
             back = a._adjacent[t].get(s)
             if t < s or back is None:
                 continue
-            loop = a.compose(forward, back)
-            bad = [
-                v for v in a.chart(s).variables if not same(loop.image(v), RationalFunction.var(v))
-            ]
+            identity = Transition(s, s, {})
+            bad = mismatched(a.compose(forward, back), identity, a.chart(s).variables)
             verdicts.append(
                 Verdict(
                     f"roundtrip {s}<->{t}",
@@ -234,12 +241,7 @@ def verify_cocycle(a: Atlas) -> Report:
                 direct = a._adjacent[s1].get(end)
                 if end == s1 or direct is None:
                     continue
-                comp = a.compose(t1, t2)
-                bad = [
-                    v
-                    for v in sorted(a.chart(end).variables)
-                    if not same(comp.image(v), direct.image(v))
-                ]
+                bad = mismatched(a.compose(t1, t2), direct, sorted(a.chart(end).variables))
                 verdicts.append(
                     Verdict(
                         f"triangle {s1}->{mid}->{end}",

@@ -19,6 +19,7 @@ from lgmirror.atlas import (
     verify_potential_transport,
 )
 from lgmirror.ladder import index_sets, pairs_label, slot_coordinates
+from lgmirror.laurent import LaurentPoly
 from lgmirror.rational import RationalFunction, parse
 
 
@@ -39,21 +40,19 @@ def _both_routes(shared_atlas, reference_atlas):
 @pytest.mark.parametrize("model", ["local", "og15"] + list(range(4, 11)))
 def test_verdicts_match_the_unshared_route(model):
     if model == "local":
-        shared, reference = _both_routes(local_model_atlas(), local_model_atlas())
+        shared_atlas, reference_atlas = local_model_atlas(), local_model_atlas()
     elif model == "og15":
-        shared, reference = _both_routes(og15_atlas(), og15_atlas())
+        shared_atlas, reference_atlas = og15_atlas(), og15_atlas()
     else:
-        shared, reference = _both_routes(gr_product_atlas(model), unshared.gr_product_atlas(model))
+        shared_atlas = gr_product_atlas(model)
+        reference_atlas = unshared.gr_product_atlas(model)
+    # the shared pullbacks build the potentials term for term
+    assert list(shared_atlas.potentials) == list(reference_atlas.potentials)
+    for name, pot in shared_atlas.potentials.items():
+        assert pot.terms == reference_atlas.potentials[name].terms, name
+    shared, reference = _both_routes(shared_atlas, reference_atlas)
     assert shared == reference
     assert all(passed for verdicts in shared for _, passed, _ in verdicts)
-
-
-@pytest.mark.parametrize("n", range(4, 11))
-def test_shared_pullbacks_build_the_unshared_potentials(n):
-    shared, reference = gr_product_atlas(n).potentials, unshared.gr_product_atlas(n).potentials
-    assert list(shared) == list(reference)
-    for name, pot in shared.items():
-        assert pot.terms == reference[name].terms, name
 
 
 def test_controls_fail_on_both_routes():
@@ -128,6 +127,26 @@ def test_a_slot_map_corrupted_in_one_pair_set_fails_only_there(slot):
         assert _failing_pair_sets(report) == {only}
 
 
+@pytest.mark.parametrize("k", [0, 5])
+def test_a_coordinate_only_the_direct_transition_moves_is_compared(k):
+    # the k-th transition rescales a holonomy that every other map passes
+    # through, so each triangle with it as the direct edge must fail
+    a = gr_product_atlas(6)
+    t = a.transitions[k]
+    z = next(v for v in a.chart(t.target).variables if v.startswith("z"))
+    altered = replace(t, bindings=dict(t.bindings, **{z: parse(f"2*{z}")}))
+    transitions = [altered if u is t else u for u in a.transitions]
+    shared_atlas = Atlas(a.name, a.charts, transitions, a.potentials)
+    report = verify_cocycle(shared_atlas)
+    assert _verdicts(report) == _verdicts(unshared.verify_cocycle(shared_atlas))
+    as_direct = [
+        v
+        for v in report.verdicts
+        if v.name.startswith(f"triangle {t.source}->") and v.name.endswith(f"->{t.target}")
+    ]
+    assert as_direct and not any(v.passed for v in as_direct)
+
+
 def _spy(monkeypatch, name):
     """Record every call of RationalFunction.<name> with its arguments."""
     calls = []
@@ -167,7 +186,11 @@ def test_cocycle_decides_each_distinct_comparison_once(monkeypatch):
     verify_cocycle(tree)
     once = [(f.num, f.factors, g.num, g.factors) for f, g in calls]
     assert len(once) == len(set(once)) < len(every)
-    assert set(once) == set(every)
+    assert set(once) <= set(every)
+    # what is left out compares a coordinate that neither side binds with itself
+    for num, factors, other_num, other_factors in set(every) - set(once):
+        assert len(num.vars) == 1 and num == LaurentPoly.var(num.vars[0]) == other_num
+        assert factors == other_factors == ()
 
 
 def test_a_second_atlas_substitutes_again(monkeypatch):
