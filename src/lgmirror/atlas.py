@@ -28,7 +28,8 @@ lives:
   and every image in ``Atlas.compose`` share one table.  A term bound
   only by slot i's maps is pulled back once for all pair sets holding i.
 * ``verify_cocycle`` decides each distinct (image, expected) pair once,
-  within one call.
+  within one call.  A coordinate that neither side binds is its own image
+  under both and is not compared.
 
 Keys are values, never names or positions, so an atlas whose transitions
 or potentials were changed after the build cannot read another input's

@@ -78,7 +78,6 @@ def _times(a: Monomial, b: Monomial) -> Monomial:
         return a + b
     if b[-1][0] < a[0][0]:
         return b + a
-    # one sorted merge of the two pair tuples
     out = []
     i = j = 0
     na, nb = len(a), len(b)
