@@ -390,13 +390,13 @@ def product_charts(n: int, pair_set) -> dict:
     return {kind: Chart(*chart_coordinates(n, pair_set, kind)) for kind in CHART_KINDS}
 
 
-def _gr_tree(n: int) -> tuple[Atlas, list]:
-    """The tree atlas of ``gr_tree_atlas`` and, for every maximal pair set,
-    the pair set with its charts by kind."""
+def gr_tree_atlas(n: int) -> Atlas:
+    """The tree of charts through the shared monotone torus, without
+    potentials: for every maximal pair set, the three chart types glued to
+    each other and, via the clifford type, to the torus chart."""
     pair_sets = sorted(index_sets(n)[1], key=sorted)
     charts = [product_charts(n, frozenset())["torus"]]
     transitions: list[Transition] = []
-    named_sets = []
     # each edge's slot map renamed to each slot, once per build
     slots = sorted({i for ps in pair_sets for i, _ in ps})
     renamed = {
@@ -404,32 +404,27 @@ def _gr_tree(n: int) -> tuple[Atlas, list]:
     }
     for ps in pair_sets:
         named = product_charts(n, ps)
-        named_sets.append((ps, named))
         transitions += (
             _wall_crossing(
                 named[s].name, named[t].name, [renamed[(s, t), i] for i, _ in sorted(ps)]
             )
             for s, t in sorted(_SLOT_MAPS)
         )
-        charts += (named[kind] for kind in ("immersed", "chekanov", "clifford"))
-    return Atlas(f"gr(2,{n})-tree", tuple(charts), tuple(transitions)), named_sets
-
-
-def gr_tree_atlas(n: int) -> Atlas:
-    """The tree of charts through the shared monotone torus, without
-    potentials: for every maximal pair set, the three chart types glued to
-    each other and, via the clifford type, to the torus chart."""
-    return _gr_tree(n)[0]
+        charts += (named[kind] for kind in CHART_KINDS[1:])
+    return Atlas(f"gr(2,{n})-tree", tuple(charts), tuple(transitions))
 
 
 def gr_product_atlas(n: int) -> Atlas:
     """The tree of ``gr_tree_atlas`` with a potential on every chart: the
     torus and immersed potentials, and on chekanov and clifford charts the
     immersed and torus potentials pulled back term by term."""
-    a, named_sets = _gr_tree(n)
+    a = gr_tree_atlas(n)
     torus = gc_torus_potential(n)
     a.potentials["torus"] = torus
-    for ps, named in named_sets:
+    # after the torus, the tree holds each pair set's charts in kind order
+    charts = iter(a.charts[1:])
+    for ps in sorted(index_sets(n)[1], key=sorted):
+        named = dict(zip(CHART_KINDS[1:], charts))
         immersed = immersed_potential(n, ps)
         into_immersed = a.transition(named["chekanov"].name, named["immersed"].name)
         into_torus = a.transition(named["clifford"].name, "torus")

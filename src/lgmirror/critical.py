@@ -149,7 +149,7 @@ class CriticalSystem:
         def note_denominators(f: RationalFunction):
             for factor, _ in f.factors:
                 denominators.setdefault(factor.key(), factor)
-            for v, low in zip(f.num.vars, f.num.monomial_gcd()):
+            for v, low in f.num.monomial_gcd():
                 if low < 0:
                     p = LaurentPoly.var(v)
                     denominators.setdefault(p.key(), p)
@@ -166,7 +166,7 @@ class CriticalSystem:
             note_denominators(d)
             # the numerator times the least monomial clearing its negative powers
             low = d.num.monomial_gcd()
-            self.equations.append(d.num.shift(tuple(max(0, -x) for x in low)))
+            self.equations.append(d.num.shift(tuple([(v, -k) for v, k in low if k < 0])))
             cols = []
             for f, mult in d.factors:
                 if f.key() not in factor_col:

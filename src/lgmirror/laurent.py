@@ -10,17 +10,20 @@ and a Fraction only when it is not, so integer arithmetic never builds a
 Fraction.  Exponents may be negative, so monomials are units and can always
 be moved between numerator and denominator.
 
-Every step that depends on an order of the terms reads the dense view,
-``dense()``: the sorted names of the variables in use and each term's
+Only the steps whose result depends on an order of the terms read the dense
+view, ``dense()``: the sorted names of the variables in use and each term's
 exponent tuple over them, in term order, built at most once per polynomial.
-Those steps are the lex-leading division of ``exact_div`` (its Newton box
-and its heap), ``key()`` and the hash, ``format_poly``, ``monomial_gcd`` and
-``shift``.  Lex order over the dense view is the order of the aligned
-exponent tuples that polynomials carried before they were sparse, and the
-arithmetic adds, merges and deletes terms in the same sequence, so every
-canonical form, every ordering of denominator factors, every hash and every
-printed form is the same as with aligned tuples.  ``tests/dense_laurent.py``
-keeps the aligned-tuple arithmetic as the reference.
+They are the lex-leading division of ``exact_div`` (its Newton box and its
+heap), ``key()`` and the hash, ``format_poly``, and the canonical sign of a
+denominator factor in ``lgmirror.rational``.  Apart from them, only the
+minimum in ``monomial_gcd`` (which returns a monomial, as ``shift`` takes
+one) and the constructor from exponent tuples (``make``, ``rename``) read
+it.  Lex order over the dense view is the order of the aligned exponent
+tuples that polynomials carried before they were sparse, and the arithmetic
+adds, merges and deletes terms in the same sequence, so every canonical
+form, every ordering of denominator factors, every hash and every printed
+form is the same as with aligned tuples.  ``tests/dense_laurent.py`` keeps
+the aligned-tuple arithmetic as the reference.
 """
 from __future__ import annotations
 
@@ -155,9 +158,12 @@ class LaurentPoly:
 
     @staticmethod
     def make(vars: Iterable[str], terms: Mapping[Exponents, object]) -> "LaurentPoly":
-        """Build a polynomial from exponent tuples over the given variable
-        names and int or Fraction coefficients, dropping zero terms."""
+        """Build a polynomial from exponent tuples over the given distinct
+        variable names and int or Fraction coefficients, dropping zero terms."""
         pick = sorted((v, i) for i, v in enumerate(vars))
+        for (a, _), (b, _) in zip(pick, pick[1:]):
+            if a == b:
+                raise ValueError(f"variable names must be distinct, got {a!r} twice")
         return LaurentPoly({
             tuple([(v, e[i]) for v, i in pick if e[i]]): _frac(c)
             for e, c in terms.items()
@@ -319,13 +325,14 @@ class LaurentPoly:
             den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
         return coeff_quotient(num_gcd, den_lcm)
 
-    def monomial_gcd(self) -> Exponents:
-        """Componentwise minimum exponent over all terms, over ``vars``."""
-        return tuple(map(min, zip(*self.dense()[1])))
+    def monomial_gcd(self) -> Monomial:
+        """The monomial of the least exponent of each variable over all
+        terms, where a term without the variable counts as exponent 0."""
+        names, exps = self.dense()
+        return _sparse(names, tuple(map(min, zip(*exps))))
 
-    def shift(self, exps: Exponents) -> "LaurentPoly":
-        """Multiply by the monomial with the given exponents over ``vars``."""
-        unit = _sparse(self.vars, exps)
+    def shift(self, unit: Monomial) -> "LaurentPoly":
+        """Multiply by a monomial; the terms keep their order."""
         if not unit:
             return self
         return LaurentPoly({_times(m, unit): c for m, c in self.terms.items()})
@@ -472,12 +479,10 @@ class LaurentPoly:
         return total
 
     def rename(self, mapping: Mapping[str, str]) -> "LaurentPoly":
-        """Rename variables (mapping may cover a subset)."""
-        names = self.vars
-        new_names = tuple(mapping.get(v, v) for v in names)
-        if len(set(new_names)) != len(new_names):
-            raise ValueError("variable renaming must stay injective")
-        return LaurentPoly.make(new_names, dict(zip(self.dense()[1], self.terms.values())))
+        """Rename variables (mapping may cover a subset); two variables may
+        not get the same name."""
+        names, exps = self.dense()
+        return LaurentPoly.make([mapping.get(v, v) for v in names], dict(zip(exps, self.terms.values())))
 
     # -- printing ---------------------------------------------------------
 

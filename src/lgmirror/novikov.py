@@ -8,6 +8,10 @@ has a unique minimal-weight term expands into a series
 
 where each coefficient is a Laurent polynomial in the non-T variables and
 the exponents are the total weights of the contributing monomials.
+
+A valuation is summed over a monomial's (name, exponent) pairs, and a
+coefficient's monomial is the series monomial less its ``T`` pair; no step
+depends on term order, so none reads the dense view.
 """
 from __future__ import annotations
 
@@ -55,109 +59,70 @@ class NovikovSeries:
         return " + ".join(parts) + f" + O(T^{self.order})"
 
 
-def monomial_valuation(vars_: tuple[str, ...], exps, weights: Mapping[str, Fraction]) -> Fraction:
-    total = Fraction(0)
-    for v, k in zip(vars_, exps):
-        if k == 0:
-            continue
-        if v not in weights:
-            raise KeyError(f"no valuation supplied for variable {v!r}")
-        total += weights[v] * k
-    return total
-
-
-def _resolve_weights(expr_vars, valuations: Mapping[str, object]) -> dict[str, Fraction]:
-    weights = {v: Fraction(w) for v, w in valuations.items()}
-    if "T" in expr_vars and "T" not in weights:
-        weights["T"] = Fraction(1)
-    return weights
-
-
-def _dense_terms(p: LaurentPoly) -> tuple[tuple[str, ...], dict]:
-    """The variables of p and its terms keyed by exponent tuples over them."""
-    names, exps = p.dense()
-    return names, dict(zip(exps, p.terms.values()))
-
-
 def novikov_expand(expr, valuations: Mapping[str, object], order) -> NovikovSeries:
     """Expand a rational function into a truncated formal series.
 
     Raises ValueError when the denominator has no unique minimal-weight
-    term, in which case no geometric expansion exists.  Valuations, the
-    lead term and the truncation read the dense views of the polynomials.
+    term, in which case no geometric expansion exists, and KeyError naming
+    a variable that has no weight.  A monomial's valuation is read off its
+    (name, exponent) pairs, and a coefficient drops the pair of ``T``.
     """
     f: RationalFunction = as_rational(expr)
     order = Fraction(order)
-    weights = _resolve_weights(f.variables(), valuations)
+    weights = {"T": Fraction(1), **{v: Fraction(w) for v, w in valuations.items()}}
+
+    def valuation(mono) -> Fraction:
+        try:
+            return sum((weights[v] * k for v, k in mono), Fraction(0))
+        except KeyError as missing:
+            raise KeyError(f"no valuation supplied for variable {missing.args[0]!r}") from None
+
     if f.is_zero():
         return NovikovSeries((), order)
-    den_vars, den_terms = _dense_terms(f.den)
-    vals = {e: monomial_valuation(den_vars, e, weights) for e in den_terms}
+    den = f.den.terms
+    vals = {m: valuation(m) for m in den}
     vmin = min(vals.values())
-    leads = [e for e, v in vals.items() if v == vmin]
+    leads = [m for m, v in vals.items() if v == vmin]
     if len(leads) != 1:
         raise ValueError(
             "denominator has no unique minimal-valuation term; expansion undefined"
         )
     lead = leads[0]
-    lead_inv = LaurentPoly.monomial(
-        {v: -x for v, x in zip(den_vars, lead)}, coeff_quotient(1, den_terms[lead])
-    )
-    r = (f.den - LaurentPoly.make(den_vars, {lead: den_terms[lead]})) * lead_inv
+    lead_inv = LaurentPoly({tuple([(v, -k) for v, k in lead]): coeff_quotient(1, den[lead])})
+    r = LaurentPoly({m: c for m, c in den.items() if m != lead}) * lead_inv
     base = f.num * lead_inv
     if base.is_zero():
         return NovikovSeries((), order)
-    base_vars, base_terms = _dense_terms(base)
-    base_min = min(monomial_valuation(base_vars, e, weights) for e in base_terms)
-    budget = order - base_min
+    budget = order - min(map(valuation, base.terms))
     if r.is_zero():
         series_poly = base
     else:
-        r_vars, r_terms = _dense_terms(r)
-        delta = min(monomial_valuation(r_vars, e, weights) for e in r_terms)
+        delta = min(map(valuation, r.terms))
         if delta <= 0:
             raise ValueError(
                 "denominator tail has nonpositive valuation; expansion undefined"
             )
-
-        def prune(p: LaurentPoly) -> LaurentPoly:
-            names, terms = _dense_terms(p)
-            kept = {
-                e: c
-                for e, c in terms.items()
-                if monomial_valuation(names, e, weights) < budget
-            }
-            return LaurentPoly.make(names, kept)
-
-        acc = LaurentPoly.constant(1)
-        power = LaurentPoly.constant(1)
-        k = 0
-        while True:
-            k += 1
-            if delta * k >= budget:
-                break
-            power = prune(power * (-r))
+        acc = power = LaurentPoly.constant(1)
+        k = 1
+        while delta * k < budget:
+            power = power * (-r)
+            power = LaurentPoly({m: c for m, c in power.terms.items() if valuation(m) < budget})
             if power.is_zero():
                 break
             acc = acc + power
+            k += 1
         series_poly = base * acc
     bucket: dict[Fraction, dict] = {}
-    series_vars, series_terms = _dense_terms(series_poly)
-    t_index = series_vars.index("T") if "T" in series_vars else None
-    rest_vars = tuple(v for v in series_vars if v != "T")
-    for e, c in series_terms.items():
-        v = monomial_valuation(series_vars, e, weights)
-        if v >= order:
-            continue
-        if t_index is None:
-            rest_e = e
-        else:
-            rest_e = tuple(x for i, x in enumerate(e) if i != t_index)
-        slot = bucket.setdefault(v, {})
-        slot[rest_e] = slot.get(rest_e, 0) + c
-    terms = []
-    for v in sorted(bucket):
-        coeff = LaurentPoly.make(rest_vars, bucket[v])
-        if not coeff.is_zero():
-            terms.append((v, coeff))
-    return NovikovSeries(tuple(terms), order)
+    for m, c in series_poly.terms.items():
+        v = valuation(m)
+        if v < order:
+            slot = bucket.setdefault(v, {})
+            rest = tuple([p for p in m if p[0] != "T"])
+            slot[rest] = slot.get(rest, 0) + c
+    # monomials that differ only in T share a slot when T has weight 0; the
+    # quotient by 1 makes a whole Fraction sum an int
+    coeffs = (
+        (v, LaurentPoly({m: coeff_quotient(c, 1) for m, c in bucket[v].items() if c}))
+        for v in sorted(bucket)
+    )
+    return NovikovSeries(tuple((v, c) for v, c in coeffs if c), order)

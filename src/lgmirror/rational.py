@@ -42,13 +42,14 @@ tests/term_by_term_substitution.py, not proven: the gcd pass has budgets,
 and it sees different inputs on the two routes.
 
 LaurentPoly keeps each monomial as its sparse (name, exponent) pairs.
-Substitution and the irreducibility test read those pairs directly.  The
-canonical sign (the lex-first term) in _normalize_factor and _gcd_in_var,
-the factor order (sorted by LaurentPoly.key()) and trial division read the
-polynomial's dense view, exponent tuples over its sorted variable names.
-Lex order over that view is the order of the aligned exponent tuples the
-polynomials carried before they were sparse, so no canonical form, factor
-order or printed form depends on the layout.
+Substitution, the irreducibility test and the monomial content divided out
+of a factor (LaurentPoly.monomial_gcd and shift) read those pairs.  Only the
+canonical sign (the lex-first term, in _normalize_factor), the factor order
+(sorted by LaurentPoly.key()) and trial division read the polynomial's
+dense view, exponent tuples over its sorted variable names.  Lex order over
+that view is the order of the aligned exponent tuples the polynomials
+carried before they were sparse, so no canonical form, factor order or
+printed form depends on the layout.
 """
 from __future__ import annotations
 
@@ -56,7 +57,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .laurent import LaurentPoly, coeff_quotient, format_poly, tokenize
+from .laurent import LaurentPoly, Monomial, coeff_quotient, format_poly, tokenize
 
 _GCD_TERM_CAP = 240
 
@@ -351,11 +352,10 @@ def _lifted(p: RationalFunction, lcm: dict) -> LaurentPoly:
 def _normalize_factor(f: LaurentPoly):
     """Split a factor into (canonical factor or None, unit to push to the numerator)."""
     units = []
-    mono = f.monomial_gcd()
-    if any(mono):
-        orig_vars = f.vars
-        f = f.shift(tuple(-x for x in mono))
-        units.append(LaurentPoly.make(orig_vars, {tuple(-x for x in mono): 1}))
+    mono = _inverse(f.monomial_gcd())
+    if mono:
+        f = f.shift(mono)
+        units.append(LaurentPoly({mono: 1}))
     c = f.content()
     # the lex-first term, over the dense view
     _, lead_c = max(zip(f.dense()[1], f.terms.values()))
@@ -374,6 +374,11 @@ def _normalize_factor(f: LaurentPoly):
     for u in units:
         unit = u if unit is None else unit * u
     return f, unit
+
+
+def _inverse(mono: Monomial) -> Monomial:
+    """The monomial whose product with ``mono`` is 1."""
+    return tuple([(v, -k) for v, k in mono])
 
 
 def _is_irreducible(f: LaurentPoly) -> bool:
@@ -494,8 +499,8 @@ def _poly_gcd(f: LaurentPoly, g: LaurentPoly, work: _Work) -> LaurentPoly:
     if f.is_zero() or g.is_zero() or f.is_monomial() or g.is_monomial():
         return LaurentPoly.constant(1)
     work.spend(len(f.terms) + len(g.terms))
-    f = f.shift(tuple(-x for x in f.monomial_gcd()))
-    g = g.shift(tuple(-x for x in g.monomial_gcd()))
+    f = f.shift(_inverse(f.monomial_gcd()))
+    g = g.shift(_inverse(g.monomial_gcd()))
     shared = sorted(set(f.vars) & set(g.vars))
     if not shared:
         return LaurentPoly.constant(1)
@@ -545,14 +550,8 @@ def _gcd_in_var(f: LaurentPoly, g: LaurentPoly, v: str, work: _Work) -> LaurentP
         a, b = b, r
     if max(a) == 0:
         return content_gcd
-    prim = LaurentPoly.from_coefficients(a, v)
-    prim = prim.shift(tuple(-x for x in prim.monomial_gcd()))
-    cc = prim.content()
-    _, lead_c = max(zip(prim.dense()[1], prim.terms.values()))
-    if lead_c < 0:
-        cc = -cc
-    prim = prim.scale(coeff_quotient(1, cc))
-    return content_gcd * prim
+    prim, _ = _normalize_factor(LaurentPoly.from_coefficients(a, v))
+    return content_gcd if prim is None else content_gcd * prim
 
 
 _GCD_BIT_CAP = 20000

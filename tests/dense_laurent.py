@@ -107,6 +107,16 @@ class DenseLaurent:
             n >>= 1
         return result
 
+    def monomial_gcd(self) -> tuple:
+        """The componentwise least exponent tuple over the terms."""
+        return tuple(map(min, zip(*self.terms)))
+
+    def shift(self, exps) -> "DenseLaurent":
+        """Multiply by the monomial with the given exponent tuple."""
+        return DenseLaurent.pruned(
+            self.vars, {tuple(map(add, e, exps)): c for e, c in self.terms.items()}
+        )
+
     def partial(self, name: str) -> "DenseLaurent":
         if name not in self.vars:
             return DenseLaurent((), {})

@@ -1,7 +1,7 @@
 """Every exported name resolves, so a deleted helper cannot linger in __all__;
-and every public top-level name, exported or not, has a reader in the
-program or the benchmark besides its definition, its imports and its
-__all__ entry."""
+every public top-level name, exported or not, has a reader in the program
+or the benchmark besides its definition, its imports and its __all__
+entry; and every name a module imports is read in that module."""
 
 import ast
 import importlib
@@ -117,3 +117,39 @@ def test_a_name_only_a_test_reads_is_flagged(tmp_path):
     (src / "b.py").write_text("from .a import used\n\nRESULT = used()\n")
     (bench / "run.py").write_text("from a import orphan\n\na.benched()\n")
     assert _unread_names(src, bench) == ["a.KINDS", "a.orphan", "a.Exported"]
+
+
+def _unused_imports(text: str) -> list[str]:
+    """The names that the import statements of a module bind and that no
+    expression of the module reads, where an entry of __all__ counts as a
+    read.  ``import a.b`` binds ``a``; ``from __future__`` binds nothing."""
+    tree = ast.parse(text)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read |= _exported(text)
+    return [name for name in bound if name not in read]
+
+
+def test_every_import_is_read():
+    unused = {
+        path.stem: names
+        for path in sorted(_SRC.glob("*.py"))
+        if (names := _unused_imports(path.read_text()))
+    }
+    assert unused == {}
+
+
+def test_an_unread_import_is_flagged():
+    text = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport re as regex\n"
+        "from math import gcd, inf, pi\nfrom .a import shared\n\n"
+        "__all__ = ['shared']\n\n\n"
+        "def f(x: inf) -> str:\n    return os.sep + str(gcd(x, 2))\n"
+    )
+    assert _unused_imports(text) == ["regex", "pi"]

@@ -43,8 +43,8 @@ def test_variable_pruning():
 def test_content_and_monomial_gcd():
     p = P("6*u^2*v - 9*u*v^2")
     assert p.content() == Fraction(3)
-    assert p.monomial_gcd() == (1, 1)
-    shifted = p.shift((-1, -1))
+    assert p.monomial_gcd() == (("u", 1), ("v", 1))
+    shifted = p.shift((("u", -1), ("v", -1)))
     assert shifted == P("6*u - 9*v")
 
 
@@ -105,6 +105,12 @@ def test_rename_is_injective_only():
     assert q == P("a + v")
     with pytest.raises(ValueError):
         p.rename({"u": "v"})
+    # nor does the constructor from exponent tuples take a name twice
+    with pytest.raises(ValueError, match="'x' twice"):
+        LaurentPoly.make(("x", "x"), {(1, 1): 1})
+    with pytest.raises(ValueError, match="'y' twice"):
+        LaurentPoly.make(iter(["y", "x", "y"]), {(1, 0, 2): 1})
+    assert LaurentPoly.make(iter(["y", "x"]), {(2, 1): 1}) == P("x*y^2")
 
 
 def test_format_deterministic_order():
@@ -323,6 +329,10 @@ def test_sparse_arithmetic_matches_the_aligned_reference(pair, k):
     _matches(a ** k, ra ** k)
     if a.is_monomial():
         _matches(a ** -k, ra ** -k)
+    low = ra.monomial_gcd()
+    assert a.monomial_gcd() == tuple((v, x) for v, x in zip(ra.vars, low) if x)
+    inverse = tuple((v, -x) for v, x in a.monomial_gcd())
+    _matches(a.shift(inverse), ra.shift(tuple(-x for x in low)))
     for v in _POOL:
         _matches(a.partial(v), ra.partial(v))
         view, ref = a.coefficients_in(v), ra.coefficients_in(v)

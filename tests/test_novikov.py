@@ -29,11 +29,18 @@ def test_t_variable_gets_default_weight_one():
     assert s.exponents() == (Fraction(1),)
     coeff = s.terms[0][1]
     assert coeff == LaurentPoly.monomial({"z12": -1}) + LaurentPoly.monomial({"z11": -1, "z12": 1})
+    # an explicit weight of T overrides the default
+    s = novikov_expand(parse("T/(1 - T)"), {"T": 2}, 7)
+    assert s.exponents() == (2, 4, 6)
+    assert all(c == LaurentPoly.constant(1) for _, c in s.terms)
 
 
 def test_nonunique_minimal_valuation_rejected():
     with pytest.raises(ValueError):
         novikov_expand(parse("1/(1 + u)"), {"u": 0}, 4)
+    # as is a variable without a weight, by name
+    with pytest.raises(KeyError, match="variable 'v'"):
+        novikov_expand(parse("u/(1 - v)"), {"u": 1}, 4)
 
 
 def test_fractional_weights():
