@@ -64,8 +64,7 @@ def novikov_expand(expr, valuations: Mapping[str, object], order) -> NovikovSeri
 
     Raises ValueError when the denominator has no unique minimal-weight
     term, in which case no geometric expansion exists, and KeyError naming
-    a variable that has no weight.  A monomial's valuation is read off its
-    (name, exponent) pairs, and a coefficient drops the pair of ``T``.
+    a variable that has no weight.
     """
     f: RationalFunction = as_rational(expr)
     order = Fraction(order)
